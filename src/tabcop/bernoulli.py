@@ -22,6 +22,7 @@ from tabcop.errors import (
     DimensionMismatchError,
     DomainError,
     ValidationError,
+    check_nonnegative,
 )
 from tabcop.pmf_core import JointPmf
 
@@ -29,15 +30,6 @@ from tabcop.pmf_core import JointPmf
 def _require_2x2(p: JointPmf, name: str = "table"):
     if p.shape != (2, 2):
         raise DimensionMismatchError(f"{name} must be 2x2, got {p.shape}")
-
-
-def _check_omega(omega: float) -> float:
-    if isinstance(omega, bool) or not isinstance(omega, (int, float)):
-        raise DomainError(f"odds ratio must be a real number, got {omega!r}")
-    omega = float(omega)
-    if math.isnan(omega) or omega < 0:
-        raise DomainError(f"odds ratio must lie in [0, inf], got {omega!r}")
-    return omega
 
 
 def odds_ratio(p: JointPmf) -> float:
@@ -60,7 +52,7 @@ def upsilon_from_omega(omega: float) -> float:
     Strictly increasing from -1 at w = 0 to +1 at w = inf, with 0 at
     independence; odd under w -> 1/w.
     """
-    omega = _check_omega(omega)
+    omega = check_nonnegative(omega, "odds ratio", DomainError)
     if math.isinf(omega):
         return 1.0
     s = math.sqrt(omega)
@@ -74,7 +66,7 @@ def bernoulli_copula(omega: float) -> JointPmf:
     equivalently (1 +/- upsilon)/4.  The endpoints w = 0 and w = inf give
     the anti-diagonal and diagonal Frechet tables.
     """
-    omega = _check_omega(omega)
+    omega = check_nonnegative(omega, "odds ratio", DomainError)
     if math.isinf(omega):
         return JointPmf([[0.5, 0.0], [0.0, 0.5]])
     s = math.sqrt(omega)
@@ -93,7 +85,7 @@ def reconstruct(omega: float, pi_x: float, pi_y: float) -> JointPmf:
     given margins: p11 = max(0, pi_x + pi_y - 1) at omega = 0 and
     p11 = min(pi_x, pi_y) at omega = inf.
     """
-    omega = _check_omega(omega)
+    omega = check_nonnegative(omega, "odds ratio", DomainError)
     for name, v in (("pi_x", pi_x), ("pi_y", pi_y)):
         if not (0.0 < v < 1.0):
             raise DomainError(f"{name} must lie strictly inside (0, 1), got {v!r}")

@@ -6,6 +6,8 @@ errors to exit code 1 and infeasibility (no table with the requested
 support/margins exists) to exit code 2.
 """
 
+import math
+
 
 class TabcopError(Exception):
     """Base class for all tabcop errors."""
@@ -72,3 +74,19 @@ class NonConvergenceError(TabcopError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+def check_nonnegative(value, name: str, error: type, allow_inf: bool = True) -> float:
+    """``value`` as a float in [0, inf], or in [0, inf) without ``allow_inf``.
+
+    Odds ratios and association parameters share this domain; each caller
+    names the parameter and the :class:`ValidationError` subclass it
+    raises.  Booleans and non-real types are rejected, as is NaN.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if math.isnan(value) or value < 0.0 or (math.isinf(value) and not allow_inf):
+        upper = "inf]" if allow_inf else "inf)"
+        raise error(f"{name} must lie in [0, {upper}, got {value!r}")
+    return value

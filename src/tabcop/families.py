@@ -14,13 +14,11 @@ which the test suite uses as oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import t as student_t
 
 from tabcop import scaling
 from tabcop.bernoulli import bernoulli_copula
@@ -31,6 +29,7 @@ from tabcop.errors import (
     InfeasibleError,
     ParamError,
     ValidationError,
+    check_nonnegative,
 )
 from tabcop.pmf_core import JointPmf
 
@@ -102,14 +101,28 @@ def parse_family_spec(text: str) -> ContinuousCopulaSpec:
     return ContinuousCopulaSpec(name.strip(), params)
 
 
-def _gaussian_rectangle(a: float, b: float, rho: float) -> float:
-    """P(Z1 <= a, Z2 <= b) for standard bivariate normals, correlation rho.
+@functools.cache
+def _quadrature():
+    """scipy's ``integrate`` and ``special``, imported on first use.
+
+    The Gaussian and Student CDFs run once per mesh node; fetching the
+    modules from this cache costs about a tenth of an import statement.
+    """
+    from scipy import integrate, special
+
+    return integrate, special
+
+
+def _gaussian_cdf(u: float, v: float, rho: float) -> float:
+    """Gaussian copula C(u, v): P(Z1 <= a, Z2 <= b) at the normal quantiles.
 
     One-dimensional adaptive quadrature over the correlation integral:
     the derivative of the probability in rho is the bivariate density at
     (a, b), so integrating it from 0 (where the answer factorizes) to rho
     gives the rectangle probability to ~1e-12.
     """
+    integrate, special = _quadrature()
+    a, b = special.ndtri(u), special.ndtri(v)
 
     def integrand(r):
         om = 1.0 - r * r
@@ -119,13 +132,17 @@ def _gaussian_rectangle(a: float, b: float, rho: float) -> float:
     return special.ndtr(a) * special.ndtr(b) + value / (2.0 * math.pi)
 
 
-def _student_rectangle(x: float, y: float, rho: float, df: float) -> float:
-    """P(T1 <= x, T2 <= y) under a bivariate t, by 2-D adaptive quadrature.
+def _student_cdf(u: float, v: float, rho: float, df: float) -> float:
+    """Student copula C(u, v): P(T1 <= x, T2 <= y) at the t quantiles.
 
-    Integrated in arctangent coordinates: the substitution maps the
-    heavy-tailed infinite domain onto a finite box, where the adaptive
-    rule converges cleanly.
+    Two-dimensional adaptive quadrature in arctangent coordinates: the
+    substitution maps the heavy-tailed infinite domain onto a finite box,
+    where the adaptive rule converges cleanly.
     """
+    from scipy.stats import t as student_t
+
+    integrate, _special = _quadrature()
+    x, y = student_t.ppf(u, df), student_t.ppf(v, df)
     c = 1.0 / (2.0 * math.pi * math.sqrt(1.0 - rho * rho))
 
     def density(t_in, s_out):
@@ -182,11 +199,8 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
         num = math.expm1(-th * u) * math.expm1(-th * v)
         return -math.log1p(num / math.expm1(-th)) / th
     if spec.family == "gaussian":
-        return _gaussian_rectangle(special.ndtri(u), special.ndtri(v), p["rho"])
-    # student
-    return _student_rectangle(
-        student_t.ppf(u, p["df"]), student_t.ppf(v, p["df"]), p["rho"], p["df"]
-    )
+        return _gaussian_cdf(u, v, p["rho"])
+    return _student_cdf(u, v, p["rho"], p["df"])
 
 
 def discretize_copula(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> JointPmf:
@@ -222,15 +236,6 @@ def fgm_pmf(theta: float, n_rows: int, n_cols: int) -> JointPmf:
     u = 1.0 - (2.0 * np.arange(n_rows) + 1.0) / n_rows
     v = 1.0 - (2.0 * np.arange(n_cols) + 1.0) / n_cols
     return JointPmf((1.0 + theta * np.outer(u, v)) / (n_rows * n_cols))
-
-
-def _check_omega_param(omega: float) -> float:
-    if isinstance(omega, bool) or not isinstance(omega, (int, float)):
-        raise ParamError(f"omega must be a real number, got {omega!r}")
-    omega = float(omega)
-    if math.isnan(omega) or omega < 0.0:
-        raise ParamError(f"omega must lie in [0, inf], got {omega!r}")
-    return omega
 
 
 def _multinomial_terms(n: int, x: int, y: int):
@@ -270,6 +275,8 @@ def bivariate_binomial_pmf(n: int, p2: JointPmf) -> JointPmf:
                 out[x, y] = total
         return JointPmf(out)
 
+    from scipy.special import logsumexp
+
     with np.errstate(divide="ignore"):
         logs = np.log([p00, p10, p01, p11])
     for x in range(n + 1):
@@ -282,7 +289,7 @@ def bivariate_binomial_pmf(n: int, p2: JointPmf) -> JointPmf:
                 log_coef = (math.lgamma(n + 1) - sum(math.lgamma(e + 1) for e in exps))
                 terms.append(log_coef + sum(e * lp for e, lp in zip(exps, logs) if e > 0))
             if terms:
-                out[x, y] = math.exp(special.logsumexp(terms))
+                out[x, y] = math.exp(logsumexp(terms))
     return JointPmf(out)
 
 
@@ -305,7 +312,7 @@ def binomial_copula(n: int, omega: float, tol: float = scaling.DEFAULT_TOL) -> J
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParamError(f"n must be an integer >= 1, got {n!r}")
-    omega = _check_omega_param(omega)
+    omega = check_nonnegative(omega, "omega", ParamError)
     size = n + 1
     upper, lower = frechet_bounds(size)
     if omega == 0.0:
@@ -409,6 +416,8 @@ def _assignment_face(cost):
     through it keeps the assignment optimum unchanged (integer costs make
     the equality test exact).
     """
+    from scipy.optimize import linear_sum_assignment
+
     n = cost.shape[0]
     rows, cols = linear_sum_assignment(cost)
     best = int(cost[rows, cols].sum())
@@ -436,7 +445,7 @@ def truncated_geometric_copula(n_levels: int, omega: float,
     """
     if not isinstance(n_levels, (int, np.integer)) or n_levels < 2:
         raise ParamError(f"n_levels must be an integer >= 2, got {n_levels!r}")
-    omega = _check_omega_param(omega)
+    omega = check_nonnegative(omega, "omega", ParamError)
     if omega == 0.0 and n_levels > 2:
         order, coef = _geometric_limit_costs(n_levels)
         face = _assignment_face(order)
@@ -460,11 +469,7 @@ def goodman_copula(n_rows: int, n_cols: int, theta: float,
     """
     if n_rows < 2 or n_cols < 2:
         raise ValidationError("goodman copula needs at least 2 rows and 2 columns")
-    if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-        raise ParamError(f"theta must be a real number, got {theta!r}")
-    theta = float(theta)
-    if math.isnan(theta) or theta < 0.0:
-        raise ParamError(f"theta must lie in [0, inf], got {theta!r}")
+    theta = check_nonnegative(theta, "theta", ParamError)
 
     if theta == 0.0 or math.isinf(theta):
         # the degenerate seeds have cross-shaped support, which cannot

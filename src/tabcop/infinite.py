@@ -16,10 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from tabcop import scaling
-from tabcop.errors import DimensionMismatchError, ParamError, ValidationError
+from tabcop.errors import (
+    DimensionMismatchError,
+    ParamError,
+    ValidationError,
+    check_nonnegative,
+)
 from tabcop.pmf_core import JointPmf, MarginPair
 
 _GRID_MASS_TOL = 1e-9
@@ -84,6 +88,9 @@ class _BivariatePoissonCells:
     _HARD_CAP = 100_000
 
     def __init__(self, lam10, lam01, lam11):
+        from scipy.special import logsumexp
+
+        self.logsumexp = logsumexp
         self.lam10, self.lam01, self.lam11 = lam10, lam01, lam11
         self.log_rate = (math.log(lam11 / (lam10 * lam01)) if lam11 > 0
                          else -math.inf)
@@ -100,7 +107,7 @@ class _BivariatePoissonCells:
                 + i * self.log_rate
                 for i in range(min(x, y) + 1)
             ]
-            log_series = special.logsumexp(terms)
+            log_series = self.logsumexp(terms)
         return self.base + lx + ly + log_series
 
     def _adaptive_logsum(self, log_term, start: int) -> float:
@@ -115,7 +122,7 @@ class _BivariatePoissonCells:
             if lp < best - self._LOG_CUT and k > start + 3:
                 break
             k += 1
-        return float(special.logsumexp(logs))
+        return float(self.logsumexp(logs))
 
     def log_row_tail(self, y: int, start: int) -> float:
         """log P(X >= start, Y = y)."""
@@ -176,11 +183,9 @@ def poisson_copula_grid(omega: float, n_levels: int, eps: float = 1e-6,
     guards the truncation: the marginal mass absorbed into the boundary
     level N-1 must stay below it, otherwise ParamError asks for a larger N.
     """
-    if isinstance(omega, bool) or not isinstance(omega, (int, float)):
-        raise ParamError(f"omega must be a real number, got {omega!r}")
-    omega = float(omega)
-    if math.isnan(omega) or math.isinf(omega) or omega < 0:
-        raise ParamError(f"omega must be a finite nonnegative real, got {omega!r}")
+    from scipy import special
+
+    omega = check_nonnegative(omega, "omega", ParamError, allow_inf=False)
     if not 0.0 < eps <= 1e-6:
         raise ParamError(f"eps must lie in (0, 1e-6], got {eps!r}")
 

@@ -270,6 +270,29 @@ def _rate_from_ring(err_ring, iterations):
     return float(min((last / base) ** 0.1, 1.0))
 
 
+def _sweeps_with_history(work, rt, ct, tol, max_iter):
+    """Run the kernel in doubling chunks, keeping every sweep's errors.
+
+    The histories grow with the sweeps actually run rather than with the
+    budget; sweeping is stateless apart from ``work``, so the chunked run
+    visits exactly the tables of one uninterrupted run.
+    """
+    maxes, l1s = [], []
+    done, err, chunk = 0, np.inf, _RING_LEN
+    while done < max_iter:
+        n = min(chunk, max_iter - done)
+        err_max = np.empty(n)
+        err_l1 = np.empty(n)
+        sweeps, err = _kernel.ipf_sweeps(work, rt, ct, tol, n, err_max, err_l1)
+        maxes.append(err_max[:sweeps])
+        l1s.append(err_l1[:sweeps])
+        done += sweeps
+        if sweeps < n or err <= tol:
+            break
+        chunk *= 2
+    return done, err, np.concatenate(maxes), np.concatenate(l1s)
+
+
 def _run_ipf(values, rt, ct, tol, max_iter, classification, keep_history):
     init_dev = max(
         np.abs(values.sum(axis=1) - rt).max(),
@@ -279,21 +302,24 @@ def _run_ipf(values, rt, ct, tol, max_iter, classification, keep_history):
         diag = ScalingDiagnostics(0, float(init_dev), classification)
         return values, diag
 
-    n_hist = max_iter if keep_history else _RING_LEN
-    err_max = np.empty(n_hist)
-    err_l1 = np.empty(n_hist)
     work = np.ascontiguousarray(values)
-    iterations, err = _kernel.ipf_sweeps(
-        work, np.ascontiguousarray(rt), np.ascontiguousarray(ct),
-        tol, max_iter, err_max, err_l1,
-    )
+    rt, ct = np.ascontiguousarray(rt), np.ascontiguousarray(ct)
+    if keep_history:
+        iterations, err, err_max, err_l1 = _sweeps_with_history(
+            work, rt, ct, tol, max_iter)
+    else:
+        err_max = np.empty(_RING_LEN)
+        err_l1 = np.empty(_RING_LEN)
+        iterations, err = _kernel.ipf_sweeps(
+            work, rt, ct, tol, max_iter, err_max, err_l1,
+        )
     diag = ScalingDiagnostics(
         iterations=int(iterations),
         margin_error=float(err),
         classification=classification,
         rate_estimate=_rate_from_ring(err_max, int(iterations)),
-        error_history=err_max[:iterations].copy() if keep_history else None,
-        l1_error_history=err_l1[:iterations].copy() if keep_history else None,
+        error_history=err_max if keep_history else None,
+        l1_error_history=err_l1 if keep_history else None,
     )
     if err > tol:
         raise NonConvergenceError(

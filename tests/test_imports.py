@@ -1,0 +1,56 @@
+"""Import budget: the table verbs run on numpy alone.
+
+scipy is imported only inside the functions that need it (the Gaussian
+and Student CDFs, the binomial log path, the geometric omega = 0
+assignment face, the Poisson tail and grid), so ``import tabcop`` and the
+``analyze``, ``copula`` and ``couple`` verbs never load it.  Each check
+runs in a fresh interpreter, since the test session itself has scipy
+loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = r"""
+import contextlib, io, json, sys
+import tabcop, tabcop.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+report = {"import": scipy_modules()}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["analyze"] = tabcop.cli.run(["analyze", "--input", sys.argv[1]])
+    report["copula"] = tabcop.cli.run(["copula", "--input", sys.argv[1],
+                                       "--out", sys.argv[2]])
+    report["couple"] = tabcop.cli.run(["couple", "--copula", sys.argv[2],
+                                       "--row-margins", "0.603,0.397",
+                                       "--col-margins", "0.475,0.525"])
+report["verbs"] = scipy_modules()
+spec = tabcop.ContinuousCopulaSpec("gaussian", {"rho": 0.5})
+report["gaussian_is_copula"] = tabcop.is_copula_pmf(tabcop.discretize_copula(spec, 4, 4))
+report["after_gaussian"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def test_cli_verbs_load_no_scipy(tmp_path):
+    lin = tmp_path / "lin.csv"
+    lin.write_text("26,1\n5,18\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(lin), str(tmp_path / "lincop.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    assert (report["analyze"], report["copula"], report["couple"]) == (0, 0, 0)
+    assert report["verbs"] == []
+    assert report["gaussian_is_copula"] is True
+    assert report["after_gaussian"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,64 @@ class TestCopulaPmf:
             odds_ratio_matrix(cop).entries - odds_ratio_matrix(p).entries
         ).max()
         assert agree <= 1e-8
+
+    def test_history_sized_by_sweeps_run(self):
+        # a B2 fit that converges in one sweep under a 10**7 sweep budget
+        p = JointPmf([[0.0, 0.3], [0.3, 0.4]])
+        tracemalloc.start()
+        try:
+            _, diag = copula_pmf(p, keep_history=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diag.classification.tag == "B2"
+        assert diag.iterations == 1
+        assert diag.error_history.shape == diag.l1_error_history.shape == (1,)
+        assert peak < 2**20
+
+
+class TestHistory:
+    """Kept histories equal one uninterrupted kernel run with a full buffer."""
+
+    NEAR_TIGHT = JointPmf([[0.4, 0.3], [0.3, 0.0]])
+
+    @staticmethod
+    def one_run(p, t, max_iter):
+        err_max, err_l1 = np.empty(max_iter), np.empty(max_iter)
+        sweeps, err = scaling._kernel.ipf_sweeps(
+            p.values.copy(), t.row_margins, t.col_margins,
+            scaling.DEFAULT_TOL, max_iter, err_max, err_l1,
+        )
+        return sweeps, err, err_max[:sweeps], err_l1[:sweeps]
+
+    def assert_same(self, diag, reference):
+        sweeps, err, err_max, err_l1 = reference
+        assert diag.iterations == sweeps
+        assert diag.margin_error == err
+        np.testing.assert_array_equal(diag.error_history, err_max)
+        np.testing.assert_array_equal(diag.l1_error_history, err_l1)
+        assert diag.rate_estimate == scaling._rate_from_ring(err_max, sweeps)
+
+    def test_converged_fit(self):
+        # 576 sweeps: the run ends part-way through a doubled chunk
+        t = MarginPair(np.array([0.5, 0.5]), np.array([0.51, 0.49]))
+        _, diag = ipf_fit(self.NEAR_TIGHT, t, keep_history=True)
+        assert diag.iterations > 500
+        self.assert_same(diag, self.one_run(self.NEAR_TIGHT, t, 10**4))
+
+    def test_budget_exhausted(self):
+        t = MarginPair(np.array([0.5, 0.5]), np.array([0.5 + 1e-6, 0.5 - 1e-6]))
+        with pytest.raises(NonConvergenceError) as info:
+            ipf_fit(self.NEAR_TIGHT, t, max_iter=300, keep_history=True)
+        self.assert_same(info.value.diagnostics, self.one_run(self.NEAR_TIGHT, t, 300))
+
+    def test_without_history(self):
+        t = MarginPair(np.array([0.5, 0.5]), np.array([0.51, 0.49]))
+        fitted, diag = ipf_fit(self.NEAR_TIGHT, t)
+        kept, kept_diag = ipf_fit(self.NEAR_TIGHT, t, keep_history=True)
+        assert diag.error_history is None and diag.l1_error_history is None
+        np.testing.assert_array_equal(fitted.values, kept.values)
+        assert diag.rate_estimate == kept_diag.rate_estimate
 
 
 class TestMarginalDistortion:
