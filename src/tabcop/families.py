@@ -43,11 +43,6 @@ _FAMILY_PARAMS = {
     "student": ("rho", "df"),
 }
 
-#: Direct products are exact and overflow-free up to this sample size;
-#: beyond it the multinomial sums move to log space.
-_DIRECT_N_MAX = 30
-
-
 @dataclass(frozen=True)
 class ContinuousCopulaSpec:
     """A continuous copula family name plus its parameter values."""
@@ -238,24 +233,14 @@ def fgm_pmf(theta: float, n_rows: int, n_cols: int) -> JointPmf:
     return JointPmf((1.0 + theta * np.outer(u, v)) / (n_rows * n_cols))
 
 
-def _multinomial_terms(n: int, x: int, y: int):
-    """(k, coefficient) pairs of the common-shock decomposition sum.
-
-    The coefficient is the multinomial count of arranging k draws of
-    (1,1), x-k of (1,0), y-k of (0,1) and n-x-y+k of (0,0).
-    """
-    for k in range(max(x + y - n, 0), min(x, y) + 1):
-        coef = math.comb(n, k) * math.comb(n - k, x - k) * math.comb(n - x, y - k)
-        yield k, coef
-
-
 def bivariate_binomial_pmf(n: int, p2: JointPmf) -> JointPmf:
     """Distribution of n-fold sums of a 2x2 table's coordinates.
 
     (X, Y) = (sum Xi, sum Yi) over n independent draws from ``p2``; the
-    (n+1) x (n+1) pmf sums the multinomial decomposition over the shared
-    count k of (1, 1) draws.  Sums run in log space above n = 30 to avoid
-    overflow in the coefficients.
+    (n+1) x (n+1) pmf holds the coefficients of the generating function
+    (p00 + p10 s + p01 t + p11 s t)**n, built one draw at a time.  Every
+    term is a nonnegative product, so the cells keep their relative
+    accuracy without overflow at any n.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParamError(f"n must be an integer >= 1, got {n!r}")
@@ -265,40 +250,31 @@ def bivariate_binomial_pmf(n: int, p2: JointPmf) -> JointPmf:
     p00, p01, p10, p11 = _p[0, 0], _p[0, 1], _p[1, 0], _p[1, 1]
 
     out = np.zeros((n + 1, n + 1))
-    if n <= _DIRECT_N_MAX:
-        for x in range(n + 1):
-            for y in range(n + 1):
-                total = 0.0
-                for k, coef in _multinomial_terms(n, x, y):
-                    total += (coef * p00 ** (n - x - y + k) * p10 ** (x - k)
-                              * p01 ** (y - k) * p11 ** k)
-                out[x, y] = total
-        return JointPmf(out)
-
-    from scipy.special import logsumexp
-
-    with np.errstate(divide="ignore"):
-        logs = np.log([p00, p10, p01, p11])
-    for x in range(n + 1):
-        for y in range(n + 1):
-            terms = []
-            for k in range(max(x + y - n, 0), min(x, y) + 1):
-                exps = (n - x - y + k, x - k, y - k, k)
-                if any(e > 0 and not np.isfinite(lp) for e, lp in zip(exps, logs)):
-                    continue
-                log_coef = (math.lgamma(n + 1) - sum(math.lgamma(e + 1) for e in exps))
-                terms.append(log_coef + sum(e * lp for e, lp in zip(exps, logs) if e > 0))
-            if terms:
-                out[x, y] = math.exp(logsumexp(terms))
+    out[0, 0] = 1.0
+    for _ in range(n):
+        prev = out
+        out = p00 * prev
+        out[1:, :] += p10 * prev[:-1, :]
+        out[:, 1:] += p01 * prev[:, :-1]
+        out[1:, 1:] += p11 * prev[:-1, :-1]
     return JointPmf(out)
 
 
-def _binomial_odds_entry(n: int, x: int, y: int, omega: float) -> float:
-    denom = math.comb(n, x) * math.comb(n, y)
-    total = 0.0
-    for k, coef in _multinomial_terms(n, x, y):
-        total += coef / denom * omega ** k
-    return total
+def _binomial_odds_entries(n: int, omega: float) -> np.ndarray:
+    """Odds-ratio entries of the common-shock Binomial(n) at odds ratio omega.
+
+    entries[x-1, y-1] = E[omega**K] for K ~ Hypergeometric(n, x, y), the
+    shared count of x row successes and y column successes: the z**y
+    coefficient of (1 + omega z)**x (1 + z)**(n-x), divided by C(n, y).
+    """
+    pascal = [np.ones(1)]
+    for _ in range(n):
+        pascal.append(np.convolve(pascal[-1], [1.0, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = omega ** np.arange(n + 1.0)
+        rows = [np.convolve(pascal[x] * powers[: x + 1], pascal[n - x])
+                for x in range(1, n + 1)]
+        return np.array(rows)[:, 1:] / pascal[n][1:]
 
 
 def binomial_copula(n: int, omega: float, tol: float = scaling.DEFAULT_TOL) -> JointPmf:
@@ -322,10 +298,7 @@ def binomial_copula(n: int, omega: float, tol: float = scaling.DEFAULT_TOL) -> J
     if omega == 1.0:
         return JointPmf(np.full((size, size), 1.0 / size**2))
 
-    entries = np.empty((n, n))
-    for x in range(1, size):
-        for y in range(1, size):
-            entries[x - 1, y - 1] = _binomial_odds_entry(n, x, y, omega)
+    entries = _binomial_odds_entries(n, omega)
     if not np.isfinite(entries).all():
         raise ParamError(
             f"odds-ratio entries overflow for n={n}, omega={omega}; "
@@ -412,22 +385,24 @@ def _assignment_face(cost):
     """Cells carrying mass in some minimum-cost doubly stochastic plan.
 
     The transportation polytope with unit margins has permutation
-    vertices, so a cell lies on the optimal face iff forcing one unit
-    through it keeps the assignment optimum unchanged (integer costs make
-    the equality test exact).
+    vertices, so the optimal face is the union of optimal assignments.
+    From one optimal matching m, moving column m(b) to row a changes the
+    cost by w[a, b] = c[a, m(b)] - c[b, m(b)]; every other assignment is
+    m composed with cycles of such moves, none of negative weight.  Cell
+    (a, m(b)) is thus on the face iff the move a -> b closes a zero-weight
+    cycle, w[a, b] + dist[b, a] == 0 with dist the shortest move paths
+    (integer costs make the equality test exact).
     """
     from scipy.optimize import linear_sum_assignment
 
     n = cost.shape[0]
-    rows, cols = linear_sum_assignment(cost)
-    best = int(cost[rows, cols].sum())
+    _rows, match = linear_sum_assignment(cost)
+    moves = cost[:, match] - cost[np.arange(n), match]
+    dist = moves.copy()
+    for k in range(n):  # Floyd-Warshall
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     face = np.zeros((n, n), dtype=bool)
-    for x in range(n):
-        sub_rows = np.delete(np.arange(n), x)
-        for y in range(n):
-            sub = cost[np.ix_(sub_rows, np.delete(np.arange(n), y))]
-            r2, c2 = linear_sum_assignment(sub)
-            face[x, y] = int(cost[x, y] + sub[r2, c2].sum()) == best
+    face[:, match] = moves + dist.T == 0
     return face
 
 

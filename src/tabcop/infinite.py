@@ -70,71 +70,66 @@ def _poisson_log_pmf(lam: float, count: int) -> float:
 
 
 def truncated_poisson_margin(lam: float, n_levels: int) -> np.ndarray:
-    """Poisson(lam) pmf over {0..N-1} with the tail absorbed at N-1."""
+    """Poisson(lam) pmf over {0..N-1} with the tail absorbed at N-1.
+
+    The absorbed tail P(X >= N-1) is evaluated directly rather than as a
+    complement, so it stays positive and relatively accurate however far
+    below rounding noise it falls.
+    """
+    from scipy.special import pdtrc
+
     if lam <= 0 or not math.isfinite(lam):
         raise ParamError(f"lam must be a positive real, got {lam!r}")
     if n_levels < 2:
         raise ParamError("n_levels must be at least 2")
     pmf = np.array([math.exp(_poisson_log_pmf(lam, k)) for k in range(n_levels)])
-    pmf[n_levels - 1] = max(1.0 - pmf[: n_levels - 1].sum(), 0.0)
+    pmf[n_levels - 1] = pdtrc(n_levels - 2, lam)
     return pmf
 
 
-class _BivariatePoissonCells:
-    """Log-space evaluator for common-shock bivariate Poisson cells."""
+#: Tail sums stop once their last term is this far below their largest,
+#: a relative cutoff of exp(-46) ~ 1e-20.
+_LOG_CUT = 46.0
+#: Most levels past N-1 the tail sums may run over.
+_MAX_TAIL_LEVELS = 2048
 
-    # relative cutoff exp(-46) ~ 1e-20 for adaptive tail sums
-    _LOG_CUT = 46.0
-    _HARD_CAP = 100_000
 
-    def __init__(self, lam10, lam01, lam11):
-        from scipy.special import logsumexp
+def _bivariate_poisson_log_grid(lam10, lam01, lam11, size: int) -> np.ndarray:
+    """log P(X = x, Y = y) for x, y < size, summed over the shared count.
 
-        self.logsumexp = logsumexp
-        self.lam10, self.lam01, self.lam11 = lam10, lam01, lam11
-        self.log_rate = (math.log(lam11 / (lam10 * lam01)) if lam11 > 0
-                         else -math.inf)
-        self.base = -(lam10 + lam01 + lam11)
+    P(x, y) = sum_i Pois(x-i; lam10) Pois(y-i; lam01) Pois(i; lam11); the
+    term of shared count i fills the block [i:, i:], so one pass over i
+    accumulates every cell in log space with (size, size) work arrays.
+    """
+    k = np.arange(size)
+    log_fact = np.array([math.lgamma(j + 1) for j in range(size)])
+    base = -(lam10 + lam01 + lam11)
+    log_x = k * math.log(lam10) - log_fact
+    log_y = k * math.log(lam01) - log_fact
+    out = base + log_x[:, None] + log_y[None, :]
+    if lam11 > 0.0:
+        log_shared = k * math.log(lam11) - log_fact
+        for i in range(1, size):
+            block = out[i:, i:]
+            np.logaddexp(block, base + log_shared[i] + log_x[: size - i, None]
+                         + log_y[None, : size - i], out=block)
+    return out
 
-    def log_cell(self, x: int, y: int) -> float:
-        lx = x * math.log(self.lam10) - math.lgamma(x + 1)
-        ly = y * math.log(self.lam01) - math.lgamma(y + 1)
-        if self.lam11 == 0.0:
-            log_series = 0.0
-        else:
-            terms = [
-                math.lgamma(i + 1) + _log_comb(x, i) + _log_comb(y, i)
-                + i * self.log_rate
-                for i in range(min(x, y) + 1)
-            ]
-            log_series = self.logsumexp(terms)
-        return self.base + lx + ly + log_series
 
-    def _adaptive_logsum(self, log_term, start: int) -> float:
-        """logsumexp of log_term(k) for k >= start, stopping in the tail."""
-        logs = []
-        best = -math.inf
-        k = start
-        while k < start + self._HARD_CAP:
-            lp = log_term(k)
-            logs.append(lp)
-            best = max(best, lp)
-            if lp < best - self._LOG_CUT and k > start + 3:
-                break
-            k += 1
-        return float(self.logsumexp(logs))
+def _tails_converged(log_grid: np.ndarray, start: int) -> bool:
+    """Whether every tail sum of the grid past ``start`` has died out.
 
-    def log_row_tail(self, y: int, start: int) -> float:
-        """log P(X >= start, Y = y)."""
-        return self._adaptive_logsum(lambda x: self.log_cell(x, y), start)
-
-    def log_col_tail(self, x: int, start: int) -> float:
-        """log P(X = x, Y >= start)."""
-        return self._adaptive_logsum(lambda y: self.log_cell(x, y), start)
-
-    def log_corner(self, start: int) -> float:
-        """log P(X >= start, Y >= start)."""
-        return self._adaptive_logsum(lambda x: self.log_col_tail(x, start), start)
+    Each of the sums the boundary cells absorb -- over rows >= start for a
+    column below start, over columns >= start for a row below start, and
+    over the corner block -- must end in a term _LOG_CUT below its largest.
+    """
+    row_tails = log_grid[start:, :start]
+    col_tails = log_grid[:start, start:]
+    corner = log_grid[start:, start:]
+    corner_edge = max(corner[-1].max(), corner[:, -1].max())
+    return bool((row_tails[-1] < row_tails.max(axis=0) - _LOG_CUT).all()
+                and (col_tails[:, -1] < col_tails.max(axis=1) - _LOG_CUT).all()
+                and corner_edge < corner.max() - _LOG_CUT)
 
 
 def bivariate_poisson_pmf(lam10: float, lam01: float, lam11: float,
@@ -146,8 +141,10 @@ def bivariate_poisson_pmf(lam10: float, lam01: float, lam11: float,
     column absorb the tail sums.  Everything is evaluated in log space,
     tails included: the boundary cells shrink super-exponentially with N
     and would otherwise drown in the rounding noise of a complement
-    subtraction, corrupting any later rescaling of the boundary.  Margins
-    are the truncated Poisson(lam10+lam11) and Poisson(lam01+lam11) laws.
+    subtraction, corrupting any later rescaling of the boundary.  The
+    tails are sums over the same log grid extended past N-1 until their
+    terms die out.  Margins are the truncated Poisson(lam10+lam11) and
+    Poisson(lam01+lam11) laws.
     """
     if lam10 <= 0 or lam01 <= 0 or not (math.isfinite(lam10) and math.isfinite(lam01)):
         raise ParamError("lam10 and lam01 must be positive reals")
@@ -156,22 +153,27 @@ def bivariate_poisson_pmf(lam10: float, lam01: float, lam11: float,
     if not isinstance(n_levels, (int, np.integer)) or n_levels < 2:
         raise ParamError(f"n_levels must be an integer >= 2, got {n_levels!r}")
 
+    from scipy.special import logsumexp
+
     n = int(n_levels)
-    cells = _BivariatePoissonCells(lam10, lam01, lam11)
-    out = np.zeros((n, n))
-    for x in range(n - 1):
-        for y in range(n - 1):
-            out[x, y] = math.exp(cells.log_cell(x, y))
-    for y in range(n - 1):
-        out[n - 1, y] = math.exp(cells.log_row_tail(y, n - 1))
-    for x in range(n - 1):
-        out[x, n - 1] = math.exp(cells.log_col_tail(x, n - 1))
-    out[n - 1, n - 1] = math.exp(cells.log_corner(n - 1))
+    extra = 8
+    while True:
+        if extra > _MAX_TAIL_LEVELS:
+            raise ParamError(
+                f"tail sums of rates ({lam10}, {lam01}, {lam11}) past level {n - 1} "
+                f"need more than {_MAX_TAIL_LEVELS} terms; increase n_levels"
+            )
+        log_grid = _bivariate_poisson_log_grid(lam10, lam01, lam11, n - 1 + extra)
+        if _tails_converged(log_grid, n - 1):
+            break
+        extra *= 2
+
+    out = np.empty((n, n))
+    out[: n - 1, : n - 1] = np.exp(log_grid[: n - 1, : n - 1])
+    out[n - 1, : n - 1] = np.exp(logsumexp(log_grid[n - 1:, : n - 1], axis=0))
+    out[: n - 1, n - 1] = np.exp(logsumexp(log_grid[: n - 1, n - 1:], axis=1))
+    out[n - 1, n - 1] = np.exp(logsumexp(log_grid[n - 1:, n - 1:]))
     return JointPmf(out)
-
-
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def poisson_copula_grid(omega: float, n_levels: int, eps: float = 1e-6,

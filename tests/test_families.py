@@ -1,14 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.optimize import linear_sum_assignment
 
 from tabcop.bernoulli import bernoulli_copula, odds_ratio
 from tabcop.dependence import frechet_bounds, odds_ratio_matrix, yule_upsilon
 from tabcop.errors import InfeasibleError, ParamError
 from tabcop.families import (
     ContinuousCopulaSpec,
+    _assignment_face,
+    _binomial_odds_entries,
+    _geometric_limit_costs,
     binomial_copula,
     bivariate_binomial_pmf,
     copula_cdf,
@@ -208,12 +215,12 @@ class TestBivariateBinomial:
             ]
             np.testing.assert_allclose(rows, expected, atol=1e-13)
 
-    def test_log_space_path_matches_direct_formula(self):
+    @pytest.mark.parametrize("n", [31, 60])
+    def test_matches_multinomial_formula(self, n):
         p2 = JointPmf([[0.4, 0.15], [0.2, 0.25]])
         v = p2.values
-        n = 31  # first size routed through log space
         p = bivariate_binomial_pmf(n, p2).values
-        for x, y in ((0, 0), (3, 7), (15, 15), (31, 4)):
+        for x, y in ((0, 0), (3, 7), (15, 15), (31, 4), (n, n)):
             direct = sum(
                 math.comb(n, k) * math.comb(n - k, x - k) * math.comb(n - x, y - k)
                 * v[0, 0] ** (n - x - y + k) * v[1, 0] ** (x - k)
@@ -271,6 +278,30 @@ class TestBinomialCopula:
         assert all(a <= b + 1e-12 for a, b in zip(ups, ups[1:]))
 
 
+def _exact_odds_entries(n, omega):
+    """E[omega**K], K ~ Hypergeometric(n, x, y), in exact rational arithmetic."""
+    return [[sum(Fraction(math.comb(x, k) * math.comb(n - x, y - k)) * omega**k
+                 for k in range(max(x + y - n, 0), min(x, y) + 1)) / math.comb(n, y)
+             for y in range(1, n + 1)] for x in range(1, n + 1)]
+
+
+class TestBinomialOddsEntries:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 30), num=st.integers(1, 40), den=st.integers(1, 40))
+    def test_match_exact_sums(self, n, num, den):
+        omega = Fraction(num, den)
+        got = _binomial_odds_entries(n, float(omega))
+        want = np.array(_exact_odds_entries(n, omega), dtype=float)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_past_exact_float_coefficients(self):
+        # binomial coefficients of n = 60 exceed 2**53, so the float
+        # Pascal rows round
+        omega = Fraction(2)
+        want = np.array(_exact_odds_entries(60, omega), dtype=float)
+        np.testing.assert_allclose(_binomial_odds_entries(60, 2.0), want, rtol=1e-13, atol=0)
+
+
 class TestTruncatedGeometricPmf:
     def test_n3_products(self):
         p2 = JointPmf([[0.4, 0.15], [0.2, 0.25]])
@@ -302,6 +333,35 @@ class TestTruncatedGeometricPmf:
     def test_level_validation(self):
         with pytest.raises(ParamError):
             truncated_geometric_pmf(1, JointPmf(np.full((2, 2), 0.25)))
+
+
+def _face_by_resolves(cost):
+    """Optimal-face cells by forcing each cell and re-solving the rest."""
+    n = cost.shape[0]
+    rows, cols = linear_sum_assignment(cost)
+    best = int(cost[rows, cols].sum())
+    face = np.zeros((n, n), dtype=bool)
+    for x in range(n):
+        for y in range(n):
+            sub = np.delete(np.delete(cost, x, axis=0), y, axis=1)
+            r2, c2 = linear_sum_assignment(sub)
+            face[x, y] = int(cost[x, y] + sub[r2, c2].sum()) == best
+    return face
+
+
+class TestAssignmentFace:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8).flatmap(
+        lambda n: st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n)))
+    def test_matches_resolves_on_random_costs(self, flat):
+        n = math.isqrt(len(flat))
+        cost = np.array(flat, dtype=np.int64).reshape(n, n)
+        np.testing.assert_array_equal(_assignment_face(cost), _face_by_resolves(cost))
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 20])
+    def test_matches_resolves_on_geometric_orders(self, n):
+        order, _coef = _geometric_limit_costs(n)
+        np.testing.assert_array_equal(_assignment_face(order), _face_by_resolves(order))
 
 
 class TestTruncatedGeometricCopula:

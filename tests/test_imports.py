@@ -1,11 +1,12 @@
 """Import budget: the table verbs run on numpy alone.
 
 scipy is imported only inside the functions that need it (the Gaussian
-and Student CDFs, the binomial log path, the geometric omega = 0
-assignment face, the Poisson tail and grid), so ``import tabcop`` and the
-``analyze``, ``copula`` and ``couple`` verbs never load it.  Each check
-runs in a fresh interpreter, since the test session itself has scipy
-loaded.
+and Student CDFs, the geometric omega = 0 assignment face, the Poisson
+pmf, tails and grid), so ``import tabcop``, the ``analyze``, ``copula``
+and ``couple`` verbs, the binomial, geometric and Goodman families, the
+geometric grid at omega != 0 and the bivariate Binomial pmf never load
+it.  Each check runs in a fresh interpreter, since the test session
+itself has scipy loaded.
 """
 
 import json
@@ -32,6 +33,16 @@ with contextlib.redirect_stdout(io.StringIO()):
                                        "--row-margins", "0.603,0.397",
                                        "--col-margins", "0.475,0.525"])
 report["verbs"] = scipy_modules()
+families = [
+    ["family", "--name", "binomial", "--N", "40", "--omega", "2.5"],
+    ["family", "--name", "geometric", "--N", "6", "--omega", "0.5"],
+    ["family", "--name", "goodman", "--shape", "3x4", "--theta", "2"],
+    ["grid", "--name", "geometric", "--N", "8", "--omega", "2"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    report["family_codes"] = [tabcop.cli.run(argv) for argv in families]
+tabcop.bivariate_binomial_pmf(40, tabcop.bernoulli_copula(2.5))
+report["families"] = scipy_modules()
 spec = tabcop.ContinuousCopulaSpec("gaussian", {"rho": 0.5})
 report["gaussian_is_copula"] = tabcop.is_copula_pmf(tabcop.discretize_copula(spec, 4, 4))
 report["after_gaussian"] = scipy_modules()
@@ -52,5 +63,7 @@ def test_cli_verbs_load_no_scipy(tmp_path):
     assert report["import"] == []
     assert (report["analyze"], report["copula"], report["couple"]) == (0, 0, 0)
     assert report["verbs"] == []
+    assert report["family_codes"] == [0, 0, 0, 0]
+    assert report["families"] == []
     assert report["gaussian_is_copula"] is True
     assert report["after_gaussian"]

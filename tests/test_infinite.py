@@ -1,7 +1,13 @@
+import functools
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
+from tabcop import infinite
 from tabcop.errors import DimensionMismatchError, ParamError, ValidationError
 from tabcop.families import ContinuousCopulaSpec, discretize_copula
 from tabcop.infinite import (
@@ -17,8 +23,66 @@ from tabcop.pmf_core import JointPmf
 
 from conftest import pearson_correlation
 
+#: levels past N-1 the oracle sums the tails over; beyond them the terms
+#: of rates up to 2 + 2 are below exp(-55) of the tail
+ORACLE_TAIL_LEVELS = 40
+
+
+def _log_poisson_cell(lam10, lam01, lam11, x, y):
+    """log P(X = x, Y = y) of the common-shock model, one shared count at a time."""
+    shared = range(min(x, y) + 1) if lam11 > 0 else range(1)
+    terms = [
+        (x - i) * math.log(lam10) - math.lgamma(x - i + 1)
+        + (y - i) * math.log(lam01) - math.lgamma(y - i + 1)
+        + (i * math.log(lam11) if i else 0.0) - math.lgamma(i + 1)
+        for i in shared
+    ]
+    return _log_fsum(terms) - (lam10 + lam01 + lam11)
+
+
+def _log_fsum(logs):
+    peak = max(logs)
+    return peak + math.log(math.fsum(math.exp(t - peak) for t in logs))
+
+
+def _poisson_pmf_oracle(lam10, lam01, lam11, n):
+    """Truncated pmf from per-cell sums, tails summed cell by cell."""
+    far = range(n - 1, n - 1 + ORACLE_TAIL_LEVELS)
+    cell = functools.partial(_log_poisson_cell, lam10, lam01, lam11)
+    out = np.empty((n, n))
+    for x in range(n - 1):
+        for y in range(n - 1):
+            out[x, y] = math.exp(cell(x, y))
+        out[x, n - 1] = math.exp(_log_fsum([cell(x, y) for y in far]))
+        out[n - 1, x] = math.exp(_log_fsum([cell(y, x) for y in far]))
+    out[n - 1, n - 1] = math.exp(_log_fsum([cell(x, y) for x in far for y in far]))
+    return out
+
 
 class TestBivariatePoisson:
+    @pytest.mark.parametrize("lams, n", [
+        ((1.0, 1.0, 0.0), 2), ((1.0, 1.0, 0.0), 30), ((1.0, 1.0, 1.0), 3),
+        ((1.0, 1.0, 2.0), 24), ((0.3, 2.0, 0.7), 9), ((2.0, 2.0, 2.0), 4),
+    ])
+    def test_matches_per_cell_sums(self, lams, n):
+        got = infinite.bivariate_poisson_pmf(*lams, n).values
+        np.testing.assert_allclose(got, _poisson_pmf_oracle(*lams, n), rtol=1e-12, atol=0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(lam10=st.floats(0.1, 2.0), lam01=st.floats(0.1, 2.0),
+           lam11=st.one_of(st.just(0.0), st.floats(0.01, 2.0)), n=st.integers(2, 16))
+    def test_matches_per_cell_sums_property(self, lam10, lam01, lam11, n):
+        got = infinite.bivariate_poisson_pmf(lam10, lam01, lam11, n).values
+        oracle = _poisson_pmf_oracle(lam10, lam01, lam11, n)
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
+
+    def test_tail_sums_stop_at_the_cap(self, monkeypatch):
+        # the tails of rates near 100 run about 60 levels past level 3
+        monkeypatch.setattr(infinite, "_MAX_TAIL_LEVELS", 32)
+        with pytest.raises(ParamError, match="increase n_levels"):
+            infinite.bivariate_poisson_pmf(100.0, 100.0, 0.0, 4)
+
+
     def test_no_shock_is_product(self):
         p = bivariate_poisson_pmf(1.3, 0.7, 0.0, 12).values
         mx, my = p.sum(axis=1), p.sum(axis=0)
@@ -62,6 +126,19 @@ class TestTruncatedPoissonMargin:
         assert m.sum() == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(m[:-1], stats.poisson(2.0).pmf(np.arange(14)),
                                    atol=1e-15)
+
+    @pytest.mark.parametrize("lam, n", [(2.0, 25), (2.0, 30), (0.5, 20), (3.0, 4)])
+    def test_tail_keeps_relative_accuracy(self, lam, n):
+        # tails of 4e-18, 9e-24 and 1e-23 lie below the rounding noise of 1 - sum
+        m = truncated_poisson_margin(lam, n)
+        assert m[-1] == pytest.approx(special.pdtrc(n - 2, lam), rel=1e-12, abs=0)
+
+    def test_coupling_with_far_tail(self):
+        n = 30
+        mx = truncated_poisson_margin(2.0, n)
+        cop = JointPmf(geometric_copula_grid(0.5, n).heights / n**2)
+        coupled = couple_countable_margins(mx, mx, cop).values
+        np.testing.assert_allclose(coupled.sum(axis=1), mx, rtol=1e-6, atol=1e-12)
 
 
 class TestPoissonCopulaGrid:
