@@ -8,9 +8,10 @@ without enumerating null rectangles: a maximum-flow feasibility check on
 the bipartite transportation network, plus per-cell lower-bound probes to
 find cells that every feasible table must set to zero.
 
-The sweep kernel is compiled (Cython) when available, with a NumPy
-fallback selected at import; set ``TABCOP_PURE_PYTHON=1`` to force the
-fallback.
+A forest support (no cycle, hence no odds ratio) is fitted exactly by
+leaf peeling instead of sweeping.  The sweep kernel is compiled (Cython)
+when available, with a NumPy fallback selected at import; set
+``TABCOP_PURE_PYTHON=1`` to force the fallback.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ class ScalingDiagnostics:
     10 per-sweep error ratios (a proxy for the geometric convergence rate),
     or None when fewer than 11 sweeps ran.  The error histories are kept
     only when the fit was run with ``keep_history=True``.
+
+    ``method`` is ``"exact"`` when the support graph is a forest and the
+    table was solved from the margins by leaf peeling; then ``iterations``
+    is 0 and the kept histories are empty.  It is ``"sweeps"`` otherwise,
+    where ``iterations == 0`` means the input already had the margins.
     """
 
     iterations: int
@@ -112,6 +118,7 @@ class ScalingDiagnostics:
     rate_estimate: float | None = None
     error_history: np.ndarray | None = field(default=None, repr=False)
     l1_error_history: np.ndarray | None = field(default=None, repr=False)
+    method: str = "sweeps"
 
     def to_wire(self) -> dict:
         """JSON-ready dict in the documented diagnostics schema."""
@@ -270,49 +277,129 @@ def _rate_from_ring(err_ring, iterations):
     return float(min((last / base) ** 0.1, 1.0))
 
 
-def _sweeps_with_history(work, rt, ct, tol, max_iter):
-    """Run the kernel in doubling chunks, keeping every sweep's errors.
-
-    The histories grow with the sweeps actually run rather than with the
-    budget; sweeping is stateless apart from ``work``, so the chunked run
-    visits exactly the tables of one uninterrupted run.
-    """
-    maxes, l1s = [], []
-    done, err, chunk = 0, np.inf, _RING_LEN
-    while done < max_iter:
-        n = min(chunk, max_iter - done)
-        err_max = np.empty(n)
-        err_l1 = np.empty(n)
-        sweeps, err = _kernel.ipf_sweeps(work, rt, ct, tol, n, err_max, err_l1)
-        maxes.append(err_max[:sweeps])
-        l1s.append(err_l1[:sweeps])
-        done += sweeps
-        if sweeps < n or err <= tol:
-            break
-        chunk *= 2
-    return done, err, np.concatenate(maxes), np.concatenate(l1s)
-
-
-def _run_ipf(values, rt, ct, tol, max_iter, classification, keep_history):
-    init_dev = max(
+def _margin_error(values, rt, ct):
+    return max(
         np.abs(values.sum(axis=1) - rt).max(),
         np.abs(values.sum(axis=0) - ct).max(),
     )
+
+
+def _peel_forest(values, rt, ct):
+    """The table on the support of ``values`` with margins (rt, ct), by peeling.
+
+    A support graph without a cycle carries no odds ratio, so the margins
+    alone fix the table.  A row or column with one open cell puts its
+    remaining target on that cell and takes the same mass from the cell's
+    other line; on a forest this closes every cell.  Returns None when
+    the support has a cycle.  The caller checks the leftover margin error
+    and the sign of the peeled cells.
+    """
+    n_rows, n_cols = values.shape
+    n_open = int(np.count_nonzero(values))
+    if n_open > n_rows + n_cols - 1:
+        return None
+    open_cells = values > 0
+    peeled = np.zeros_like(values)
+    # index 0 addresses rows, index 1 columns (through transposed views)
+    cells, out, left = (open_cells, open_cells.T), (peeled, peeled.T), (rt.copy(), ct.copy())
+    leaves = [(axis, int(i)) for axis in (0, 1)
+              for i in np.flatnonzero(cells[axis].sum(axis=1) == 1)]
+    while leaves:
+        axis, i = leaves.pop()
+        line = np.flatnonzero(cells[axis][i])
+        if line.size == 0:
+            continue  # a component's last cell, already taken from its other end
+        j, other = int(line[0]), 1 - axis
+        mass = left[axis][i]
+        out[axis][i, j] = mass
+        cells[axis][i, j] = False
+        left[other][j] -= mass
+        n_open -= 1
+        if np.count_nonzero(cells[other][j]) == 1:
+            leaves.append((other, j))
+    return peeled if n_open == 0 else None
+
+
+def _sweep(work, rt, ct, tol, max_iter, keep_history):
+    """Run the kernel on ``work`` in doubling chunks of 16, 32, 64, ... sweeps.
+
+    Sweeping is stateless apart from ``work`` and every chunk starts at a
+    multiple of the ring length, so the tables, the 16-slot error rings
+    and the kept histories (which grow with the sweeps actually run) are
+    those of one uninterrupted run.  The run stops early when a chunk
+    ends with a max error no lower than the previous chunk's: the fit has
+    stalled at a floor above ``tol``.
+
+    Returns ``(sweeps, error, err_max, err_l1, stalled)``; the error
+    arrays are the full histories when ``keep_history`` is set, else the
+    rings.
+    """
+    err_max, err_l1 = np.empty(_RING_LEN), np.empty(_RING_LEN)
+    maxes, l1s = [], []
+    done, err, previous, chunk, stalled = 0, np.inf, np.inf, _RING_LEN, False
+    while done < max_iter:
+        n = min(chunk, max_iter - done)
+        if keep_history:
+            err_max, err_l1 = np.empty(n), np.empty(n)
+        sweeps, err = _kernel.ipf_sweeps(work, rt, ct, tol, n, err_max, err_l1)
+        done += sweeps
+        if keep_history:
+            maxes.append(err_max[:sweeps])
+            l1s.append(err_l1[:sweeps])
+        if sweeps < n or err <= tol:
+            break
+        if err >= previous:
+            stalled = True
+            break
+        previous, chunk = err, 2 * chunk
+    if keep_history:
+        err_max, err_l1 = np.concatenate(maxes), np.concatenate(l1s)
+    return done, err, err_max, err_l1, stalled
+
+
+def _solve_exact(values, rt, ct, tol, classification, keep_history):
+    """Fit a forest support by :func:`_peel_forest`; None on a cycle."""
+    peeled = _peel_forest(values, rt, ct)
+    if peeled is None:
+        return None
+    err = float(_margin_error(peeled, rt, ct))
+    diag = ScalingDiagnostics(
+        iterations=0,
+        margin_error=err,
+        classification=classification,
+        error_history=np.empty(0) if keep_history else None,
+        l1_error_history=np.empty(0) if keep_history else None,
+        method="exact",
+    )
+    if err > tol:
+        raise NonConvergenceError(
+            f"margin error {err:g} above tolerance {tol:g} after the exact "
+            f"forest solve (class {classification.tag})",
+            diagnostics=diag,
+        )
+    if (peeled[values > 0] <= 0.0).any():
+        raise NonConvergenceError(
+            "the exact forest solve puts mass <= 0 on a support cell "
+            f"(class {classification.tag})",
+            diagnostics=diag,
+        )
+    return peeled, diag
+
+
+def _run_ipf(values, rt, ct, tol, max_iter, classification, keep_history):
+    init_dev = _margin_error(values, rt, ct)
     if init_dev <= tol:
         diag = ScalingDiagnostics(0, float(init_dev), classification)
         return values, diag
 
+    solved = _solve_exact(values, rt, ct, tol, classification, keep_history)
+    if solved is not None:
+        return solved
+
     work = np.ascontiguousarray(values)
     rt, ct = np.ascontiguousarray(rt), np.ascontiguousarray(ct)
-    if keep_history:
-        iterations, err, err_max, err_l1 = _sweeps_with_history(
-            work, rt, ct, tol, max_iter)
-    else:
-        err_max = np.empty(_RING_LEN)
-        err_l1 = np.empty(_RING_LEN)
-        iterations, err = _kernel.ipf_sweeps(
-            work, rt, ct, tol, max_iter, err_max, err_l1,
-        )
+    iterations, err, err_max, err_l1, stalled = _sweep(
+        work, rt, ct, tol, max_iter, keep_history)
     diag = ScalingDiagnostics(
         iterations=int(iterations),
         margin_error=float(err),
@@ -323,8 +410,9 @@ def _run_ipf(values, rt, ct, tol, max_iter, classification, keep_history):
     )
     if err > tol:
         raise NonConvergenceError(
-            f"margin error {err:g} above tolerance {tol:g} after "
-            f"{iterations} sweeps (class {classification.tag})",
+            f"{'fit stalled: ' if stalled else ''}margin error {err:g} above "
+            f"tolerance {tol:g} after {iterations} sweeps "
+            f"(class {classification.tag})",
             diagnostics=diag,
         )
     return work, diag
@@ -341,8 +429,17 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
     objective) while keeping convergence geometric instead of the
     O(1/sweeps) crawl of raw fitting through a forced zero.
 
-    Raises InfeasibleError for class C and NonConvergenceError when the
-    budget runs out first (diagnostics attached).
+    When the remaining support graph is a forest, the margins alone fix
+    the table and it is solved exactly by leaf peeling: the diagnostics
+    then read ``method == "exact"`` and ``iterations == 0`` (with
+    ``method == "sweeps"``, ``iterations == 0`` means ``p`` already had
+    the margins).
+
+    Raises InfeasibleError for class C and NonConvergenceError, with
+    diagnostics attached, when the exact solve misses the margins or
+    leaves a support cell without mass, when a chunk of sweeps ends no
+    closer to the margins than the chunk before it (the fit stalled), or
+    when the budget runs out first.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")

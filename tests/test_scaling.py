@@ -1,7 +1,10 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tabcop import _ipf_py, bernoulli, pmf_core, scaling
 from tabcop.errors import (
@@ -258,8 +261,11 @@ class TestCopulaPmf:
         assert agree <= 1e-8
 
     def test_history_sized_by_sweeps_run(self):
-        # a B2 fit that converges in one sweep under a 10**7 sweep budget
-        p = JointPmf([[0.0, 0.3], [0.3, 0.4]])
+        # a B2 fit on a cycle support that converges in 17 sweeps under a
+        # 10**7 sweep budget
+        mask = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 1], [0, 0, 1, 1]])
+        counts = mask * np.array([[3, 1, 1, 1], [2, 5, 1, 1], [1, 1, 1, 4], [1, 1, 2, 1]])
+        p = from_counts(counts)
         tracemalloc.start()
         try:
             _, diag = copula_pmf(p, keep_history=True)
@@ -267,27 +273,43 @@ class TestCopulaPmf:
         finally:
             tracemalloc.stop()
         assert diag.classification.tag == "B2"
-        assert diag.iterations == 1
-        assert diag.error_history.shape == diag.l1_error_history.shape == (1,)
+        assert diag.method == "sweeps"
+        assert 0 < diag.iterations < 100
+        assert diag.error_history.shape == diag.l1_error_history.shape == (diag.iterations,)
         assert peak < 2**20
 
 
+#: A support with cycles (7 cells, more than 3 + 3 - 1); its column targets
+#: sit ``gap`` away from a tight null rectangle.
+CYCLE = JointPmf(np.array([[1, 1, 0], [1, 1, 0], [1, 1, 1]]) / 7.0)
+
+
+def cycle_targets(gap):
+    third = 1.0 / 3.0
+    return MarginPair(np.full(3, third),
+                      np.array([third + gap / 2, third + gap / 2, third - gap]))
+
+
+def one_kernel_run(p, t, max_iter, ring=None):
+    """One uninterrupted kernel call; full-length buffers unless ``ring``."""
+    size = ring or max_iter
+    err_max, err_l1 = np.empty(size), np.empty(size)
+    work = p.values.copy()
+    sweeps, err = scaling._kernel.ipf_sweeps(
+        work, t.row_margins, t.col_margins, scaling.DEFAULT_TOL, max_iter,
+        err_max, err_l1,
+    )
+    if ring is None:
+        err_max, err_l1 = err_max[:sweeps], err_l1[:sweeps]
+    return work, sweeps, err, err_max, err_l1
+
+
 class TestHistory:
-    """Kept histories equal one uninterrupted kernel run with a full buffer."""
-
-    NEAR_TIGHT = JointPmf([[0.4, 0.3], [0.3, 0.0]])
-
-    @staticmethod
-    def one_run(p, t, max_iter):
-        err_max, err_l1 = np.empty(max_iter), np.empty(max_iter)
-        sweeps, err = scaling._kernel.ipf_sweeps(
-            p.values.copy(), t.row_margins, t.col_margins,
-            scaling.DEFAULT_TOL, max_iter, err_max, err_l1,
-        )
-        return sweeps, err, err_max[:sweeps], err_l1[:sweeps]
+    """Fits on cycle supports equal one uninterrupted kernel run."""
 
     def assert_same(self, diag, reference):
-        sweeps, err, err_max, err_l1 = reference
+        _work, sweeps, err, err_max, err_l1 = reference
+        assert diag.method == "sweeps"
         assert diag.iterations == sweeps
         assert diag.margin_error == err
         np.testing.assert_array_equal(diag.error_history, err_max)
@@ -295,25 +317,155 @@ class TestHistory:
         assert diag.rate_estimate == scaling._rate_from_ring(err_max, sweeps)
 
     def test_converged_fit(self):
-        # 576 sweeps: the run ends part-way through a doubled chunk
-        t = MarginPair(np.array([0.5, 0.5]), np.array([0.51, 0.49]))
-        _, diag = ipf_fit(self.NEAR_TIGHT, t, keep_history=True)
+        # 508 sweeps: the run ends part-way through a doubled chunk
+        t = cycle_targets(1e-2)
+        _, diag = ipf_fit(CYCLE, t, keep_history=True)
         assert diag.iterations > 500
-        self.assert_same(diag, self.one_run(self.NEAR_TIGHT, t, 10**4))
+        self.assert_same(diag, one_kernel_run(CYCLE, t, 10**4))
 
     def test_budget_exhausted(self):
-        t = MarginPair(np.array([0.5, 0.5]), np.array([0.5 + 1e-6, 0.5 - 1e-6]))
+        t = cycle_targets(1e-6)
         with pytest.raises(NonConvergenceError) as info:
-            ipf_fit(self.NEAR_TIGHT, t, max_iter=300, keep_history=True)
-        self.assert_same(info.value.diagnostics, self.one_run(self.NEAR_TIGHT, t, 300))
+            ipf_fit(CYCLE, t, max_iter=300, keep_history=True)
+        self.assert_same(info.value.diagnostics, one_kernel_run(CYCLE, t, 300))
 
     def test_without_history(self):
-        t = MarginPair(np.array([0.5, 0.5]), np.array([0.51, 0.49]))
-        fitted, diag = ipf_fit(self.NEAR_TIGHT, t)
-        kept, kept_diag = ipf_fit(self.NEAR_TIGHT, t, keep_history=True)
+        t = cycle_targets(1e-2)
+        fitted, diag = ipf_fit(CYCLE, t)
+        kept, kept_diag = ipf_fit(CYCLE, t, keep_history=True)
         assert diag.error_history is None and diag.l1_error_history is None
         np.testing.assert_array_equal(fitted.values, kept.values)
         assert diag.rate_estimate == kept_diag.rate_estimate
+
+    @pytest.mark.parametrize("keep_history", [False, True])
+    @pytest.mark.parametrize("case", ["dense", "lin", "cycle"])
+    def test_bit_identical_to_one_kernel_call(self, rng, case, keep_history):
+        if case == "dense":
+            p = JointPmf(random_positive_pmf(rng, 4, 5))
+            t = MarginPair(random_margins(rng, 4), random_margins(rng, 5))
+        elif case == "lin":
+            p, t = from_counts(LIN_COUNTS), uniform_pair(2, 2)
+        else:
+            p, t = CYCLE, cycle_targets(1e-3)
+        fitted, diag = ipf_fit(p, t, keep_history=keep_history)
+        work, sweeps, err, ring, _ = one_kernel_run(p, t, scaling.DEFAULT_MAX_ITER,
+                                                    ring=scaling._RING_LEN)
+        np.testing.assert_array_equal(fitted.values, work)
+        assert (diag.method, diag.iterations, diag.margin_error) == ("sweeps", sweeps, err)
+        assert diag.rate_estimate == scaling._rate_from_ring(ring, sweeps)
+
+
+class TestStall:
+    def test_stalled_fit_fails_fast(self):
+        # misclassified B2: the error sits at 1.00000008e-10 from sweep 16 on
+        t = cycle_targets(1e-10)
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="stalled") as info:
+            ipf_fit(CYCLE, t)
+        assert time.perf_counter() - start < 1.0
+        diag = info.value.diagnostics
+        assert diag.method == "sweeps"
+        assert diag.iterations < 1000 < scaling.DEFAULT_MAX_ITER_FORCED
+        assert diag.margin_error > scaling.DEFAULT_TOL
+
+    def test_stall_keeps_history(self):
+        with pytest.raises(NonConvergenceError) as info:
+            ipf_fit(CYCLE, cycle_targets(1e-10), keep_history=True)
+        diag = info.value.diagnostics
+        assert diag.error_history.shape == (diag.iterations,)
+        assert diag.error_history[-1] == diag.error_history[15] == diag.margin_error
+
+
+def forest_mask(n_rows, n_cols, edges):
+    """The forest from ``edges`` that skip cycles, with every line covered."""
+    root = list(range(n_rows + n_cols))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    mask = np.zeros((n_rows, n_cols), dtype=bool)
+    for x, y in edges:
+        a, b = find(x), find(n_rows + y)
+        if a != b:
+            root[a] = b
+            mask[x, y] = True
+    # a line without cells is an isolated node, so joining it makes no cycle
+    for x in np.flatnonzero(~mask.any(axis=1)):
+        y = x % n_cols
+        mask[x, y] = True
+        root[find(x)] = find(n_rows + y)
+    for y in np.flatnonzero(~mask.any(axis=0)):
+        mask[y % n_rows, y] = True
+    return mask
+
+
+@st.composite
+def forest_problems(draw):
+    n_rows, n_cols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+                          max_size=n_rows + n_cols))
+    mask = forest_mask(n_rows, n_cols, edges)
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=mask.size, max_size=mask.size))
+    q = np.where(mask, np.reshape(weights, mask.shape), 0.0)
+    return mask, q / q.sum()
+
+
+class TestExactForest:
+    @settings(max_examples=200, deadline=None)
+    @given(forest_problems())
+    def test_hits_margins_and_matches_reference(self, problem):
+        mask, q = problem
+        start = JointPmf(mask / mask.sum())
+        t = MarginPair(q.sum(axis=1), q.sum(axis=0))
+        assume(scaling._margin_error(start.values, t.row_margins, t.col_margins)
+               > scaling.DEFAULT_TOL)  # else the start is returned as it is
+        fitted, diag = ipf_fit(start, t)
+        v = fitted.values
+        assert (diag.method, diag.iterations, diag.rate_estimate) == ("exact", 0, None)
+        assert np.abs(v.sum(axis=1) - t.row_margins).max() <= 1e-15
+        assert np.abs(v.sum(axis=0) - t.col_margins).max() <= 1e-15
+        np.testing.assert_array_equal(v > 0, mask)
+        reference = column_first_ipf(start.values, t.row_margins, t.col_margins)
+        assert np.abs(v - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("gap", [10.0**-k for k in range(3, 11)])
+    def test_near_tight_family_is_fast(self, gap):
+        p = JointPmf([[0.4, 0.3], [0.3, 0.0]])
+        t = MarginPair([0.5, 0.5], [0.5 + gap, 0.5 - gap])
+        start = time.perf_counter()
+        try:
+            fitted, diag = ipf_fit(p, t)
+        except NonConvergenceError as exc:
+            diag = exc.diagnostics
+            assert diag.margin_error > scaling.DEFAULT_TOL
+        else:
+            assert diag.margin_error <= scaling.DEFAULT_TOL
+            np.testing.assert_array_equal(fitted.values > 0, p.values > 0)
+        assert time.perf_counter() - start < 1.0
+        assert (diag.method, diag.iterations) == ("exact", 0)
+
+    def test_class_A_boundary_converges(self):
+        # 10**6 sweeps used to leave this one 2e-6 off its margins
+        t = MarginPair([0.5, 0.5], [0.5 + 1e-6, 0.5 - 1e-6])
+        fitted, _ = ipf_fit(JointPmf([[0.4, 0.3], [0.3, 0.0]]), t)
+        assert fitted.values[0, 0] == pytest.approx(1e-6, rel=1e-9)
+
+    def test_kept_histories_are_empty(self):
+        _, diag = copula_pmf(JointPmf([[0.0, 0.3], [0.3, 0.4]]), keep_history=True)
+        assert diag.classification.tag == "B2"
+        assert (diag.method, diag.iterations) == ("exact", 0)
+        assert diag.error_history.shape == diag.l1_error_history.shape == (0,)
+
+    def test_nonpositive_cell_raises(self):
+        # margins met exactly only with a negative cell: no fall back to sweeps
+        values = np.array([[0.4, 0.3], [0.3, 0.0]])
+        with pytest.raises(NonConvergenceError, match="mass <= 0") as info:
+            scaling._run_ipf(values, np.array([0.3, 0.7]), np.array([0.5, 0.5]),
+                             scaling.DEFAULT_TOL, 10, scaling.FeasibilityClass("A"),
+                             keep_history=False)
+        assert info.value.diagnostics.method == "exact"
 
 
 class TestMarginalDistortion:
