@@ -1,11 +1,12 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy.optimize import linear_sum_assignment
 
 from tabcop.bernoulli import bernoulli_copula, odds_ratio
@@ -15,7 +16,9 @@ from tabcop.families import (
     ContinuousCopulaSpec,
     _assignment_face,
     _binomial_odds_entries,
+    _gaussian_cdf,
     _geometric_limit_costs,
+    _student_cdf,
     binomial_copula,
     bivariate_binomial_pmf,
     copula_cdf,
@@ -115,7 +118,7 @@ class TestCopulaCdf:
         for rho, df in ((-0.5, 1.0), (0.0, 1.0), (0.6, 4.0)):
             expected = 0.25 + math.asin(rho) / (2.0 * math.pi)
             student = ContinuousCopulaSpec("student", {"rho": rho, "df": df})
-            assert copula_cdf(student, 0.5, 0.5) == pytest.approx(expected, abs=1e-8)
+            assert copula_cdf(student, 0.5, 0.5) == pytest.approx(expected, abs=1e-12)
 
     def test_student_discretized_is_copula(self):
         spec = ContinuousCopulaSpec("student", {"rho": 0.4, "df": 2.0})
@@ -130,6 +133,76 @@ class TestCopulaCdf:
 
         with pytest.raises(DomainError):
             copula_cdf(ContinuousCopulaSpec("independence", {}), 1.2, 0.5)
+
+
+def _normal_cdf2(h, k, rho):
+    """P(Z1 <= h, Z2 <= k) for standard normals with correlation rho, by Owen's T."""
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    r = math.sqrt(1.0 - rho * rho)
+
+    def owen(a, b):
+        if a == 0.0:
+            return math.copysign(0.25, b)
+        return special.owens_t(a, (b - rho * a) / (a * r))
+
+    beta = 0.5 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
+    return 0.5 * (special.ndtr(h) + special.ndtr(k)) - owen(h, k) - owen(k, h) - beta
+
+
+def _student_cdf_by_mixture(u, v, rho, df):
+    """The bivariate t as a normal scale mixture over S = sqrt(W / df), W ~ chi^2_df."""
+    x, y = special.stdtrit(df, u), special.stdtrit(df, v)
+    log_norm = math.log(2.0) + 0.5 * df * math.log(0.5 * df) - math.lgamma(0.5 * df)
+
+    def integrand(s):
+        density = math.exp(log_norm + (df - 1.0) * math.log(s) - 0.5 * df * s * s)
+        return _normal_cdf2(x * s, y * s, rho) * density
+
+    # the density of S peaks near s = 1
+    return sum(
+        integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        for lo, hi in ((0.0, 1.0), (1.0, math.inf))
+    )
+
+
+class TestStudentCdf:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        u=st.floats(0.01, 0.99),
+        v=st.floats(0.01, 0.99),
+        rho=st.floats(-0.95, 0.95),
+        df=st.floats(1.0, 60.0),
+    )
+    def test_matches_normal_scale_mixture(self, u, v, rho, df):
+        assert _student_cdf(u, v, rho, df) == pytest.approx(
+            _student_cdf_by_mixture(u, v, rho, df), abs=1e-10
+        )
+
+    @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.3, 0.9, 0.99])
+    def test_large_df_is_gaussian(self, rho):
+        for u, v in ((0.5, 0.5), (0.1, 0.8), (0.02, 0.03), (0.97, 0.6)):
+            assert _student_cdf(u, v, rho, 1e8) == pytest.approx(
+                _gaussian_cdf(u, v, rho), abs=1e-9
+            )
+
+    def test_overflowing_quantiles(self):
+        # at df = 2 the quantile of 1e-320 is about -7e159, so that
+        # (x + y)^2 and -2xy overflow to inf and -inf
+        assert _student_cdf(1e-320, 1e-320, -0.5, 2.0) == 0.0
+
+    def test_no_warnings(self):
+        spec = ContinuousCopulaSpec("student", {"rho": 0.5, "df": 4.0})
+        rng = np.random.default_rng(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_copula_pmf(discretize_copula(spec, 15, 15), tol=1e-12)
+            for _ in range(2000):
+                u, v = rng.uniform(0.0, 1.0, 2)
+                rho = rng.uniform(-0.999, 0.999)
+                df = 10.0 ** rng.uniform(-1.0, 8.0)
+                value = _student_cdf(u, v, rho, df)
+                assert max(0.0, u + v - 1.0) - 1e-12 <= value <= min(u, v) + 1e-12
 
 
 class TestDiscretize:

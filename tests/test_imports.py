@@ -5,8 +5,9 @@ and Student CDFs, the geometric omega = 0 assignment face, the Poisson
 pmf, tails and grid), so ``import tabcop``, the ``analyze``, ``copula``
 and ``couple`` verbs, the binomial, geometric and Goodman families, the
 geometric grid at omega != 0 and the bivariate Binomial pmf never load
-it.  Each check runs in a fresh interpreter, since the test session
-itself has scipy loaded.
+it.  The Gaussian and Student CDFs need only ``scipy.special`` and
+``scipy.integrate``, never ``scipy.stats``.  Each check runs in a fresh
+interpreter, since the test session itself has scipy loaded.
 """
 
 import json
@@ -46,6 +47,10 @@ report["families"] = scipy_modules()
 spec = tabcop.ContinuousCopulaSpec("gaussian", {"rho": 0.5})
 report["gaussian_is_copula"] = tabcop.is_copula_pmf(tabcop.discretize_copula(spec, 4, 4))
 report["after_gaussian"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    report["student_code"] = tabcop.cli.run(["family", "--name", "student", "--rho", "0.5",
+                                             "--df", "4", "--shape", "4x4"])
+report["stats_after_student"] = [m for m in scipy_modules() if m.startswith("scipy.stats")]
 print(json.dumps(report))
 """
 
@@ -67,3 +72,5 @@ def test_cli_verbs_load_no_scipy(tmp_path):
     assert report["families"] == []
     assert report["gaussian_is_copula"] is True
     assert report["after_gaussian"]
+    assert report["student_code"] == 0
+    assert report["stats_after_student"] == []
