@@ -118,10 +118,12 @@ def _cmd_analyze(args) -> int:
     p = _load_pmf(args.input, args.format)
     pair = pmf_core.margins(p)
     omega = odds_ratio_matrix(p)
-    classification = scaling.classify_existence(
-        pmf_core.support(p),
-        MarginPair(np.full(p.R, 1.0 / p.R), np.full(p.S, 1.0 / p.S)),
-    )
+    cop = None
+    try:
+        cop, diag = scaling.copula_pmf(p, tol=args.tol, max_iter=args.max_iter)
+        classification = diag.classification
+    except InfeasibleError as exc:
+        classification = exc.classification
     report = {
         "pmf": _jsonable(p.values),
         "margins": {
@@ -141,11 +143,10 @@ def _cmd_analyze(args) -> int:
         "diagnostics": None,
     }
     exit_code = 0
-    if classification.tag == "C":
+    if cop is None:
         exit_code = 2
         print("infeasible: no copula pmf exists for this support", file=sys.stderr)
     else:
-        cop, diag = scaling.copula_pmf(p, tol=args.tol, max_iter=args.max_iter)
         report["copula_pmf"] = _jsonable(cop.values)
         report["upsilon"] = _jsonable(yule_upsilon(cop))
         report["diagnostics"] = _jsonable(diag.to_wire())
@@ -262,7 +263,11 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=("counts", "probs"),
                             default="counts")
         sp.add_argument("--tol", type=float, default=scaling.DEFAULT_TOL)
-        sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+        sp.add_argument("--max-iter", type=int, default=scaling.DEFAULT_MAX_ITER,
+                        dest="max_iter",
+                        help="sweep budget of a fit (default: %(default)s); "
+                             "fits whose sweeps slow down finish with Newton "
+                             "steps long before it")
         sp.add_argument("--out", default=None)
         sp.add_argument("--pretty", action="store_true")
 

@@ -167,7 +167,13 @@ def _student_cdf(u: float, v: float, rho: float, df: float) -> float:
         base = special.stdtr(df, min(x, y))
     else:
         base = max(0.0, special.stdtr(df, x) + special.stdtr(df, y) - 1.0)
-    return float(base - value / (2.0 * math.pi))
+    result = float(base - value / (2.0 * math.pi))
+    if math.isfinite(x) and math.isfinite(y):
+        return result
+    # stdtrit returns +inf for some u near 1e-300 (df about 2 to 218) where
+    # the quantile is a large negative number; the Frechet bounds then
+    # hold C(u, v) within u
+    return min(max(result, u + v - 1.0, 0.0), u, v)
 
 
 def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:

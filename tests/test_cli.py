@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tabcop import scaling
 from tabcop.cli import run
 from tabcop.pmf_core import parse_table
 
@@ -29,7 +30,8 @@ class TestAnalyze:
         assert report["classification"]["class"] == "A"
         assert report["diagnostics"]["class"] == "A"
         assert set(report["diagnostics"]) == {
-            "iterations", "margin_error", "class", "rate", "forced_zeros"
+            "iterations", "margin_error", "class", "rate", "forced_zeros",
+            "method", "newton_steps",
         }
         np.testing.assert_allclose(report["pmf"], LIN_COUNTS / 50.0, atol=1e-15)
 
@@ -71,6 +73,27 @@ class TestAnalyze:
         assert run(["analyze", "--input", "-"]) == 0
         assert json.loads(capsys.readouterr().out)["omega_matrix"][0][0] == \
             pytest.approx(93.6, abs=1e-9)
+
+
+    @pytest.mark.parametrize("table, tag, code", [
+        ("26,1\n5,18\n", "A", 0),
+        ("0,3\n3,4\n", "B2", 0),
+        ("0,0,1\n0,0,1\n1,1,1\n", "C", 2),
+    ])
+    def test_classifies_once(self, tmp_path, capsys, monkeypatch, table, tag, code):
+        calls = []
+        classify = scaling.classify_existence
+
+        def counted(*args):
+            calls.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(scaling, "classify_existence", counted)
+        path = tmp_path / "t.csv"
+        path.write_text(table)
+        assert run(["analyze", "--input", str(path)]) == code
+        assert json.loads(capsys.readouterr().out)["classification"]["class"] == tag
+        assert len(calls) == 1
 
 
 class TestCopulaAndCouple:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.optimize import linear_sum_assignment
@@ -190,6 +190,23 @@ class TestStudentCdf:
         # at df = 2 the quantile of 1e-320 is about -7e159, so that
         # (x + y)^2 and -2xy overflow to inf and -inf
         assert _student_cdf(1e-320, 1e-320, -0.5, 2.0) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @example(u=1e-300, v=0.5, rho=0.3, df=3.0)
+    @given(
+        u=st.floats(250.0, 320.0).map(lambda k: 10.0 ** -k),
+        v=st.one_of(st.floats(250.0, 320.0).map(lambda k: 10.0 ** -k),
+                    st.floats(0.01, 0.99)),
+        rho=st.floats(-0.99, 0.99),
+        df=st.floats(-1.0, 8.0).map(lambda k: 10.0 ** k),
+    )
+    def test_tiny_arguments_within_frechet_bounds(self, u, v, rho, df):
+        # stdtrit returns +inf for some of these u, where the quantile is
+        # a large negative number
+        spec = ContinuousCopulaSpec("student", {"rho": rho, "df": df})
+        for a, b in ((u, v), (v, u)):
+            value = copula_cdf(spec, a, b)
+            assert max(0.0, a + b - 1.0) - 1e-12 <= value <= min(a, b) + 1e-12
 
     def test_no_warnings(self):
         spec = ContinuousCopulaSpec("student", {"rho": 0.5, "df": 4.0})

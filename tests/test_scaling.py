@@ -225,7 +225,7 @@ class TestIpfFit:
         _, diag = copula_pmf(from_counts(LIN_COUNTS))
         wire = diag.to_wire()
         assert set(wire) == {"iterations", "margin_error", "class", "rate",
-                             "forced_zeros"}
+                             "forced_zeros", "method", "newton_steps"}
         assert wire["class"] == "A"
         assert isinstance(wire["rate"], float)
 
@@ -268,7 +268,7 @@ class TestCopulaPmf:
         p = from_counts(counts)
         tracemalloc.start()
         try:
-            _, diag = copula_pmf(p, keep_history=True)
+            _, diag = copula_pmf(p, max_iter=10**7, keep_history=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -317,25 +317,28 @@ class TestHistory:
         assert diag.rate_estimate == scaling._rate_from_ring(err_max, sweeps)
 
     def test_converged_fit(self):
-        # 508 sweeps: the run ends part-way through a doubled chunk
-        t = cycle_targets(1e-2)
+        # 51 sweeps: the run ends part-way through the third chunk
+        t = cycle_targets(1e-1)
         _, diag = ipf_fit(CYCLE, t, keep_history=True)
-        assert diag.iterations > 500
+        assert diag.iterations > 48
         self.assert_same(diag, one_kernel_run(CYCLE, t, 10**4))
 
     def test_budget_exhausted(self):
-        t = cycle_targets(1e-6)
+        # the budget cuts the second chunk short
+        t = cycle_targets(1e-1)
         with pytest.raises(NonConvergenceError) as info:
-            ipf_fit(CYCLE, t, max_iter=300, keep_history=True)
-        self.assert_same(info.value.diagnostics, one_kernel_run(CYCLE, t, 300))
+            ipf_fit(CYCLE, t, max_iter=40, keep_history=True)
+        self.assert_same(info.value.diagnostics, one_kernel_run(CYCLE, t, 40))
 
     def test_without_history(self):
+        # keeping the histories changes nothing, the Newton finish included
         t = cycle_targets(1e-2)
         fitted, diag = ipf_fit(CYCLE, t)
         kept, kept_diag = ipf_fit(CYCLE, t, keep_history=True)
         assert diag.error_history is None and diag.l1_error_history is None
         np.testing.assert_array_equal(fitted.values, kept.values)
         assert diag.rate_estimate == kept_diag.rate_estimate
+        assert diag.newton_steps == kept_diag.newton_steps > 0
 
     @pytest.mark.parametrize("keep_history", [False, True])
     @pytest.mark.parametrize("case", ["dense", "lin", "cycle"])
@@ -346,18 +349,20 @@ class TestHistory:
         elif case == "lin":
             p, t = from_counts(LIN_COUNTS), uniform_pair(2, 2)
         else:
-            p, t = CYCLE, cycle_targets(1e-3)
+            p, t = CYCLE, cycle_targets(1e-1)  # far enough from tight to not switch
         fitted, diag = ipf_fit(p, t, keep_history=keep_history)
         work, sweeps, err, ring, _ = one_kernel_run(p, t, scaling.DEFAULT_MAX_ITER,
                                                     ring=scaling._RING_LEN)
         np.testing.assert_array_equal(fitted.values, work)
         assert (diag.method, diag.iterations, diag.margin_error) == ("sweeps", sweeps, err)
+        assert diag.newton_steps == 0
         assert diag.rate_estimate == scaling._rate_from_ring(ring, sweeps)
 
 
 class TestStall:
     def test_stalled_fit_fails_fast(self):
-        # misclassified B2: the error sits at 1.00000008e-10 from sweep 16 on
+        # misclassified B2: the error sits at 1.00000008e-10 from sweep 16 on,
+        # and no rescaling of the remaining support reaches the targets
         t = cycle_targets(1e-10)
         start = time.perf_counter()
         with pytest.raises(NonConvergenceError, match="stalled") as info:
@@ -365,7 +370,8 @@ class TestStall:
         assert time.perf_counter() - start < 1.0
         diag = info.value.diagnostics
         assert diag.method == "sweeps"
-        assert diag.iterations < 1000 < scaling.DEFAULT_MAX_ITER_FORCED
+        assert diag.iterations < 1000 < scaling.DEFAULT_MAX_ITER
+        assert diag.newton_steps < scaling.NEWTON_MAX_STEPS
         assert diag.margin_error > scaling.DEFAULT_TOL
 
     def test_stall_keeps_history(self):
@@ -374,6 +380,98 @@ class TestStall:
         diag = info.value.diagnostics
         assert diag.error_history.shape == (diag.iterations,)
         assert diag.error_history[-1] == diag.error_history[15] == diag.margin_error
+
+
+def sweep_reference(values, t, tol=1e-14):
+    """The sweep fit of ``values`` to a tighter tolerance; None if it misses."""
+    work = values.copy()
+    ring = np.empty(scaling._RING_LEN)
+    _sweeps, err = _ipf_py.ipf_sweeps(work, t.row_margins, t.col_margins, tol, 10**5,
+                                      ring, ring.copy())
+    return work if err <= tol else None
+
+
+@st.composite
+def scaling_problems(draw):
+    """A class-A (table, margins) pair, 2x2..6x6, with cells and margins
+    spread over about four orders of magnitude."""
+    n_rows, n_cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cells = st.floats(-4.0, 4.0)
+    mask = np.reshape(draw(st.lists(st.booleans(), min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols)), (n_rows, n_cols))
+    mask[np.arange(n_rows), np.arange(n_rows) % n_cols] = True
+    mask[np.arange(n_cols) % n_rows, np.arange(n_cols)] = True
+    logs = np.reshape(draw(st.lists(cells, min_size=mask.size, max_size=mask.size)),
+                      mask.shape)
+    values = np.where(mask, np.exp(logs), 0.0)
+    rt = np.exp(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    ct = np.exp(draw(st.lists(cells, min_size=n_cols, max_size=n_cols)))
+    t = MarginPair(rt / rt.sum(), ct / ct.sum())
+    assume(classify_existence(SupportPattern(mask), t).tag == "A")
+    return values / values.sum(), t
+
+
+class TestNewtonFinish:
+    @settings(max_examples=150, deadline=None)
+    @given(scaling_problems())
+    def test_agrees_with_sweeps(self, problem):
+        # from a cold start, where the sweeps converge
+        values, t = problem
+        reference = sweep_reference(values, t)
+        assume(reference is not None)
+        work = values.copy()
+        steps, err = scaling._newton_finish(work, t.row_margins, t.col_margins, 1e-14)
+        assert err <= 1e-14
+        assert steps < scaling.NEWTON_MAX_STEPS
+        assert np.abs(work - reference).max() <= 5e-13
+        np.testing.assert_array_equal(work > 0, values > 0)
+        assert same_nucleus(JointPmf(work / work.sum()), JointPmf(values))
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3])
+    def test_cycle_fit_agrees_with_sweeps(self, gap):
+        t = cycle_targets(gap)
+        fitted, diag = ipf_fit(CYCLE, t)
+        assert diag.newton_steps > 0
+        assert diag.margin_error <= scaling.DEFAULT_TOL
+        assert np.abs(fitted.values - sweep_reference(CYCLE.values, t)).max() <= 5e-13
+        assert same_nucleus(fitted, CYCLE)
+
+    @pytest.mark.parametrize("gap", [10.0**-k for k in range(3, 11)])
+    def test_near_tight_cycle_family_is_fast(self, gap):
+        # 40,932 sweeps at gap 1e-4 and a crawl below it for the sweeps alone
+        t = cycle_targets(gap)
+        start = time.perf_counter()
+        try:
+            fitted, diag = ipf_fit(CYCLE, t)
+        except NonConvergenceError as exc:
+            diag = exc.diagnostics
+            assert diag.margin_error > scaling.DEFAULT_TOL
+        else:
+            assert diag.margin_error <= scaling.DEFAULT_TOL
+            np.testing.assert_array_equal(fitted.values > 0, CYCLE.values > 0)
+        assert time.perf_counter() - start < 1.0
+        assert diag.iterations <= 48
+        assert 0 < diag.newton_steps <= 25
+
+    def test_one_gauge_per_component(self):
+        # two blocks whose masses match their targets (class B1)
+        values = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.3]])
+        rt, ct = np.array([0.5, 0.2, 0.3]), np.array([0.3, 0.4, 0.3])
+        work = values.copy()
+        steps, err = scaling._newton_finish(work, rt, ct, 1e-14)
+        assert err <= 1e-14 and steps > 0
+        np.testing.assert_array_equal(work > 0, values > 0)
+        np.testing.assert_allclose(work, sweep_reference(values, MarginPair(rt, ct)),
+                                   rtol=0.0, atol=5e-13)
+
+    def test_unreachable_target_stops(self):
+        # block masses 0.6 and 0.4 against targets of 0.5 each
+        values = np.array([[0.3, 0.0], [0.0, 0.7]])
+        work = values.copy()
+        steps, err = scaling._newton_finish(work, np.array([0.6, 0.4]),
+                                            np.array([0.5, 0.5]), 1e-12)
+        assert err > 0.05 and steps < scaling.NEWTON_MAX_STEPS
+        np.testing.assert_array_equal(work > 0, values > 0)
 
 
 def forest_mask(n_rows, n_cols, edges):
