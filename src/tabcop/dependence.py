@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabcop.errors import NotACopulaError, UndefinedEntryError, ValidationError
+from tabcop.errors import NotACopulaError, UndefinedEntryError, ValidationError, check_size
 from tabcop.pmf_core import JointPmf, is_copula_pmf
 
 
@@ -138,7 +138,6 @@ def frechet_bounds(size: int):
     diagonal, Yule coefficient +1) and the countermonotone table (mass on
     the anti-diagonal, Yule coefficient -1).
     """
-    if not isinstance(size, (int, np.integer)) or size < 2:
-        raise ValidationError(f"size must be an integer >= 2, got {size!r}")
+    size = check_size(size, "size", 2, ValidationError)
     upper = np.eye(size) / size
     return JointPmf(upper), JointPmf(np.fliplr(upper))

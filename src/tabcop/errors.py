@@ -7,6 +7,7 @@ support/margins exists) to exit code 2.
 """
 
 import math
+import numbers
 
 
 class TabcopError(Exception):
@@ -90,3 +91,16 @@ def check_nonnegative(value, name: str, error: type, allow_inf: bool = True) -> 
         upper = "inf]" if allow_inf else "inf)"
         raise error(f"{name} must lie in [0, {upper}, got {value!r}")
     return value
+
+
+def check_size(value, name: str, minimum: int, error: type) -> int:
+    """``value`` as an int of at least ``minimum``.
+
+    Table sides, level counts and trial counts share this check; each
+    caller names the size and the :class:`ValidationError` subclass it
+    raises.  Booleans and non-integers (``3.0`` included) are rejected;
+    NumPy integers are accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -30,6 +30,7 @@ from tabcop.errors import (
     ParamError,
     ValidationError,
     check_nonnegative,
+    check_size,
 )
 from tabcop.pmf_core import JointPmf
 
@@ -167,13 +168,7 @@ def _student_cdf(u: float, v: float, rho: float, df: float) -> float:
         base = special.stdtr(df, min(x, y))
     else:
         base = max(0.0, special.stdtr(df, x) + special.stdtr(df, y) - 1.0)
-    result = float(base - value / (2.0 * math.pi))
-    if math.isfinite(x) and math.isfinite(y):
-        return result
-    # stdtrit returns +inf for some u near 1e-300 (df about 2 to 218) where
-    # the quantile is a large negative number; the Frechet bounds then
-    # hold C(u, v) within u
-    return min(max(result, u + v - 1.0, 0.0), u, v)
+    return float(base - value / (2.0 * math.pi))
 
 
 def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
@@ -181,7 +176,11 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
 
     Grounded and margin-exact by construction: C(u, 0) = C(0, v) = 0,
     C(u, 1) = u, C(1, v) = v.  The Gaussian and Student families evaluate
-    to ~1e-12 via one-dimensional correlation integrals.
+    to ~1e-12 via one-dimensional correlation integrals.  Every family is
+    clamped to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v),
+    which rounding and quadrature error of order 1e-16 would otherwise
+    cross at small arguments (as would the Student CDF where ``stdtrit``
+    returns +inf for a large negative quantile, at some u near 1e-300).
     """
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise DomainError(f"copula arguments must lie in [0, 1], got ({u!r}, {v!r})")
@@ -194,26 +193,41 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
 
     p = spec.params
     if spec.family == "independence":
-        return u * v
-    if spec.family == "fgm":
-        return u * v * (1.0 + p["theta"] * (1.0 - u) * (1.0 - v))
-    if spec.family == "clayton":
+        c = u * v
+    elif spec.family == "fgm":
+        c = u * v * (1.0 + p["theta"] * (1.0 - u) * (1.0 - v))
+    elif spec.family == "clayton":
         th = p["theta"]
-        base = u ** (-th) + v ** (-th) - 1.0
-        if base <= 0.0:
-            return 0.0
-        return base ** (-1.0 / th)
-    if spec.family == "gumbel":
+        try:
+            base = u ** (-th) + v ** (-th) - 1.0
+        except OverflowError:
+            base = math.inf
+        if base < math.inf:
+            c = 0.0 if base <= 0.0 else base ** (-1.0 / th)
+        else:
+            # a power or their sum past 1e308 (theta > 0): factor the larger out
+            a, b = -th * math.log(u), -th * math.log(v)
+            m = max(a, b)
+            c = math.exp(-(m + math.log1p(math.exp(-abs(a - b)) - math.exp(-m))) / th)
+    elif spec.family == "gumbel":
         th = p["theta"]
         s = (-math.log(u)) ** th + (-math.log(v)) ** th
-        return math.exp(-(s ** (1.0 / th)))
-    if spec.family == "frank":
+        c = math.exp(-(s ** (1.0 / th)))
+    elif spec.family == "frank":
         th = p["theta"]
         num = math.expm1(-th * u) * math.expm1(-th * v)
-        return -math.log1p(num / math.expm1(-th)) / th
-    if spec.family == "gaussian":
-        return _gaussian_cdf(u, v, p["rho"])
-    return _student_cdf(u, v, p["rho"], p["df"])
+        c = -math.log1p(num / math.expm1(-th)) / th
+    elif spec.family == "gaussian":
+        c = _gaussian_cdf(u, v, p["rho"])
+    else:
+        c = _student_cdf(u, v, p["rho"], p["df"])
+    lower = u + v - 1.0 if u + v > 1.0 else 0.0
+    upper = u if u < v else v
+    if c < lower:
+        c = lower
+    if c > upper:
+        c = upper
+    return c
 
 
 def discretize_copula(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> JointPmf:
@@ -224,8 +238,8 @@ def discretize_copula(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> J
     the row and column sums telescope to the exact uniform margins up to
     rounding, independent of any quadrature error in the interior nodes.
     """
-    if n_rows < 2 or n_cols < 2:
-        raise ValidationError("discretization needs at least 2 rows and 2 columns")
+    n_rows = check_size(n_rows, "n_rows", 2, ValidationError)
+    n_cols = check_size(n_cols, "n_cols", 2, ValidationError)
     nodes = np.empty((n_rows + 1, n_cols + 1))
     for i in range(n_rows + 1):
         for j in range(n_cols + 1):
@@ -244,8 +258,8 @@ def fgm_pmf(theta: float, n_rows: int, n_cols: int) -> JointPmf:
     """
     if not -1.0 <= theta <= 1.0:
         raise ParamError("fgm theta must lie in [-1, 1]")
-    if n_rows < 2 or n_cols < 2:
-        raise ValidationError("fgm pmf needs at least 2 rows and 2 columns")
+    n_rows = check_size(n_rows, "n_rows", 2, ValidationError)
+    n_cols = check_size(n_cols, "n_cols", 2, ValidationError)
     u = 1.0 - (2.0 * np.arange(n_rows) + 1.0) / n_rows
     v = 1.0 - (2.0 * np.arange(n_cols) + 1.0) / n_cols
     return JointPmf((1.0 + theta * np.outer(u, v)) / (n_rows * n_cols))
@@ -260,8 +274,7 @@ def bivariate_binomial_pmf(n: int, p2: JointPmf) -> JointPmf:
     term is a nonnegative product, so the cells keep their relative
     accuracy without overflow at any n.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParamError(f"n must be an integer >= 1, got {n!r}")
+    n = check_size(n, "n", 1, ParamError)
     _p = p2.values
     if p2.shape != (2, 2):
         raise ValidationError(f"base table must be 2x2, got {p2.shape}")
@@ -304,8 +317,7 @@ def binomial_copula(n: int, omega: float, tol: float = scaling.DEFAULT_TOL) -> J
     omega = 0 and omega = inf are the anti-diagonal and diagonal Frechet
     tables, and omega = 1 the uniform table.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParamError(f"n must be an integer >= 1, got {n!r}")
+    n = check_size(n, "n", 1, ParamError)
     omega = check_nonnegative(omega, "omega", ParamError)
     size = n + 1
     upper, lower = frechet_bounds(size)
@@ -336,8 +348,7 @@ def truncated_geometric_pmf(n_levels: int, p2: JointPmf) -> JointPmf:
     The four branches (interior above/on/below the diagonal plus the
     absorbing boundary) are evaluated exactly from the cell products.
     """
-    if not isinstance(n_levels, (int, np.integer)) or n_levels < 2:
-        raise ParamError(f"n_levels must be an integer >= 2, got {n_levels!r}")
+    n = check_size(n_levels, "n_levels", 2, ParamError)
     if p2.shape != (2, 2):
         raise ValidationError(f"base table must be 2x2, got {p2.shape}")
     v = p2.values
@@ -347,7 +358,6 @@ def truncated_geometric_pmf(n_levels: int, p2: JointPmf) -> JointPmf:
     row0, col0 = p00 + p01, p00 + p10
     row1, col1 = p10 + p11, p01 + p11
 
-    n = n_levels
     out = np.empty((n, n))
     for x in range(n):
         for y in range(n):
@@ -436,8 +446,7 @@ def truncated_geometric_copula(n_levels: int, omega: float,
     on the support of minimal vanishing order and the leading coefficients
     are fitted there (for N = 3 this is the uniform off-diagonal table).
     """
-    if not isinstance(n_levels, (int, np.integer)) or n_levels < 2:
-        raise ParamError(f"n_levels must be an integer >= 2, got {n_levels!r}")
+    n_levels = check_size(n_levels, "n_levels", 2, ParamError)
     omega = check_nonnegative(omega, "omega", ParamError)
     if omega == 0.0 and n_levels > 2:
         order, coef = _geometric_limit_costs(n_levels)
@@ -460,8 +469,8 @@ def goodman_copula(n_rows: int, n_cols: int, theta: float,
     square shapes: theta = 0 gives the anti-diagonal table, theta = inf
     the diagonal one, and both raise InfeasibleError for R != S.
     """
-    if n_rows < 2 or n_cols < 2:
-        raise ValidationError("goodman copula needs at least 2 rows and 2 columns")
+    n_rows = check_size(n_rows, "n_rows", 2, ValidationError)
+    n_cols = check_size(n_cols, "n_cols", 2, ValidationError)
     theta = check_nonnegative(theta, "theta", ParamError)
 
     if theta == 0.0 or math.isinf(theta):

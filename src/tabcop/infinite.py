@@ -23,6 +23,7 @@ from tabcop.errors import (
     ParamError,
     ValidationError,
     check_nonnegative,
+    check_size,
 )
 from tabcop.pmf_core import JointPmf, MarginPair
 
@@ -80,8 +81,7 @@ def truncated_poisson_margin(lam: float, n_levels: int) -> np.ndarray:
 
     if lam <= 0 or not math.isfinite(lam):
         raise ParamError(f"lam must be a positive real, got {lam!r}")
-    if n_levels < 2:
-        raise ParamError("n_levels must be at least 2")
+    n_levels = check_size(n_levels, "n_levels", 2, ParamError)
     pmf = np.array([math.exp(_poisson_log_pmf(lam, k)) for k in range(n_levels)])
     pmf[n_levels - 1] = pdtrc(n_levels - 2, lam)
     return pmf
@@ -150,12 +150,10 @@ def bivariate_poisson_pmf(lam10: float, lam01: float, lam11: float,
         raise ParamError("lam10 and lam01 must be positive reals")
     if lam11 < 0 or not math.isfinite(lam11):
         raise ParamError("lam11 must be a nonnegative real")
-    if not isinstance(n_levels, (int, np.integer)) or n_levels < 2:
-        raise ParamError(f"n_levels must be an integer >= 2, got {n_levels!r}")
+    n = check_size(n_levels, "n_levels", 2, ParamError)
 
     from scipy.special import logsumexp
 
-    n = int(n_levels)
     extra = 8
     while True:
         if extra > _MAX_TAIL_LEVELS:
@@ -188,6 +186,7 @@ def poisson_copula_grid(omega: float, n_levels: int, eps: float = 1e-6,
     from scipy import special
 
     omega = check_nonnegative(omega, "omega", ParamError, allow_inf=False)
+    n_levels = check_size(n_levels, "n_levels", 2, ParamError)
     if not 0.0 < eps <= 1e-6:
         raise ParamError(f"eps must lie in (0, 1e-6], got {eps!r}")
 
@@ -236,7 +235,7 @@ def couple_countable_margins(margin_x, margin_y, copula: JointPmf,
     return coupled
 
 
-def upsilon_truncation_drift(omega: float, n_levels: int, eps: float = 1e-6) -> float:
+def upsilon_truncation_drift(omega: float, n_levels: int) -> float:
     """Self-convergence diagnostic for the Poisson copula truncation.
 
     Absolute change of the copula's Yule coefficient when the truncation

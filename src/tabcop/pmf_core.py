@@ -23,11 +23,6 @@ from tabcop.errors import (
 #: Absolute tolerance on "probabilities sum to one" checks.
 SUM_TOL = 1e-12
 
-#: Tolerance used when a support pattern is extracted from an IPF output,
-#: distinguishing forced-zero limits from rounding noise.  Exact input
-#: tables use a threshold of 0 instead.
-IPF_ZERO_THRESHOLD = 1e-14
-
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
@@ -163,16 +158,14 @@ def margins(p: JointPmf) -> MarginPair:
     return MarginPair(p.values.sum(axis=1), p.values.sum(axis=0))
 
 
-def support(p: JointPmf, zero_threshold: float = 0.0) -> SupportPattern:
-    """Support pattern of ``p``: cells with mass above ``zero_threshold``.
+def support(p: JointPmf) -> SupportPattern:
+    """Support pattern of ``p``: the cells with positive mass.
 
-    The default threshold 0 treats input tables as exact.  For tables
-    produced by proportional fitting use ``IPF_ZERO_THRESHOLD`` so that
-    forced-zero limits are not mistaken for tiny positive mass.
+    Tables are taken as exact.  A fitted table needs no threshold either:
+    fits put exact zeros on the cells that every feasible table leaves
+    empty, so tiny positive mass is mass.
     """
-    if zero_threshold < 0:
-        raise ValidationError("zero_threshold must be nonnegative")
-    return SupportPattern(p.values > zero_threshold)
+    return SupportPattern(p.values > 0)
 
 
 def is_copula_pmf(p: JointPmf, tol: float = 1e-9) -> bool:

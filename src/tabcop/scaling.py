@@ -20,7 +20,7 @@ to force the fallback.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,25 +124,21 @@ class ScalingDiagnostics:
     ``margin_error`` is the max absolute deviation of the achieved margins
     from the targets.  ``rate_estimate`` is the geometric mean of the last
     10 per-sweep error ratios (a proxy for the geometric convergence rate),
-    or None when fewer than 11 sweeps ran.  The error histories are kept
-    only when the fit was run with ``keep_history=True``.
+    or None when fewer than 11 sweeps ran.
 
     ``method`` is ``"exact"`` when the support graph is a forest and the
     table was solved from the margins by leaf peeling; then ``iterations``
-    is 0 and the kept histories are empty.  It is ``"sweeps"`` otherwise,
-    where ``iterations == 0`` means the input already had the margins.
-    ``newton_steps`` counts the Newton steps run after the sweeps slowed
-    down; it is 0 when the sweeps ran alone.  ``iterations``, the rate and
-    the histories describe the sweeps only, and ``margin_error`` the
-    table the fit ended with.
+    is 0.  It is ``"sweeps"`` otherwise, where ``iterations == 0`` means
+    the input already had the margins.  ``newton_steps`` counts the Newton
+    steps run after the sweeps slowed down; it is 0 when the sweeps ran
+    alone.  ``iterations`` and the rate describe the sweeps only, and
+    ``margin_error`` the table the fit ended with.
     """
 
     iterations: int
     margin_error: float
     classification: FeasibilityClass
     rate_estimate: float | None = None
-    error_history: np.ndarray | None = field(default=None, repr=False)
-    l1_error_history: np.ndarray | None = field(default=None, repr=False)
     method: str = "sweeps"
     newton_steps: int = 0
 
@@ -349,44 +345,35 @@ def _peel_forest(values, rt, ct):
     return peeled if n_open == 0 else None
 
 
-def _sweep(work, rt, ct, tol, max_iter, keep_history):
+def _sweep(work, rt, ct, tol, max_iter):
     """Run the kernel on ``work`` in doubling chunks of 16, 32, 64, ... sweeps.
 
     Sweeping is stateless apart from ``work`` and every chunk starts at a
-    multiple of the ring length, so the tables, the 16-slot error rings
-    and the kept histories (which grow with the sweeps actually run) are
-    those of one uninterrupted run.  The run stops early, as slow, when a
-    full chunk ends above ``tol`` with a rate estimate above
-    :data:`NEWTON_SWITCH_RATE` or with a max error no lower than the
-    previous chunk's (the sweeps have stalled).
+    multiple of the ring length, so the table and the 16-slot ring of max
+    errors are those of one uninterrupted run, and memory does not grow
+    with the sweeps.  The run stops early, as slow, when a full chunk ends
+    above ``tol`` with a rate estimate above :data:`NEWTON_SWITCH_RATE` or
+    with a max error no lower than the previous chunk's (the sweeps have
+    stalled).
 
-    Returns ``(sweeps, error, err_max, err_l1, slow)``; the error arrays
-    are the full histories when ``keep_history`` is set, else the rings.
+    Returns ``(sweeps, error, rate, slow)``, the rate as in
+    :class:`ScalingDiagnostics`.
     """
+    # the kernel also fills an L1 ring, which nothing reads
     err_max, err_l1 = np.empty(_RING_LEN), np.empty(_RING_LEN)
-    maxes, l1s = [], []
     done, err, previous, chunk, slow = 0, np.inf, np.inf, _RING_LEN, False
     while done < max_iter:
         n = min(chunk, max_iter - done)
-        if keep_history:
-            err_max, err_l1 = np.empty(n), np.empty(n)
         sweeps, err = _kernel.ipf_sweeps(work, rt, ct, tol, n, err_max, err_l1)
         done += sweeps
-        if keep_history:
-            maxes.append(err_max[:sweeps])
-            l1s.append(err_l1[:sweeps])
         if sweeps < n or err <= tol:
             break
-        # a full chunk (not cut by the budget) ends at the end of its
-        # buffer in both modes
         if err >= previous or (n == chunk
                                and _rate_from_ring(err_max, n) > NEWTON_SWITCH_RATE):
             slow = True
             break
         previous, chunk = err, 2 * chunk
-    if keep_history:
-        err_max, err_l1 = np.concatenate(maxes), np.concatenate(l1s)
-    return done, err, err_max, err_l1, slow
+    return done, err, _rate_from_ring(err_max, done), slow
 
 
 def _newton_direction(x, f_long, f_short, free):
@@ -475,20 +462,13 @@ def _newton_finish(work, rt, ct, tol):
     return steps, float(np.abs(resid).max())
 
 
-def _solve_exact(values, rt, ct, tol, classification, keep_history):
+def _solve_exact(values, rt, ct, tol, classification):
     """Fit a forest support by :func:`_peel_forest`; None on a cycle."""
     peeled = _peel_forest(values, rt, ct)
     if peeled is None:
         return None
     err = float(_margin_error(peeled, rt, ct))
-    diag = ScalingDiagnostics(
-        iterations=0,
-        margin_error=err,
-        classification=classification,
-        error_history=np.empty(0) if keep_history else None,
-        l1_error_history=np.empty(0) if keep_history else None,
-        method="exact",
-    )
+    diag = ScalingDiagnostics(0, err, classification, method="exact")
     if err > tol:
         raise NonConvergenceError(
             f"margin error {err:g} above tolerance {tol:g} after the exact "
@@ -504,20 +484,19 @@ def _solve_exact(values, rt, ct, tol, classification, keep_history):
     return peeled, diag
 
 
-def _run_ipf(values, rt, ct, tol, max_iter, classification, keep_history):
+def _run_ipf(values, rt, ct, tol, max_iter, classification):
     init_dev = _margin_error(values, rt, ct)
     if init_dev <= tol:
         diag = ScalingDiagnostics(0, float(init_dev), classification)
         return values, diag
 
-    solved = _solve_exact(values, rt, ct, tol, classification, keep_history)
+    solved = _solve_exact(values, rt, ct, tol, classification)
     if solved is not None:
         return solved
 
     work = np.ascontiguousarray(values)
     rt, ct = np.ascontiguousarray(rt), np.ascontiguousarray(ct)
-    iterations, err, err_max, err_l1, slow = _sweep(
-        work, rt, ct, tol, max_iter, keep_history)
+    iterations, err, rate, slow = _sweep(work, rt, ct, tol, max_iter)
     newton_steps = 0
     if slow:
         newton_steps, err = _newton_finish(work, rt, ct, tol)
@@ -525,9 +504,7 @@ def _run_ipf(values, rt, ct, tol, max_iter, classification, keep_history):
         iterations=int(iterations),
         margin_error=float(err),
         classification=classification,
-        rate_estimate=_rate_from_ring(err_max, int(iterations)),
-        error_history=err_max if keep_history else None,
-        l1_error_history=err_l1 if keep_history else None,
+        rate_estimate=rate,
         newton_steps=newton_steps,
     )
     if err > tol:
@@ -542,7 +519,7 @@ def _run_ipf(values, rt, ct, tol, max_iter, classification, keep_history):
 
 
 def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
-            max_iter: int = DEFAULT_MAX_ITER, keep_history: bool = False):
+            max_iter: int = DEFAULT_MAX_ITER):
     """Fit ``p`` to target margins ``t`` by row/column rescaling.
 
     Returns ``(fitted, diagnostics)``.  The fit preserves every odds ratio
@@ -564,7 +541,8 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
     before it, damped Newton steps on the log row and column scalings
     finish the fit; they rescale the same table, so the support and the
     odds ratios are kept, and ``diagnostics.newton_steps`` counts them.
-    ``max_iter`` budgets the sweeps.
+    ``max_iter`` budgets the sweeps; the sweeps keep only a 16-slot error
+    ring, so memory does not grow with the budget or the sweeps run.
 
     Raises InfeasibleError for class C and NonConvergenceError, with
     diagnostics attached, when the exact solve misses the margins or
@@ -589,23 +567,23 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
         for x, y in classification.forced_zero_cells:
             values[x, y] = 0.0
     fitted, diag = _run_ipf(values, t.row_margins, t.col_margins,
-                            tol, max_iter, classification, keep_history)
+                            tol, max_iter, classification)
     return JointPmf(fitted), diag
 
 
 def copula_pmf(p: JointPmf, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER, keep_history: bool = False):
+               max_iter: int = DEFAULT_MAX_ITER):
     """The member of ``p``'s dependence class with uniform margins.
 
     Fits to row sums 1/R and column sums 1/S; exists and is unique exactly
     when :func:`classify_existence` does not report class C (uniqueness in
-    the closure of the class for B2).
+    the closure of the class for B2).  Returns ``(copula, diagnostics)``
+    and raises as :func:`ipf_fit`.
     """
     n_rows, n_cols = p.shape
     uniform = MarginPair(np.full(n_rows, 1.0 / n_rows),
                          np.full(n_cols, 1.0 / n_cols))
-    return ipf_fit(p, uniform, tol=tol, max_iter=max_iter,
-                   keep_history=keep_history)
+    return ipf_fit(p, uniform, tol=tol, max_iter=max_iter)
 
 
 def apply_marginal_distortion(p: JointPmf, row_factors, col_factors) -> JointPmf:

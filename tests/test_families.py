@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 from tabcop.bernoulli import bernoulli_copula, odds_ratio
 from tabcop.dependence import frechet_bounds, odds_ratio_matrix, yule_upsilon
-from tabcop.errors import InfeasibleError, ParamError
+from tabcop.errors import InfeasibleError, ParamError, ValidationError, check_size
 from tabcop.families import (
     ContinuousCopulaSpec,
     _assignment_face,
@@ -29,6 +29,7 @@ from tabcop.families import (
     truncated_geometric_copula,
     truncated_geometric_pmf,
 )
+from tabcop.infinite import bivariate_poisson_pmf, poisson_copula_grid, truncated_poisson_margin
 from tabcop.pmf_core import JointPmf, is_copula_pmf
 
 from conftest import (
@@ -38,6 +39,25 @@ from conftest import (
 )
 
 PARAM_GRID = (0.05, 0.5, 2.0, 20.0)
+
+#: Arguments from 1e-320 to 0.1, spread over the orders of magnitude.
+TINY = st.floats(-320.0, -1.0).map(lambda k: 10.0 ** k)
+
+#: A member of every family, with parameters where the closed forms stay
+#: finite at arguments down to 1e-320 (Gumbel overflows past theta about
+#: 100, Frank fails past |theta| about 700).
+ANY_FAMILY = st.one_of(
+    st.just(ContinuousCopulaSpec("independence", {})),
+    st.floats(-1.0, 1.0).map(lambda th: ContinuousCopulaSpec("fgm", {"theta": th})),
+    st.floats(-1.0, 300.0).filter(lambda th: th != 0.0).map(
+        lambda th: ContinuousCopulaSpec("clayton", {"theta": th})),
+    st.floats(1.0, 50.0).map(lambda th: ContinuousCopulaSpec("gumbel", {"theta": th})),
+    st.floats(-50.0, 50.0).filter(lambda th: th != 0.0).map(
+        lambda th: ContinuousCopulaSpec("frank", {"theta": th})),
+    st.floats(-0.99, 0.99).map(lambda rho: ContinuousCopulaSpec("gaussian", {"rho": rho})),
+    st.tuples(st.floats(-0.99, 0.99), st.floats(-1.0, 8.0)).map(
+        lambda a: ContinuousCopulaSpec("student", {"rho": a[0], "df": 10.0 ** a[1]})),
+)
 
 
 class TestSpecValidation:
@@ -133,6 +153,33 @@ class TestCopulaCdf:
 
         with pytest.raises(DomainError):
             copula_cdf(ContinuousCopulaSpec("independence", {}), 1.2, 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=ANY_FAMILY, small=TINY,
+           other=st.one_of(TINY, st.floats(0.0, 1.0, exclude_max=True)),
+           swap=st.booleans())
+    def test_within_exact_frechet_bounds(self, spec, small, other, swap):
+        # rounding and quadrature error near the corners, of order 1e-16
+        # absolute, must not carry C past its bounds (at other = 1, C is
+        # small itself, which the rounded u + v - 1 may exceed)
+        u, v = (other, small) if swap else (small, other)
+        value = copula_cdf(spec, u, v)
+        assert max(0.0, u + v - 1.0) <= value <= min(u, v)
+
+    def test_clayton_past_overflow(self):
+        # (1/15) ** -300 overflows a double; 50-digit decimals are the oracle
+        from decimal import Decimal, localcontext
+
+        spec = ContinuousCopulaSpec("clayton", {"theta": 300.0})
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for i, j in ((1, 1), (1, 2), (3, 14), (7, 8)):
+                base = (Decimal(15) / i) ** 300 + (Decimal(15) / j) ** 300 - 1
+                oracle = float((-base.ln() / 300).exp())
+                assert copula_cdf(spec, i / 15, j / 15) == pytest.approx(oracle, rel=1e-14)
+        p = discretize_copula(spec, 15, 15)
+        assert is_copula_pmf(p, tol=1e-12)
+        assert np.trace(p.values) > 0.95  # near the comonotone limit
 
 
 def _normal_cdf2(h, k, rho):
@@ -542,6 +589,49 @@ class TestGoodmanCopula:
         grid = np.logspace(-2, 2, 9)
         ups = [yule_upsilon(goodman_copula(3, 3, float(th))) for th in grid]
         assert all(a <= b + 1e-12 for a, b in zip(ups, ups[1:]))
+
+
+_UNIFORM_2X2 = JointPmf([[0.25, 0.25], [0.25, 0.25]])
+
+#: Each sized constructor as a call of its size alone, with the smallest
+#: size it accepts and the error it raises below that.
+SIZED_CALLS = {
+    "discretize_copula rows": (
+        lambda n: discretize_copula(ContinuousCopulaSpec("independence", {}), n, 3),
+        2, ValidationError),
+    "discretize_copula cols": (
+        lambda n: discretize_copula(ContinuousCopulaSpec("independence", {}), 3, n),
+        2, ValidationError),
+    "fgm_pmf": (lambda n: fgm_pmf(0.5, n, 3), 2, ValidationError),
+    "goodman_copula": (lambda n: goodman_copula(n, 3, 2.0), 2, ValidationError),
+    "bivariate_binomial_pmf": (lambda n: bivariate_binomial_pmf(n, _UNIFORM_2X2),
+                               1, ParamError),
+    "binomial_copula": (lambda n: binomial_copula(n, 2.0), 1, ParamError),
+    "truncated_geometric_pmf": (lambda n: truncated_geometric_pmf(n, _UNIFORM_2X2),
+                                2, ParamError),
+    "truncated_geometric_copula": (lambda n: truncated_geometric_copula(n, 2.0),
+                                   2, ParamError),
+    "truncated_poisson_margin": (lambda n: truncated_poisson_margin(1.0, n), 2, ParamError),
+    "bivariate_poisson_pmf": (lambda n: bivariate_poisson_pmf(1.0, 1.0, 0.5, n),
+                              2, ParamError),
+    "poisson_copula_grid": (lambda n: poisson_copula_grid(0.5, n), 2, ParamError),
+    "frechet_bounds": (frechet_bounds, 2, ValidationError),
+}
+
+
+class TestSizeValidation:
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "minimum - 1"])
+    @pytest.mark.parametrize("name", sorted(SIZED_CALLS))
+    def test_rejected(self, name, bad):
+        call, minimum, error = SIZED_CALLS[name]
+        with pytest.raises(error, match="must be an integer"):
+            call(minimum - 1 if bad == "minimum - 1" else bad)
+
+    def test_numpy_integer_accepted(self):
+        n = check_size(np.int64(3), "n", 2, ParamError)
+        assert n == 3 and type(n) is int
+        np.testing.assert_array_equal(fgm_pmf(0.5, np.int64(3), 3).values,
+                                      fgm_pmf(0.5, 3, 3).values)
 
 
 class TestFamilyInvariants:

@@ -114,22 +114,15 @@ class TestSupport:
         np.testing.assert_array_equal(s.mask, [[False, True], [True, True]])
 
     def test_threshold(self):
+        # tiny mass is mass: there is no threshold
         p = JointPmf([[1e-13, 0.5 - 1e-13], [0.5 - 1e-13, 1e-13]])
         assert pmf_core.support(p).mask.all()
-        masked = pmf_core.support(p, zero_threshold=pmf_core.IPF_ZERO_THRESHOLD)
-        np.testing.assert_array_equal(masked.mask, [[True, True], [True, True]])
-        masked = pmf_core.support(p, zero_threshold=1e-12)
-        np.testing.assert_array_equal(masked.mask, [[False, True], [True, False]])
 
     def test_every_row_and_column_covered(self, rng):
         for _ in range(50):
             shape = rng.integers(2, 6, size=2)
             s = pmf_core.support(JointPmf(random_positive_pmf(rng, *shape)))
             assert s.mask.any(axis=1).all() and s.mask.any(axis=0).all()
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValidationError):
-            pmf_core.support(JointPmf([[0.25] * 2] * 2), zero_threshold=-1.0)
 
 
 class TestIsCopulaPmf:

@@ -155,10 +155,8 @@ class TestIpfFit:
             n_rows, n_cols = rng.integers(2, 7, size=2)
             p = JointPmf(random_positive_pmf(rng, n_rows, n_cols))
             t = MarginPair(random_margins(rng, n_rows), random_margins(rng, n_cols))
-            _, diag = ipf_fit(p, t, tol=1e-12, keep_history=True)
-            hist = diag.l1_error_history
-            assert hist is not None
-            assert (np.diff(hist) <= 1e-15).all()
+            *_, l1 = one_kernel_run(p, t, 10**4)
+            assert (np.diff(l1) <= 1e-15).all()
 
     def test_omega_preserved_case_A(self, rng):
         from tabcop.dependence import odds_ratio_matrix
@@ -262,20 +260,19 @@ class TestCopulaPmf:
 
     def test_history_sized_by_sweeps_run(self):
         # a B2 fit on a cycle support that converges in 17 sweeps under a
-        # 10**7 sweep budget
+        # 10**7 sweep budget: no buffer is sized by the budget
         mask = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 1], [0, 0, 1, 1]])
         counts = mask * np.array([[3, 1, 1, 1], [2, 5, 1, 1], [1, 1, 1, 4], [1, 1, 2, 1]])
         p = from_counts(counts)
         tracemalloc.start()
         try:
-            _, diag = copula_pmf(p, max_iter=10**7, keep_history=True)
+            _, diag = copula_pmf(p, max_iter=10**7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert diag.classification.tag == "B2"
         assert diag.method == "sweeps"
         assert 0 < diag.iterations < 100
-        assert diag.error_history.shape == diag.l1_error_history.shape == (diag.iterations,)
         assert peak < 2**20
 
 
@@ -290,36 +287,35 @@ def cycle_targets(gap):
                       np.array([third + gap / 2, third + gap / 2, third - gap]))
 
 
-def one_kernel_run(p, t, max_iter, ring=None):
-    """One uninterrupted kernel call; full-length buffers unless ``ring``."""
-    size = ring or max_iter
-    err_max, err_l1 = np.empty(size), np.empty(size)
+def one_kernel_run(p, t, max_iter):
+    """One uninterrupted kernel call, with error buffers of full length.
+
+    Returns ``(table, sweeps, error, max errors, L1 errors)``, the error
+    arrays cut to the sweeps run.
+    """
+    err_max, err_l1 = np.empty(max_iter), np.empty(max_iter)
     work = p.values.copy()
     sweeps, err = scaling._kernel.ipf_sweeps(
         work, t.row_margins, t.col_margins, scaling.DEFAULT_TOL, max_iter,
         err_max, err_l1,
     )
-    if ring is None:
-        err_max, err_l1 = err_max[:sweeps], err_l1[:sweeps]
-    return work, sweeps, err, err_max, err_l1
+    return work, sweeps, err, err_max[:sweeps], err_l1[:sweeps]
 
 
 class TestHistory:
     """Fits on cycle supports equal one uninterrupted kernel run."""
 
     def assert_same(self, diag, reference):
-        _work, sweeps, err, err_max, err_l1 = reference
+        _work, sweeps, err, err_max, _err_l1 = reference
         assert diag.method == "sweeps"
         assert diag.iterations == sweeps
         assert diag.margin_error == err
-        np.testing.assert_array_equal(diag.error_history, err_max)
-        np.testing.assert_array_equal(diag.l1_error_history, err_l1)
         assert diag.rate_estimate == scaling._rate_from_ring(err_max, sweeps)
 
     def test_converged_fit(self):
         # 51 sweeps: the run ends part-way through the third chunk
         t = cycle_targets(1e-1)
-        _, diag = ipf_fit(CYCLE, t, keep_history=True)
+        _, diag = ipf_fit(CYCLE, t)
         assert diag.iterations > 48
         self.assert_same(diag, one_kernel_run(CYCLE, t, 10**4))
 
@@ -327,22 +323,11 @@ class TestHistory:
         # the budget cuts the second chunk short
         t = cycle_targets(1e-1)
         with pytest.raises(NonConvergenceError) as info:
-            ipf_fit(CYCLE, t, max_iter=40, keep_history=True)
+            ipf_fit(CYCLE, t, max_iter=40)
         self.assert_same(info.value.diagnostics, one_kernel_run(CYCLE, t, 40))
 
-    def test_without_history(self):
-        # keeping the histories changes nothing, the Newton finish included
-        t = cycle_targets(1e-2)
-        fitted, diag = ipf_fit(CYCLE, t)
-        kept, kept_diag = ipf_fit(CYCLE, t, keep_history=True)
-        assert diag.error_history is None and diag.l1_error_history is None
-        np.testing.assert_array_equal(fitted.values, kept.values)
-        assert diag.rate_estimate == kept_diag.rate_estimate
-        assert diag.newton_steps == kept_diag.newton_steps > 0
-
-    @pytest.mark.parametrize("keep_history", [False, True])
     @pytest.mark.parametrize("case", ["dense", "lin", "cycle"])
-    def test_bit_identical_to_one_kernel_call(self, rng, case, keep_history):
+    def test_bit_identical_to_one_kernel_call(self, rng, case):
         if case == "dense":
             p = JointPmf(random_positive_pmf(rng, 4, 5))
             t = MarginPair(random_margins(rng, 4), random_margins(rng, 5))
@@ -350,13 +335,12 @@ class TestHistory:
             p, t = from_counts(LIN_COUNTS), uniform_pair(2, 2)
         else:
             p, t = CYCLE, cycle_targets(1e-1)  # far enough from tight to not switch
-        fitted, diag = ipf_fit(p, t, keep_history=keep_history)
-        work, sweeps, err, ring, _ = one_kernel_run(p, t, scaling.DEFAULT_MAX_ITER,
-                                                    ring=scaling._RING_LEN)
+        fitted, diag = ipf_fit(p, t)
+        work, sweeps, err, err_max, _ = one_kernel_run(p, t, scaling.DEFAULT_MAX_ITER)
         np.testing.assert_array_equal(fitted.values, work)
         assert (diag.method, diag.iterations, diag.margin_error) == ("sweeps", sweeps, err)
         assert diag.newton_steps == 0
-        assert diag.rate_estimate == scaling._rate_from_ring(ring, sweeps)
+        assert diag.rate_estimate == scaling._rate_from_ring(err_max, sweeps)
 
 
 class TestStall:
@@ -373,13 +357,6 @@ class TestStall:
         assert diag.iterations < 1000 < scaling.DEFAULT_MAX_ITER
         assert diag.newton_steps < scaling.NEWTON_MAX_STEPS
         assert diag.margin_error > scaling.DEFAULT_TOL
-
-    def test_stall_keeps_history(self):
-        with pytest.raises(NonConvergenceError) as info:
-            ipf_fit(CYCLE, cycle_targets(1e-10), keep_history=True)
-        diag = info.value.diagnostics
-        assert diag.error_history.shape == (diag.iterations,)
-        assert diag.error_history[-1] == diag.error_history[15] == diag.margin_error
 
 
 def sweep_reference(values, t, tol=1e-14):
@@ -550,19 +527,19 @@ class TestExactForest:
         fitted, _ = ipf_fit(JointPmf([[0.4, 0.3], [0.3, 0.0]]), t)
         assert fitted.values[0, 0] == pytest.approx(1e-6, rel=1e-9)
 
-    def test_kept_histories_are_empty(self):
-        _, diag = copula_pmf(JointPmf([[0.0, 0.3], [0.3, 0.4]]), keep_history=True)
+    def test_B2_copula_is_exact(self):
+        # the forced zero leaves a forest, which is peeled to exact halves
+        cop, diag = copula_pmf(JointPmf([[0.0, 0.3], [0.3, 0.4]]))
         assert diag.classification.tag == "B2"
-        assert (diag.method, diag.iterations) == ("exact", 0)
-        assert diag.error_history.shape == diag.l1_error_history.shape == (0,)
+        assert (diag.method, diag.iterations, diag.rate_estimate) == ("exact", 0, None)
+        np.testing.assert_array_equal(cop.values, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_nonpositive_cell_raises(self):
         # margins met exactly only with a negative cell: no fall back to sweeps
         values = np.array([[0.4, 0.3], [0.3, 0.0]])
         with pytest.raises(NonConvergenceError, match="mass <= 0") as info:
             scaling._run_ipf(values, np.array([0.3, 0.7]), np.array([0.5, 0.5]),
-                             scaling.DEFAULT_TOL, 10, scaling.FeasibilityClass("A"),
-                             keep_history=False)
+                             scaling.DEFAULT_TOL, 10, scaling.FeasibilityClass("A"))
         assert info.value.diagnostics.method == "exact"
 
 
