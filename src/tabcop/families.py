@@ -171,6 +171,40 @@ def _student_cdf(u: float, v: float, rho: float, df: float) -> float:
     return float(base - value / (2.0 * math.pi))
 
 
+def _log1mexp(x: float) -> float:
+    """log(1 - e^-x) for x > 0."""
+    return math.log(-math.expm1(-x))
+
+
+def _frank_cdf(u: float, v: float, th: float) -> float:
+    """Frank copula CDF -log1p(r) / th, r = expm1(-th u) expm1(-th v) / expm1(-th).
+
+    The direct form is accurate to rounding while r is finite and, for
+    theta > 0, 1 + r stays away from 0.  Elsewhere (from theta = 50 at
+    (0.99, 0.99) on, and anywhere past |theta| of about 700) r overflows
+    or 1 + r cancels, and the logarithm is taken in log space with the
+    dominant exponential factored out.  For theta > 0,
+    1 + r = (e^(-th u) (1 - e^(-th (1 - u))) + e^(-th v) (1 - e^(-th u)))
+    / (1 - e^-th), a sum of positive terms; for theta < 0, r is a product
+    of positive factors.
+    """
+    try:
+        r = math.expm1(-th * u) * math.expm1(-th * v) / math.expm1(-th)
+    except OverflowError:
+        r = math.inf
+    if (th > 0.0 and r > -0.5) or (th < 0.0 and r < math.inf):
+        return -math.log1p(r) / th
+    if th > 0.0:
+        a = -th * u + _log1mexp(th * (1.0 - u))
+        b = -th * v + _log1mexp(th * u)
+        log_sum = max(a, b) + math.log1p(math.exp(-abs(a - b)))
+        return (_log1mexp(th) - log_sum) / th
+    phi = -th
+    log_r = (phi * (u + v - 1.0) + _log1mexp(phi * u) + _log1mexp(phi * v)
+             - _log1mexp(phi))
+    return (max(log_r, 0.0) + math.log1p(math.exp(-abs(log_r)))) / phi
+
+
 def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
     """Evaluate the copula CDF C(u, v) of the given family.
 
@@ -210,13 +244,14 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
             m = max(a, b)
             c = math.exp(-(m + math.log1p(math.exp(-abs(a - b)) - math.exp(-m))) / th)
     elif spec.family == "gumbel":
+        # (a^th + b^th)^(1/th) with the larger of a, b factored out, so no
+        # power of a value above 1 overflows at large theta
         th = p["theta"]
-        s = (-math.log(u)) ** th + (-math.log(v)) ** th
-        c = math.exp(-(s ** (1.0 / th)))
+        a, b = -math.log(u), -math.log(v)
+        m = max(a, b)
+        c = math.exp(-m * math.exp(math.log1p((min(a, b) / m) ** th) / th))
     elif spec.family == "frank":
-        th = p["theta"]
-        num = math.expm1(-th * u) * math.expm1(-th * v)
-        c = -math.log1p(num / math.expm1(-th)) / th
+        c = _frank_cdf(u, v, p["theta"])
     elif spec.family == "gaussian":
         c = _gaussian_cdf(u, v, p["rho"])
     else:

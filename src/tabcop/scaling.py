@@ -12,19 +12,25 @@ A forest support (no cycle, hence no odds ratio) is fitted exactly by
 leaf peeling instead of sweeping.  Other supports are swept; a fit whose
 sweeps converge slowly, as next to a tight null rectangle, is finished
 by damped Newton steps on the log scalings, which rescale the same
-rows and columns.  The sweep kernel is compiled (Cython) when available,
-with a NumPy fallback selected at import; set ``TABCOP_PURE_PYTHON=1``
-to force the fallback.
+rows and columns.  The sweeps run in a small C kernel (``_ipf.c``),
+compiled on the first import into ``__pycache__`` next to this module and
+loaded from there afterwards; where no C compiler, writable cache or
+loadable library is at hand, the NumPy kernel (``_ipf_py``) runs instead.
+:data:`IPF_BACKEND` reads ``"c"`` or ``"python"``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
+import sysconfig
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from tabcop import dependence, pmf_core
+from tabcop import _ipf_py, dependence, pmf_core
 from tabcop._flow import max_transport_flow
 from tabcop.errors import (
     DimensionMismatchError,
@@ -35,19 +41,76 @@ from tabcop.errors import (
 )
 from tabcop.pmf_core import JointPmf, MarginPair, SupportPattern
 
-if os.environ.get("TABCOP_PURE_PYTHON"):
-    from tabcop import _ipf_py as _kernel
+#: Seconds the C compiler may take on a cold cache (it takes about 0.1 s).
+_BUILD_TIMEOUT_S = 60
 
-    IPF_BACKEND = "python"
-else:
+
+def _build(source, lib_path):
+    """Compile ``source`` into the shared library ``lib_path``.
+
+    The library is written under a per-process name and renamed into
+    place, so a concurrent import never loads a half-written file.
+    Raises OSError when the build fails.
+    """
+    import subprocess  # only a cold cache builds, so keep it off the import path
+
+    os.makedirs(os.path.dirname(lib_path), exist_ok=True)
+    tmp = f"{lib_path}.{os.getpid()}.tmp"
     try:
-        from tabcop import _ipf_cy as _kernel
+        subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source],
+                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL, check=True, timeout=_BUILD_TIMEOUT_S)
+        os.replace(tmp, lib_path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cc could not build {source}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
-        IPF_BACKEND = "cython"
-    except ImportError:
-        from tabcop import _ipf_py as _kernel
 
-        IPF_BACKEND = "python"
+def _load_kernel(cache_dir):
+    """The sweep kernel and its backend name, ``"c"`` or ``"python"``.
+
+    The C kernel is built once into ``cache_dir``, under a name keyed by
+    the platform and a CRC-32 of its source as Python keys bytecode, and
+    loaded from there afterwards.  When it cannot be built or loaded the
+    NumPy kernel, which has the same contract, is returned.
+    """
+    source = os.path.join(os.path.dirname(__file__), "_ipf.c")
+    try:
+        with open(source, "rb") as fh:
+            key = zlib.crc32(fh.read())
+        lib_path = os.path.join(cache_dir, f"_ipf.{sysconfig.get_platform()}.{key:08x}.so")
+        if not os.path.exists(lib_path):
+            _build(source, lib_path)
+        c_sweeps = ctypes.CDLL(lib_path).ipf_sweeps
+    except OSError:
+        return _ipf_py.ipf_sweeps, "python"
+    c_long, c_ptr = ctypes.c_long, ctypes.c_void_p
+    c_sweeps.argtypes = (c_ptr, c_long, c_long, c_ptr, c_ptr, ctypes.c_double,
+                         c_long, c_ptr, c_long, c_ptr)
+    c_sweeps.restype = c_long
+
+    def ipf_sweeps(table, row_targets, col_targets, tol, max_iter, err_ring):
+        """:func:`tabcop._ipf_py.ipf_sweeps`, run by the C kernel."""
+        n_rows, n_cols = table.shape
+        arrays = (table, row_targets, col_targets, err_ring)
+        if (row_targets.shape != (n_rows,) or col_targets.shape != (n_cols,)
+                or err_ring.ndim != 1 or err_ring.size == 0
+                or not (table.flags.writeable and err_ring.flags.writeable)
+                or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays)):
+            raise ValueError("the C kernel takes a writable C-contiguous float64 table, "
+                             "targets of its row and column counts and a nonempty ring")
+        scratch = np.empty(n_rows + n_cols)
+        sweeps = c_sweeps(table.ctypes.data, n_rows, n_cols, row_targets.ctypes.data,
+                          col_targets.ctypes.data, tol, max_iter, err_ring.ctypes.data,
+                          err_ring.size, scratch.ctypes.data)
+        return sweeps, float(err_ring[(sweeps - 1) % err_ring.size]) if sweeps else np.inf
+
+    return ipf_sweeps, "c"
+
+
+_kernel, IPF_BACKEND = _load_kernel(os.path.join(os.path.dirname(__file__), "__pycache__"))
 
 #: Default convergence tolerance (max absolute margin deviation).
 DEFAULT_TOL = 1e-12
@@ -359,12 +422,11 @@ def _sweep(work, rt, ct, tol, max_iter):
     Returns ``(sweeps, error, rate, slow)``, the rate as in
     :class:`ScalingDiagnostics`.
     """
-    # the kernel also fills an L1 ring, which nothing reads
-    err_max, err_l1 = np.empty(_RING_LEN), np.empty(_RING_LEN)
+    err_max = np.empty(_RING_LEN)
     done, err, previous, chunk, slow = 0, np.inf, np.inf, _RING_LEN, False
     while done < max_iter:
         n = min(chunk, max_iter - done)
-        sweeps, err = _kernel.ipf_sweeps(work, rt, ct, tol, n, err_max, err_l1)
+        sweeps, err = _kernel(work, rt, ct, tol, n, err_max)
         done += sweeps
         if sweeps < n or err <= tol:
             break

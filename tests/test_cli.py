@@ -167,6 +167,15 @@ class TestFamilyVerb:
         assert out.shape == (3, 3)
         assert np.abs(out.sum(axis=1) - 1 / 3).max() < 1e-12
 
+    @pytest.mark.parametrize("name,theta", [("frank", "700"), ("frank", "-800"),
+                                            ("gumbel", "1000")])
+    def test_extreme_archimedean_theta(self, capsys, name, theta):
+        assert run(["family", "--name", name, "--theta", theta, "--shape", "15x15"]) == 0
+        out = read_matrix(capsys.readouterr().out)
+        assert out.shape == (15, 15) and (out >= 0.0).all()
+        assert np.abs(out.sum(axis=1) - 1 / 15).max() < 1e-12
+        assert np.abs(out.sum(axis=0) - 1 / 15).max() < 1e-12
+
     def test_missing_parameter_exits_1(self, capsys):
         assert run(["family", "--name", "goodman", "--shape", "3x3"]) == 1
         assert "requires" in capsys.readouterr().err

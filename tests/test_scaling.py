@@ -1,3 +1,4 @@
+import subprocess
 import time
 import tracemalloc
 
@@ -155,7 +156,13 @@ class TestIpfFit:
             n_rows, n_cols = rng.integers(2, 7, size=2)
             p = JointPmf(random_positive_pmf(rng, n_rows, n_cols))
             t = MarginPair(random_margins(rng, n_rows), random_margins(rng, n_cols))
-            *_, l1 = one_kernel_run(p, t, 10**4)
+            work, ring, l1 = p.values.copy(), np.empty(1), []
+            for _sweep in range(10**4):
+                _, err = scaling._kernel(work, t.row_margins, t.col_margins,
+                                         scaling.DEFAULT_TOL, 1, ring)
+                l1.append(np.abs(work.sum(axis=1) - t.row_margins).sum())
+                if err <= scaling.DEFAULT_TOL:
+                    break
             assert (np.diff(l1) <= 1e-15).all()
 
     def test_omega_preserved_case_A(self, rng):
@@ -288,25 +295,27 @@ def cycle_targets(gap):
 
 
 def one_kernel_run(p, t, max_iter):
-    """One uninterrupted kernel call, with error buffers of full length.
+    """One uninterrupted kernel call, with an error ring of full length.
 
-    Returns ``(table, sweeps, error, max errors, L1 errors)``, the error
-    arrays cut to the sweeps run.
+    Returns ``(table, sweeps, error, max errors)``, the errors cut to the
+    sweeps run.
     """
-    err_max, err_l1 = np.empty(max_iter), np.empty(max_iter)
+    err_max = np.empty(max_iter)
     work = p.values.copy()
-    sweeps, err = scaling._kernel.ipf_sweeps(
-        work, t.row_margins, t.col_margins, scaling.DEFAULT_TOL, max_iter,
-        err_max, err_l1,
-    )
-    return work, sweeps, err, err_max[:sweeps], err_l1[:sweeps]
+    sweeps, err = scaling._kernel(work, t.row_margins, t.col_margins,
+                                  scaling.DEFAULT_TOL, max_iter, err_max)
+    return work, sweeps, err, err_max[:sweeps]
 
 
 class TestHistory:
-    """Fits on cycle supports equal one uninterrupted kernel run."""
+    """Fits on cycle supports equal one uninterrupted kernel run.
+
+    Runs on the kernel :mod:`tabcop.scaling` loaded (the C kernel where it
+    builds); :class:`TestHistoryNumpyKernel` repeats it on the NumPy one.
+    """
 
     def assert_same(self, diag, reference):
-        _work, sweeps, err, err_max, _err_l1 = reference
+        _work, sweeps, err, err_max = reference
         assert diag.method == "sweeps"
         assert diag.iterations == sweeps
         assert diag.margin_error == err
@@ -336,11 +345,21 @@ class TestHistory:
         else:
             p, t = CYCLE, cycle_targets(1e-1)  # far enough from tight to not switch
         fitted, diag = ipf_fit(p, t)
-        work, sweeps, err, err_max, _ = one_kernel_run(p, t, scaling.DEFAULT_MAX_ITER)
+        work, sweeps, err, err_max = one_kernel_run(p, t, scaling.DEFAULT_MAX_ITER)
         np.testing.assert_array_equal(fitted.values, work)
         assert (diag.method, diag.iterations, diag.margin_error) == ("sweeps", sweeps, err)
         assert diag.newton_steps == 0
         assert diag.rate_estimate == scaling._rate_from_ring(err_max, sweeps)
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    monkeypatch.setattr(scaling, "_kernel", _ipf_py.ipf_sweeps)
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestHistoryNumpyKernel(TestHistory):
+    """:class:`TestHistory` on the NumPy kernel."""
 
 
 class TestStall:
@@ -362,9 +381,8 @@ class TestStall:
 def sweep_reference(values, t, tol=1e-14):
     """The sweep fit of ``values`` to a tighter tolerance; None if it misses."""
     work = values.copy()
-    ring = np.empty(scaling._RING_LEN)
     _sweeps, err = _ipf_py.ipf_sweeps(work, t.row_margins, t.col_margins, tol, 10**5,
-                                      ring, ring.copy())
+                                      np.empty(scaling._RING_LEN))
     return work if err <= tol else None
 
 
@@ -636,26 +654,100 @@ class TestKernels:
         rt, ct = random_margins(rng, 4), random_margins(rng, 5)
         work = p.copy()
         hist = np.empty(16)
-        l1 = np.empty(16)
-        sweeps, err = _ipf_py.ipf_sweeps(work, rt, ct, 1e-12, 10000, hist, l1)
+        sweeps, err = _ipf_py.ipf_sweeps(work, rt, ct, 1e-12, 10000, hist)
         assert err <= 1e-12
         assert hist[(sweeps - 1) % 16] == err
         assert np.abs(work.sum(axis=1) - rt).max() <= 1e-12
 
-    @pytest.mark.skipif(scaling.IPF_BACKEND != "cython",
-                        reason="compiled kernel not built")
+    @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
     def test_kernels_agree(self, rng):
-        from tabcop import _ipf_cy
-
+        # up to 11 columns: NumPy sums rows of 8 or more in a different order
         for _ in range(20):
-            n_rows, n_cols = rng.integers(2, 8, size=2)
+            n_rows, n_cols = rng.integers(2, 12, size=2)
             p = random_positive_pmf(rng, n_rows, n_cols)
             rt = random_margins(rng, n_rows)
             ct = random_margins(rng, n_cols)
             w1, w2 = p.copy(), p.copy()
-            h = np.empty(16)
-            l1 = np.empty(16)
-            s1, e1 = _ipf_py.ipf_sweeps(w1, rt, ct, 1e-12, 10**5, h.copy(), l1.copy())
-            s2, e2 = _ipf_cy.ipf_sweeps(w2, rt, ct, 1e-12, 10**5, h, l1)
+            h1, h2 = np.empty(16), np.empty(16)
+            s1, e1 = _ipf_py.ipf_sweeps(w1, rt, ct, 1e-12, 10**5, h1)
+            s2, e2 = scaling._kernel(w2, rt, ct, 1e-12, 10**5, h2)
             assert abs(s1 - s2) <= 2  # summation order shifts the stop by a hair
             assert np.abs(w1 - w2).max() <= 1e-12
+            assert e2 <= 1e-12 and h2[(s2 - 1) % 16] == e2
+
+    @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
+    def test_c_kernel_keeps_nan_error(self):
+        # a zero row with a zero target sums to 0/0: neither kernel converges
+        table = np.array([[0.0, 0.0], [0.5, 0.5]])
+        rt, ct = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        for kernel in (_ipf_py.ipf_sweeps, scaling._kernel):
+            with np.errstate(invalid="ignore"):
+                sweeps, err = kernel(table.copy(), rt, ct, 1e-12, 5, np.empty(16))
+            assert sweeps == 5 and np.isnan(err)
+
+    @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
+    def test_c_kernel_checks_its_buffers(self):
+        table, t2, t3 = np.full((2, 3), 1 / 6), np.full(2, 0.5), np.full(3, 1 / 3)
+        read_only = table.copy()
+        read_only.flags.writeable = False
+        for args in [(table, t3, t3), (table, t2, t2), (np.full((2, 4), 1 / 8)[:, :3], t2, t3),
+                     (np.asfortranarray(np.full((3, 3), 1 / 9)), t3, t3),
+                     (read_only, t2, t3), (table.astype(np.float32), t2, t3)]:
+            with pytest.raises(ValueError):
+                scaling._kernel(*args, 1e-12, 5, np.empty(16))
+        with pytest.raises(ValueError):
+            scaling._kernel(table, t2, t3, 1e-12, 5, np.empty(0))
+
+
+class TestKernelBuild:
+    """The C kernel is built once into its cache; failures fall back to NumPy."""
+
+    @staticmethod
+    def build_or_skip(cache):
+        kernel, backend = scaling._load_kernel(str(cache))
+        if backend != "c":
+            pytest.skip("no C compiler here")
+        return kernel
+
+    @staticmethod
+    def fail_run(monkeypatch, error):
+        def run(*_args, **_kwargs):
+            raise error
+        monkeypatch.setattr(subprocess, "run", run)
+
+    def test_builds_once_then_loads(self, tmp_path, monkeypatch):
+        self.build_or_skip(tmp_path)
+        built = list(tmp_path.iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"  # no temp file left
+        self.fail_run(monkeypatch, AssertionError("a warm cache must not build"))
+        assert scaling._load_kernel(str(tmp_path))[1] == "c"
+
+    @pytest.mark.parametrize("error", [
+        FileNotFoundError("cc"),
+        subprocess.CalledProcessError(1, "cc"),
+        subprocess.TimeoutExpired("cc", 60),
+    ])
+    def test_failed_build_falls_back(self, tmp_path, monkeypatch, rng, error):
+        self.fail_run(monkeypatch, error)
+        kernel, backend = scaling._load_kernel(str(tmp_path))
+        assert (kernel, backend) == (_ipf_py.ipf_sweeps, "python")
+        assert not list(tmp_path.iterdir())
+        monkeypatch.setattr(scaling, "_kernel", kernel)
+        p = JointPmf(random_positive_pmf(rng, 4, 5))
+        t = MarginPair(random_margins(rng, 4), random_margins(rng, 5))
+        _, diag = ipf_fit(p, t)
+        assert diag.method == "sweeps" and diag.margin_error <= scaling.DEFAULT_TOL
+
+    def test_unwritable_cache_falls_back(self, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        assert scaling._load_kernel(str(not_a_dir / "cache"))[1] == "python"
+
+    def test_unloadable_library_falls_back(self, tmp_path):
+        # the library this process loaded stays as it is: writing over a
+        # mapped library crashes the process, and the loader never does
+        self.build_or_skip(tmp_path / "good")
+        (lib,) = (tmp_path / "good").iterdir()
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / lib.name).write_bytes(b"not a shared library")
+        assert scaling._load_kernel(str(tmp_path / "bad"))[1] == "python"
