@@ -10,7 +10,6 @@ are identical across runs for identical inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +40,15 @@ class ConfettiOptions:
                 raise ValidationError("ramp colors must be integer RGB in 0..255")
 
 
-def _ramp_color(t: float, ramp) -> str:
-    (r0, g0, b0), (r1, g1, b1) = ramp
-    r = round(r0 + t * (r1 - r0))
-    g = round(g0 + t * (g1 - g0))
-    b = round(b0 + t * (b1 - b0))
-    return f"rgb({r},{g},{b})"
-
-
 def _fmt(x: float) -> str:
     # repr keeps full double precision, so equal inputs give equal bytes
     # and area ratios survive a round trip through the SVG text
     return repr(float(x))
+
+
+def _radii(mass: np.ndarray, opts: ConfettiOptions) -> list:
+    """Dot radii sqrt(dot_area_scale * mass) * cell / 2, as Python floats."""
+    return (np.sqrt(opts.dot_area_scale * mass) * opts.cell_size / 2.0).tolist()
 
 
 def confetti_svg(p: JointPmf, opts: ConfettiOptions | None = None) -> str:
@@ -62,54 +58,54 @@ def confetti_svg(p: JointPmf, opts: ConfettiOptions | None = None) -> str:
     at matrix orientation (row 0 on top).  With ``show_margins`` the row
     margins appear as black dots in a right gutter and the column margins
     in a bottom gutter, on the same area scale.
+
+    Radii and ramp colours come from one array pass, in the same double
+    operations as a per-cell evaluation, and each row's cy and column's cx
+    is formatted once; Python's ``round`` and ``repr`` on the resulting
+    floats then give the same bytes as formatting cell by cell.
     """
     if opts is None:
         opts = ConfettiOptions()
+    values = p.values
     n_rows, n_cols = p.shape
     cell = opts.cell_size
     width = (n_cols + (1 if opts.show_margins else 0)) * cell
     height = (n_rows + (1 if opts.show_margins else 0)) * cell
-    peak = p.values.max()
+    cys = [_fmt((x + 0.5) * cell) for x in range(n_rows)]
+    cxs = [_fmt((y + 0.5) * cell) for y in range(n_cols)]
+    radii = _radii(values, opts)
+    t = values / values.max()
+    (r0, g0, b0), (r1, g1, b1) = opts.color_ramp_ends
+    reds = (r0 + t * (r1 - r0)).tolist()
+    greens = (g0 + t * (g1 - g0)).tolist()
+    blues = (b0 + t * (b1 - b0)).tolist()
+    positive = (values > 0.0).tolist()
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    for x in range(n_rows):
-        cy = (x + 0.5) * cell
-        for y in range(n_cols):
-            cx = (y + 0.5) * cell
-            mass = p.values[x, y]
-            if mass > 0.0:
-                radius = math.sqrt(opts.dot_area_scale * mass) * cell / 2.0
-                fill = _ramp_color(mass / peak, opts.color_ramp_ends)
+    for x, cy in enumerate(cys):
+        for y, cx in enumerate(cxs):
+            if positive[x][y]:
                 parts.append(
-                    f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                    f'r="{_fmt(radius)}" fill="{fill}"/>'
+                    f'<circle cx="{cx}" cy="{cy}" r="{radii[x][y]!r}" '
+                    f'fill="rgb({round(reds[x][y])},{round(greens[x][y])},'
+                    f'{round(blues[x][y])})"/>'
                 )
             else:
                 parts.append(
-                    f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="1" '
+                    f'<circle cx="{cx}" cy="{cy}" r="1" '
                     f'fill="none" stroke="black" stroke-width="1"/>'
                 )
     if opts.show_margins:
-        row_sums = p.values.sum(axis=1)
-        col_sums = p.values.sum(axis=0)
-        gx = (n_cols + 0.5) * cell
-        for x in range(n_rows):
-            radius = math.sqrt(opts.dot_area_scale * row_sums[x]) * cell / 2.0
-            parts.append(
-                f'<circle cx="{_fmt(gx)}" cy="{_fmt((x + 0.5) * cell)}" '
-                f'r="{_fmt(radius)}" fill="black"/>'
-            )
-        gy = (n_rows + 0.5) * cell
-        for y in range(n_cols):
-            radius = math.sqrt(opts.dot_area_scale * col_sums[y]) * cell / 2.0
-            parts.append(
-                f'<circle cx="{_fmt((y + 0.5) * cell)}" cy="{_fmt(gy)}" '
-                f'r="{_fmt(radius)}" fill="black"/>'
-            )
+        gx = _fmt((n_cols + 0.5) * cell)
+        for cy, radius in zip(cys, _radii(values.sum(axis=1), opts)):
+            parts.append(f'<circle cx="{gx}" cy="{cy}" r="{radius!r}" fill="black"/>')
+        gy = _fmt((n_rows + 0.5) * cell)
+        for cx, radius in zip(cxs, _radii(values.sum(axis=0), opts)):
+            parts.append(f'<circle cx="{cx}" cy="{gy}" r="{radius!r}" fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

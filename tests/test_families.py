@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -221,6 +222,83 @@ class TestCopulaCdf:
                     s = (-math.log(u)) ** theta + (-math.log(v)) ** theta
                     closed = math.exp(-(s ** (1.0 / theta)))
                 assert copula_cdf(spec, u, v) == pytest.approx(closed, rel=1e-12)
+
+
+def _gaussian_cdf_by_quad(u, v, rho):
+    """Gaussian copula by adaptive quadrature over the correlation integral.
+
+    The derivative of P(Z1 <= a, Z2 <= b) in rho is the bivariate normal
+    density at (a, b), and at rho = 0 the probability factorizes.  Good to
+    about 1e-15 for |rho| <= 0.999; nearer to |rho| = 1 the integrand's
+    peak at r = rho outruns the adaptive rule.
+    """
+    a, b = special.ndtri(u), special.ndtri(v)
+
+    def integrand(r):
+        om = 1.0 - r * r
+        return math.exp(-(a * a + b * b - 2.0 * r * a * b) / (2.0 * om)) / math.sqrt(om)
+
+    # quad warns of bad integrand behaviour on an interval as narrow as
+    # [0, 4e-306]; the integrand is about 1 there, so the integral is below
+    # |rho| and vanishes next to the product
+    if abs(rho) < 1e-300:
+        return special.ndtr(a) * special.ndtr(b)
+    value, _ = integrate.quad(integrand, 0.0, rho, epsabs=1e-13, epsrel=1e-12)
+    return special.ndtr(a) * special.ndtr(b) + value / (2.0 * math.pi)
+
+
+def _gaussian_cdf_by_mpmath(u, v, rho):
+    """The same correlation integral in 40-digit arithmetic, at the exact (u, v, rho).
+
+    r = sin(theta) turns dr / sqrt(1 - r^2) into d(theta), so the
+    integrand stays bounded as rho approaches +-1.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1)
+        b = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(v) - 1)
+
+        def integrand(theta):
+            return mpmath.exp(-(a * a + b * b - 2 * mpmath.sin(theta) * a * b)
+                              / (2 * mpmath.cos(theta) ** 2))
+
+        value = mpmath.quad(integrand, [0, mpmath.asin(mpmath.mpf(rho))])
+        return float(mpmath.ncdf(a) * mpmath.ncdf(b) + value / (2 * mpmath.pi))
+
+
+class TestGaussianCdf:
+    @settings(max_examples=300, deadline=None)
+    @example(u=0.5, v=0.6875, rho=4.155429828307486e-306, antithetic=False)
+    @given(u=st.floats(1e-6, 1.0 - 1e-6), v=st.floats(1e-6, 1.0 - 1e-6),
+           rho=st.floats(-0.999, 0.999), antithetic=st.booleans())
+    def test_matches_correlation_integral(self, u, v, rho, antithetic):
+        if antithetic:
+            v = 1.0 - u
+        assert _gaussian_cdf(u, v, rho) == pytest.approx(
+            _gaussian_cdf_by_quad(u, v, rho), abs=1e-14)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_near_unit_rho_matches_40_digit_integral(self, k, sign):
+        # equal quantiles (toward rho = 1) and antithetic ones, b = -a
+        # (toward rho = -1), are where the correlation integral's peak is
+        # sharpest and where rho * a rounded alone cancels; (0.5, 0.6) has a = 0
+        rho = sign * (1.0 - 10.0 ** -k)
+        spec = ContinuousCopulaSpec("gaussian", {"rho": rho})
+        for u, v in ((0.2, 0.2), (1 / 15, 1 / 15), (0.3, 0.7), (7 / 15, 8 / 15),
+                     (0.2, 0.25), (0.9, 0.85), (0.05, 0.5), (1 / 15, 2 / 15),
+                     (0.41, 0.4), (0.5, 0.6)):
+            assert copula_cdf(spec, u, v) == pytest.approx(
+                _gaussian_cdf_by_mpmath(u, v, rho), abs=1e-15)
+
+    @pytest.mark.parametrize("rho", [1.0 - 1e-12, -(1.0 - 1e-12)])
+    def test_near_unit_rho_discretizes_without_warnings(self, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = discretize_copula(ContinuousCopulaSpec("gaussian", {"rho": rho}), 15, 15)
+        assert is_copula_pmf(p, tol=1e-12)
+        # next to the Frechet bound the mass sits on one diagonal
+        diagonal = p.values if rho > 0.0 else p.values[::-1]
+        assert np.trace(diagonal) > 0.99
 
 
 def _normal_cdf2(h, k, rho):

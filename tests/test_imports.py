@@ -5,9 +5,10 @@ and Student CDFs, the geometric omega = 0 assignment face, the Poisson
 pmf, tails and grid), so ``import tabcop``, the ``analyze``, ``copula``
 and ``couple`` verbs, the binomial, geometric and Goodman families, the
 geometric grid at omega != 0 and the bivariate Binomial pmf never load
-it.  The Gaussian and Student CDFs need only ``scipy.special`` and
-``scipy.integrate``, never ``scipy.stats``.  Each check runs in a fresh
-interpreter, since the test session itself has scipy loaded.
+it.  The Gaussian CDF needs only ``scipy.special`` (Owen's T), and the
+Student CDF adds ``scipy.integrate``; neither loads ``scipy.stats``.  Each
+check runs in a fresh interpreter, since the test session itself has
+scipy loaded.
 """
 
 import json
@@ -71,6 +72,7 @@ def test_cli_verbs_load_no_scipy(tmp_path):
     assert report["family_codes"] == [0, 0, 0, 0]
     assert report["families"] == []
     assert report["gaussian_is_copula"] is True
-    assert report["after_gaussian"]
+    assert "scipy.special" in report["after_gaussian"]
+    assert [m for m in report["after_gaussian"] if m.startswith("scipy.integrate")] == []
     assert report["student_code"] == 0
     assert report["stats_after_student"] == []

@@ -3,12 +3,15 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tabcop.errors import ValidationError
 from tabcop.infinite import DensityGrid, geometric_copula_grid
 from tabcop.pmf_core import JointPmf, from_counts
 from tabcop.scaling import copula_pmf
-from tabcop.viz import ConfettiOptions, confetti_svg, heatmap_ppm
+from tabcop.viz import DEFAULT_RAMP, ConfettiOptions, confetti_svg, heatmap_ppm
 
 from conftest import GRAUBARD_COUNTS, LIN_COUNTS
 
@@ -18,6 +21,82 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 def circles_of(svg_text):
     root = ET.fromstring(svg_text)
     return root.findall(f".//{SVG_NS}circle")
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def confetti_svg_per_cell(p, opts):
+    """The confetti renderer evaluated and formatted one cell at a time."""
+    n_rows, n_cols = p.shape
+    cell = opts.cell_size
+    width = (n_cols + (1 if opts.show_margins else 0)) * cell
+    height = (n_rows + (1 if opts.show_margins else 0)) * cell
+    peak = p.values.max()
+    (r0, g0, b0), (r1, g1, b1) = opts.color_ramp_ends
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+    ]
+    for x in range(n_rows):
+        cy = (x + 0.5) * cell
+        for y in range(n_cols):
+            cx = (y + 0.5) * cell
+            mass = p.values[x, y]
+            if mass > 0.0:
+                radius = math.sqrt(opts.dot_area_scale * mass) * cell / 2.0
+                t = mass / peak
+                fill = (f"rgb({round(r0 + t * (r1 - r0))},{round(g0 + t * (g1 - g0))},"
+                        f"{round(b0 + t * (b1 - b0))})")
+                parts.append(
+                    f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                    f'r="{_fmt(radius)}" fill="{fill}"/>'
+                )
+            else:
+                parts.append(
+                    f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="1" '
+                    f'fill="none" stroke="black" stroke-width="1"/>'
+                )
+    if opts.show_margins:
+        row_sums = p.values.sum(axis=1)
+        col_sums = p.values.sum(axis=0)
+        gx = (n_cols + 0.5) * cell
+        for x in range(n_rows):
+            radius = math.sqrt(opts.dot_area_scale * row_sums[x]) * cell / 2.0
+            parts.append(
+                f'<circle cx="{_fmt(gx)}" cy="{_fmt((x + 0.5) * cell)}" '
+                f'r="{_fmt(radius)}" fill="black"/>'
+            )
+        gy = (n_rows + 0.5) * cell
+        for y in range(n_cols):
+            radius = math.sqrt(opts.dot_area_scale * col_sums[y]) * cell / 2.0
+            parts.append(
+                f'<circle cx="{_fmt((y + 0.5) * cell)}" cy="{_fmt(gy)}" '
+                f'r="{_fmt(radius)}" fill="black"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@st.composite
+def confetti_cases(draw):
+    """A table with zero cells but none in a whole row or column, and options."""
+    n_rows, n_cols = draw(st.integers(2, 25)), draw(st.integers(2, 25))
+    weights = draw(arrays(np.float64, (n_rows, n_cols),
+                          elements=st.one_of(st.just(0.0), st.floats(1e-12, 1e3))))
+    weights[np.arange(n_rows), np.arange(n_rows) % n_cols] += 1.0
+    weights[np.arange(n_cols) % n_rows, np.arange(n_cols)] += 1.0
+    color = st.tuples(*[st.integers(0, 255)] * 3)
+    opts = ConfettiOptions(
+        cell_size=draw(st.one_of(st.floats(0.01, 500.0), st.integers(1, 100))),
+        color_ramp_ends=draw(st.one_of(st.just(DEFAULT_RAMP), st.tuples(color, color))),
+        show_margins=draw(st.booleans()),
+        dot_area_scale=draw(st.floats(1e-3, 1e3)),
+    )
+    return JointPmf(weights / weights.sum()), opts
 
 
 class TestConfettiSvg:
@@ -73,6 +152,12 @@ class TestConfettiSvg:
     def test_deterministic_bytes(self):
         cop, _ = copula_pmf(from_counts(LIN_COUNTS))
         assert confetti_svg(cop) == confetti_svg(cop)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=confetti_cases())
+    def test_bytes_match_per_cell_renderer(self, case):
+        p, opts = case
+        assert confetti_svg(p, opts) == confetti_svg_per_cell(p, opts)
 
     def test_option_validation(self):
         with pytest.raises(ValidationError):
