@@ -5,9 +5,11 @@ as CSV), ``couple`` (attach margins to a copula), ``family`` (generate a
 parametric copula pmf), ``grid`` (density grid of an infinite-support
 copula), ``plot`` (confetti SVG / heat-map PPM).
 
-Exit codes: 0 success, 2 infeasible margins (class C), 1 any input error.
-``--input -`` reads standard input.  Numeric output carries 17
-significant digits unless ``--pretty`` asks for display rounding.
+Exit codes: 0 success, 2 infeasible margins (class C), 1 any input or
+usage error.  Fits run at :data:`tabcop.scaling.DEFAULT_TOL` and
+:data:`tabcop.scaling.DEFAULT_MAX_ITER`.  ``--input -`` reads standard
+input.  Numeric output carries 17 significant digits unless ``--pretty``
+asks for display rounding.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _cmd_analyze(args) -> int:
     omega = odds_ratio_matrix(p)
     cop = None
     try:
-        cop, diag = scaling.copula_pmf(p, tol=args.tol, max_iter=args.max_iter)
+        cop, diag = scaling.copula_pmf(p)
         classification = diag.classification
     except InfeasibleError as exc:
         classification = exc.classification
@@ -157,7 +159,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_copula(args) -> int:
     p = _load_pmf(args.input, args.format)
-    cop, _diag = scaling.copula_pmf(p, tol=args.tol, max_iter=args.max_iter)
+    cop, _diag = scaling.copula_pmf(p)
     _emit(_csv(cop.values, args.pretty), args.out)
     return 0
 
@@ -165,7 +167,7 @@ def _cmd_copula(args) -> int:
 def _cmd_couple(args) -> int:
     cop = _load_pmf(args.copula, "probs")
     pair = MarginPair(_parse_vector(args.row_margins), _parse_vector(args.col_margins))
-    coupled, _diag = scaling.couple(cop, pair, tol=args.tol, max_iter=args.max_iter)
+    coupled, _diag = scaling.couple(cop, pair)
     _emit(_csv(coupled.values, args.pretty), args.out)
     return 0
 
@@ -182,36 +184,25 @@ def _cmd_family(args) -> int:
         cop = bernoulli_copula(_require(args.omega, "--omega", name))
     elif name == "binomial":
         cop = families.binomial_copula(
-            _require(args.n, "--N", name), _require(args.omega, "--omega", name),
-            tol=args.tol,
+            _require(args.n, "--N", name), _require(args.omega, "--omega", name)
         )
     elif name == "geometric":
         cop = families.truncated_geometric_copula(
-            _require(args.n, "--N", name), _require(args.omega, "--omega", name),
-            tol=args.tol,
+            _require(args.n, "--N", name), _require(args.omega, "--omega", name)
         )
     elif name == "goodman":
         rows, cols = _parse_shape(_require(args.shape, "--shape", name))
-        cop = families.goodman_copula(
-            rows, cols, _require(args.theta, "--theta", name), tol=args.tol
-        )
-    elif name == "fgm":
-        rows, cols = _parse_shape(_require(args.shape, "--shape", name))
-        cop = families.fgm_pmf(_require(args.theta, "--theta", name), rows, cols)
+        cop = families.goodman_copula(rows, cols, _require(args.theta, "--theta", name))
     else:
         rows, cols = _parse_shape(_require(args.shape, "--shape", name))
-        params = {}
-        if name in ("clayton", "gumbel", "frank"):
-            params["theta"] = _require(args.theta, "--theta", name)
-        elif name in ("gaussian", "student"):
-            params["rho"] = _require(args.rho, "--rho", name)
-            if name == "student":
-                params["df"] = _require(args.df, "--df", name)
-        elif name != "independence":
-            raise ValidationError(f"unknown family {name!r}")
-        cop = families.discretize_copula(
-            families.ContinuousCopulaSpec(name, params), rows, cols
-        )
+        params = {k: _require(getattr(args, k), f"--{k}", name)
+                  for k in families.FAMILY_PARAMS[name]}
+        if name == "fgm":  # closed form, within rounding of the mesh
+            cop = families.fgm_pmf(n_rows=rows, n_cols=cols, **params)
+        else:
+            cop = families.discretize_copula(
+                families.ContinuousCopulaSpec(name, params), rows, cols
+            )
     _emit(_csv(cop.values, args.pretty), args.out)
     return 0
 
@@ -220,11 +211,9 @@ def _cmd_grid(args) -> int:
     n = _require(args.n, "--N", "grid")
     omega = _require(args.omega, "--omega", "grid")
     if args.name == "poisson":
-        grid = infinite.poisson_copula_grid(omega, n, eps=args.epsilon, tol=args.tol)
-    elif args.name == "geometric":
-        grid = infinite.geometric_copula_grid(omega, n, tol=args.tol)
+        grid = infinite.poisson_copula_grid(omega, n)
     else:
-        raise ValidationError(f"unknown grid family {args.name!r}")
+        grid = infinite.geometric_copula_grid(omega, n)
     _emit(_grid_text(grid.heights, args.pretty), args.out)
     return 0
 
@@ -262,12 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="table CSV path, or - for stdin")
             sp.add_argument("--format", choices=("counts", "probs"),
                             default="counts")
-        sp.add_argument("--tol", type=float, default=scaling.DEFAULT_TOL)
-        sp.add_argument("--max-iter", type=int, default=scaling.DEFAULT_MAX_ITER,
-                        dest="max_iter",
-                        help="sweep budget of a fit (default: %(default)s); "
-                             "fits whose sweeps slow down finish with Newton "
-                             "steps long before it")
         sp.add_argument("--out", default=None)
         sp.add_argument("--pretty", action="store_true")
 
@@ -288,14 +271,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("family", help="generate a parametric copula pmf")
     sp.add_argument("--name", required=True, choices=(
-        "bernoulli", "binomial", "geometric", "goodman", "fgm",
-        "independence", "clayton", "gumbel", "frank", "gaussian", "student",
+        "bernoulli", "binomial", "geometric", "goodman", *families.FAMILY_PARAMS,
     ))
     sp.add_argument("--shape", default=None, help="RxS, e.g. 3x3")
-    sp.add_argument("--theta", type=float, default=None)
     sp.add_argument("--omega", type=_omega_value, default=None)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--df", type=float, default=None)
+    # one flag per continuous-family parameter; goodman also reads --theta
+    for param in dict.fromkeys(p for ps in families.FAMILY_PARAMS.values() for p in ps):
+        sp.add_argument(f"--{param}", type=float, default=None)
     sp.add_argument("--N", type=int, default=None, dest="n",
                     help="size parameter (binomial n, geometric N)")
     add_common(sp)
@@ -305,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--name", required=True, choices=("poisson", "geometric"))
     sp.add_argument("--omega", type=_omega_value, default=None)
     sp.add_argument("--N", type=int, default=None, dest="n")
-    sp.add_argument("--epsilon", type=float, default=1e-6)
     add_common(sp)
     sp.set_defaults(func=_cmd_grid)
 
@@ -318,8 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cell-size", type=float, default=48.0, dest="cell_size")
     sp.add_argument("--dot-scale", type=float, default=1.0, dest="dot_scale")
     sp.add_argument("--no-margins", action="store_true", dest="no_margins")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--pretty", action="store_true")
+    add_common(sp)
     sp.set_defaults(func=_cmd_plot)
     return parser
 
@@ -335,8 +315,8 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the message
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse already printed the message or help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InfeasibleError as exc:

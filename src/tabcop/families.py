@@ -6,7 +6,8 @@ Two construction routes:
   differences keep the margins exactly uniform), or
 * specify the odds-ratio matrix of a model (Binomial, truncated
   Geometric, Goodman), complete it with a unit first row/column,
-  normalize, and fit to uniform margins.
+  normalize, and fit to uniform margins by :func:`tabcop.scaling.copula_pmf`
+  at its default tolerance and sweep budget.
 
 Both routes commute with the closed forms tabulated for the small cases,
 which the test suite uses as oracles.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,9 @@ from tabcop.errors import (
 )
 from tabcop.pmf_core import JointPmf
 
-_FAMILY_PARAMS = {
+#: Parameter names of each continuous copula family; the ``family`` CLI verb
+#: takes each as a flag of the same name.
+FAMILY_PARAMS = {
     "independence": (),
     "fgm": ("theta",),
     "clayton": ("theta",),
@@ -52,12 +56,12 @@ class ContinuousCopulaSpec:
     params: dict
 
     def __post_init__(self):
-        if self.family not in _FAMILY_PARAMS:
+        if self.family not in FAMILY_PARAMS:
             raise ParamError(
                 f"unknown copula family {self.family!r}; "
-                f"choose from {sorted(_FAMILY_PARAMS)}"
+                f"choose from {sorted(FAMILY_PARAMS)}"
             )
-        expected = _FAMILY_PARAMS[self.family]
+        expected = FAMILY_PARAMS[self.family]
         given = tuple(sorted(self.params))
         if given != tuple(sorted(expected)):
             raise ParamError(
@@ -206,21 +210,36 @@ def _log1mexp(x: float) -> float:
 def _frank_cdf(u: float, v: float, th: float) -> float:
     """Frank copula CDF -log1p(r) / th, r = expm1(-th u) expm1(-th v) / expm1(-th).
 
-    The direct form is accurate to rounding while r is finite and, for
-    theta > 0, 1 + r stays away from 0.  Elsewhere (from theta = 50 at
-    (0.99, 0.99) on, and anywhere past |theta| of about 700) r overflows
-    or 1 + r cancels, and the logarithm is taken in log space with the
-    dominant exponential factored out.  For theta > 0,
+    The direct form is accurate to rounding while r is finite, its
+    factors and their product are normal doubles and, for theta > 0,
+    1 + r stays away from 0.  Where theta u or theta v is tiny (theta =
+    1e-8 at u = 1e-300), a factor or the product is subnormal, or
+    underflows to 0, and keeps too few bits; then, with x = -th u and
+    y = -th v, the same C is taken as
+
+        u v (expm1(x) / x) (expm1(y) / y) (-th / expm1(-th)) (log1p(r) / r),
+
+    a product of normal factors, the ratios read as 1 at x, y or r = 0.
+    Elsewhere (from theta = 50 at (0.99, 0.99) on, and anywhere past
+    |theta| of about 700) r overflows or 1 + r cancels, and the logarithm
+    is taken in log space with the dominant exponential factored out.
+    For theta > 0,
     1 + r = (e^(-th u) (1 - e^(-th (1 - u))) + e^(-th v) (1 - e^(-th u)))
     / (1 - e^-th), a sum of positive terms; for theta < 0, r is a product
     of positive factors.
     """
     try:
-        r = math.expm1(-th * u) * math.expm1(-th * v) / math.expm1(-th)
+        a, b = math.expm1(-th * u), math.expm1(-th * v)
+        r = a * b / math.expm1(-th)
     except OverflowError:
-        r = math.inf
+        a = b = r = math.inf
     if (th > 0.0 and r > -0.5) or (th < 0.0 and r < math.inf):
-        return -math.log1p(r) / th
+        if min(abs(a), abs(b), abs(a * b), abs(r)) >= sys.float_info.min:
+            return -math.log1p(r) / th
+        x, y = -th * u, -th * v
+        ratios = ((math.expm1(x) / x if x else 1.0) * (math.expm1(y) / y if y else 1.0)
+                  * (math.log1p(r) / r if r else 1.0))
+        return -th / math.expm1(-th) * ratios * v * u
     if th > 0.0:
         a = -th * u + _log1mexp(th * (1.0 - u))
         b = -th * v + _log1mexp(th * u)
@@ -372,7 +391,7 @@ def _binomial_odds_entries(n: int, omega: float) -> np.ndarray:
         return np.array(rows)[:, 1:] / pascal[n][1:]
 
 
-def binomial_copula(n: int, omega: float, tol: float = scaling.DEFAULT_TOL) -> JointPmf:
+def binomial_copula(n: int, omega: float) -> JointPmf:
     """(n+1) x (n+1) copula pmf of the common-shock bivariate Binomial.
 
     One-parameter family: the odds-ratio matrix depends on the base 2x2
@@ -400,7 +419,7 @@ def binomial_copula(n: int, omega: float, tol: float = scaling.DEFAULT_TOL) -> J
         )
     completed = completed_odds_matrix(OddsRatioMatrix(entries))
     seed = JointPmf(completed / completed.sum())
-    result, _diag = scaling.copula_pmf(seed, tol=tol)
+    result, _diag = scaling.copula_pmf(seed)
     return result
 
 
@@ -498,8 +517,7 @@ def _assignment_face(cost):
     return face
 
 
-def truncated_geometric_copula(n_levels: int, omega: float,
-                               tol: float = scaling.DEFAULT_TOL) -> JointPmf:
+def truncated_geometric_copula(n_levels: int, omega: float) -> JointPmf:
     """Standard truncated-Geometric copula pmf on an N x N grid.
 
     The base 2x2 table is pinned to uniform margins (the uniform-margin
@@ -516,15 +534,14 @@ def truncated_geometric_copula(n_levels: int, omega: float,
         order, coef = _geometric_limit_costs(n_levels)
         face = _assignment_face(order)
         seed = np.where(face, coef, 0.0)
-        result, _diag = scaling.copula_pmf(JointPmf(seed / seed.sum()), tol=tol)
+        result, _diag = scaling.copula_pmf(JointPmf(seed / seed.sum()))
         return result
     base = bernoulli_copula(omega)
-    result, _diag = scaling.copula_pmf(truncated_geometric_pmf(n_levels, base), tol=tol)
+    result, _diag = scaling.copula_pmf(truncated_geometric_pmf(n_levels, base))
     return result
 
 
-def goodman_copula(n_rows: int, n_cols: int, theta: float,
-                   tol: float = scaling.DEFAULT_TOL) -> JointPmf:
+def goodman_copula(n_rows: int, n_cols: int, theta: float) -> JointPmf:
     """Copula pmf of the constant local-odds-ratio association model.
 
     All 2x2 blocks of adjacent rows/columns share the odds ratio
@@ -557,5 +574,5 @@ def goodman_copula(n_rows: int, n_cols: int, theta: float,
             f"theta={theta} over- or underflows for shape {(n_rows, n_cols)}"
         )
     completed = completed_odds_matrix(OddsRatioMatrix(entries))
-    result, _diag = scaling.copula_pmf(JointPmf(completed / completed.sum()), tol=tol)
+    result, _diag = scaling.copula_pmf(JointPmf(completed / completed.sum()))
     return result

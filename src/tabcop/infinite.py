@@ -29,6 +29,8 @@ from tabcop.pmf_core import JointPmf, MarginPair
 
 _GRID_MASS_TOL = 1e-9
 _GRID_MARGIN_TOL = 1e-6
+#: Largest marginal mass a Poisson grid may absorb into its boundary level.
+_GRID_TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -174,36 +176,32 @@ def bivariate_poisson_pmf(lam10: float, lam01: float, lam11: float,
     return JointPmf(out)
 
 
-def poisson_copula_grid(omega: float, n_levels: int, eps: float = 1e-6,
-                        tol: float = scaling.DEFAULT_TOL) -> DensityGrid:
+def poisson_copula_grid(omega: float, n_levels: int) -> DensityGrid:
     """Density grid of the bivariate Poisson dependence structure.
 
     Only the ratio omega = lam11/(lam10*lam01) matters for the copula, so
-    the construction fixes lam10 = lam01 = 1 and lam11 = omega.  ``eps``
-    guards the truncation: the marginal mass absorbed into the boundary
-    level N-1 must stay below it, otherwise ParamError asks for a larger N.
+    the construction fixes lam10 = lam01 = 1 and lam11 = omega.  The
+    marginal mass absorbed into the boundary level N-1 must stay below
+    1e-6, otherwise ParamError asks for a larger N.
     """
     from scipy import special
 
     omega = check_nonnegative(omega, "omega", ParamError, allow_inf=False)
     n_levels = check_size(n_levels, "n_levels", 2, ParamError)
-    if not 0.0 < eps <= 1e-6:
-        raise ParamError(f"eps must lie in (0, 1e-6], got {eps!r}")
 
     lam = 1.0 + omega
     tail = float(special.pdtrc(n_levels - 2, lam))  # mass absorbed at level N-1
-    if tail >= eps:
+    if tail >= _GRID_TAIL_TOL:
         raise ParamError(
             f"marginal tail mass {tail:.3g} beyond level {n_levels - 1} exceeds "
-            f"eps={eps:g}; increase n_levels"
+            f"{_GRID_TAIL_TOL:g}; increase n_levels"
         )
     pmf = bivariate_poisson_pmf(1.0, 1.0, omega, n_levels)
-    cop, _diag = scaling.copula_pmf(pmf, tol=tol)
+    cop, _diag = scaling.copula_pmf(pmf)
     return DensityGrid(n_levels**2 * cop.values)
 
 
-def geometric_copula_grid(omega: float, n_levels: int,
-                          tol: float = scaling.DEFAULT_TOL) -> DensityGrid:
+def geometric_copula_grid(omega: float, n_levels: int) -> DensityGrid:
     """Density grid of the standard truncated-Geometric copula.
 
     Scaled uniform-margin representative of the first-success model at
@@ -212,12 +210,11 @@ def geometric_copula_grid(omega: float, n_levels: int,
     """
     from tabcop.families import truncated_geometric_copula
 
-    cop = truncated_geometric_copula(n_levels, omega, tol=tol)
+    cop = truncated_geometric_copula(n_levels, omega)
     return DensityGrid(n_levels**2 * cop.values)
 
 
-def couple_countable_margins(margin_x, margin_y, copula: JointPmf,
-                             tol: float = scaling.DEFAULT_TOL) -> JointPmf:
+def couple_countable_margins(margin_x, margin_y, copula: JointPmf) -> JointPmf:
     """Attach truncated countable margins to a copula pmf.
 
     ``margin_x`` and ``margin_y`` are pmf vectors over {0..N-1} (for
@@ -231,7 +228,7 @@ def couple_countable_margins(margin_x, margin_y, copula: JointPmf,
             f"margins of lengths ({mx.size}, {my.size}) do not match "
             f"copula shape {copula.shape}"
         )
-    coupled, _diag = scaling.couple(copula, MarginPair(mx, my), tol=tol)
+    coupled, _diag = scaling.couple(copula, MarginPair(mx, my))
     return coupled
 
 

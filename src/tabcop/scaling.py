@@ -38,6 +38,8 @@ from tabcop.errors import (
     NonConvergenceError,
     NotACopulaError,
     ValidationError,
+    check_nonnegative,
+    check_size,
 )
 from tabcop.pmf_core import JointPmf, MarginPair, SupportPattern
 
@@ -606,14 +608,18 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
     ``max_iter`` budgets the sweeps; the sweeps keep only a 16-slot error
     ring, so memory does not grow with the budget or the sweeps run.
 
+    ``tol`` must be a finite real above 0 and ``max_iter`` an integer of
+    at least 1; ValidationError says otherwise before anything is fitted.
     Raises InfeasibleError for class C and NonConvergenceError, with
     diagnostics attached, when the exact solve misses the margins or
     leaves a support cell without mass, when the Newton steps stop short
     of ``tol`` (the fit stalled, as at a target no rescaling reaches), or
     when the sweep budget runs out first.
     """
-    if tol <= 0:
+    tol = check_nonnegative(tol, "tol", ValidationError, allow_inf=False)
+    if tol == 0.0:
         raise ValidationError("tol must be positive")
+    max_iter = check_size(max_iter, "max_iter", 1, ValidationError)
     classification = classify_existence(pmf_core.support(p), t)
     if classification.tag == "C":
         raise InfeasibleError(
@@ -621,8 +627,6 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
             f"margins (witness rectangles: {classification.tight_rectangles})",
             classification=classification,
         )
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
 
     values = p.values.copy()
     if classification.tag == "B2":

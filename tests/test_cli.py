@@ -3,11 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from tabcop import scaling
+from tabcop import families, scaling
 from tabcop.cli import run
 from tabcop.pmf_core import parse_table
 
 from conftest import LIN_COUNTS
+
+
+#: A valid value of every parameter of each continuous family.
+FAMILY_VALUES = {
+    "independence": {},
+    "fgm": {"theta": 0.4},
+    "clayton": {"theta": 2.0},
+    "gumbel": {"theta": 3.0},
+    "frank": {"theta": -3.0},
+    "gaussian": {"rho": 0.3},
+    "student": {"rho": 0.3, "df": 4.0},
+}
 
 
 def write_lin(tmp_path):
@@ -176,9 +188,34 @@ class TestFamilyVerb:
         assert np.abs(out.sum(axis=1) - 1 / 15).max() < 1e-12
         assert np.abs(out.sum(axis=0) - 1 / 15).max() < 1e-12
 
+    @pytest.mark.parametrize("name", list(families.FAMILY_PARAMS))
+    def test_continuous_family_matches_library(self, capsys, name):
+        params = FAMILY_VALUES[name]
+        argv = ["family", "--name", name, "--shape", "4x5"]
+        for key, value in params.items():
+            argv += [f"--{key}", repr(value)]
+        assert run(argv) == 0
+        if name == "fgm":
+            want = families.fgm_pmf(params["theta"], 4, 5)
+        else:
+            want = families.discretize_copula(
+                families.ContinuousCopulaSpec(name, params), 4, 5)
+        # 17 significant digits round-trip every double
+        np.testing.assert_array_equal(read_matrix(capsys.readouterr().out), want.values)
+
     def test_missing_parameter_exits_1(self, capsys):
         assert run(["family", "--name", "goodman", "--shape", "3x3"]) == 1
         assert "requires" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,missing", [
+        (name, key) for name, keys in families.FAMILY_PARAMS.items() for key in keys])
+    def test_missing_continuous_parameter_exits_1(self, capsys, name, missing):
+        argv = ["family", "--name", name, "--shape", "3x3"]
+        for key, value in FAMILY_VALUES[name].items():
+            if key != missing:
+                argv += [f"--{key}", repr(value)]
+        assert run(argv) == 1
+        assert f"requires --{missing}" in capsys.readouterr().err
 
 
 class TestGridAndPlot:
@@ -215,6 +252,24 @@ class TestGridAndPlot:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--bogus"],
+        ["analyze"],
+        [],
+        ["family", "--name", "clayton", "--theta", "x", "--shape", "3x3"],
+        # fit settings are the library's defaults, not flags
+        ["analyze", "--input", "x", "--tol", "1e-9"],
+        ["copula", "--input", "x", "--max-iter", "10"],
+        ["grid", "--name", "poisson", "--N", "16", "--omega", "0.5", "--epsilon", "1e-7"],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert run(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert run(["analyze", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert run(["analyze", "--input", "/nonexistent/table.csv"]) == 1
         assert "error" in capsys.readouterr().err

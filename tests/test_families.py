@@ -223,6 +223,22 @@ class TestCopulaCdf:
                     closed = math.exp(-(s ** (1.0 / theta)))
                 assert copula_cdf(spec, u, v) == pytest.approx(closed, rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [1e-12, -1e-12, 1e-8, -1e-8, 1e-3, -1e-3,
+                                       1.0, -1.0, 30.0])
+    def test_frank_tiny_arguments_keep_relative_accuracy(self, theta):
+        # at theta u near 1e-308, expm1(-theta u) or its product with
+        # expm1(-theta v) is subnormal (1.04e-299 tests the product alone);
+        # 700-digit mpmath at the exact arguments is the oracle
+        spec = ContinuousCopulaSpec("frank", {"theta": theta})
+        with mpmath.workdps(700):
+            th = mpmath.mpf(theta)
+            for u in (1e-300, 1.04e-299, 1e-250, 1e-200, 1e-20):
+                for v in (0.1, 0.5, 0.9):
+                    r = mpmath.expm1(-th * u) * mpmath.expm1(-th * v) / mpmath.expm1(-th)
+                    oracle = pytest.approx(float(-mpmath.log1p(r) / th), rel=1e-13, abs=0.0)
+                    assert copula_cdf(spec, u, v) == oracle
+                    assert copula_cdf(spec, v, u) == oracle
+
 
 def _gaussian_cdf_by_quad(u, v, rho):
     """Gaussian copula by adaptive quadrature over the correlation integral.

@@ -155,11 +155,7 @@ class TestPoissonCopulaGrid:
 
     def test_truncation_guard(self):
         with pytest.raises(ParamError):
-            poisson_copula_grid(0.2, 4, eps=1e-6)
-
-    def test_eps_domain(self):
-        with pytest.raises(ParamError):
-            poisson_copula_grid(0.2, 24, eps=1e-3)
+            poisson_copula_grid(0.2, 4)
 
     def test_mass_one(self):
         g = poisson_copula_grid(0.5, 24)

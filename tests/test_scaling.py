@@ -13,6 +13,7 @@ from tabcop.errors import (
     InfeasibleError,
     NonConvergenceError,
     NotACopulaError,
+    ValidationError,
 )
 from tabcop.pmf_core import JointPmf, MarginPair, SupportPattern, from_counts
 from tabcop.scaling import (
@@ -233,6 +234,40 @@ class TestIpfFit:
                              "forced_zeros", "method", "newton_steps"}
         assert wire["class"] == "A"
         assert isinstance(wire["rate"], float)
+
+
+#: The three public fits, each on an input every good setting fits.
+FITS = {
+    "ipf_fit": lambda **kw: ipf_fit(from_counts(LIN_COUNTS),
+                                    MarginPair([0.6, 0.4], [0.3, 0.7]), **kw),
+    "copula_pmf": lambda **kw: copula_pmf(from_counts(LIN_COUNTS), **kw),
+    "couple": lambda **kw: couple(JointPmf(np.full((2, 2), 0.25)),
+                                  MarginPair([0.6, 0.4], [0.3, 0.7]), **kw),
+}
+
+
+class TestFitSettings:
+    @pytest.mark.parametrize("fit", list(FITS))
+    @pytest.mark.parametrize("setting", [
+        {"max_iter": 10.5}, {"max_iter": 100.0}, {"max_iter": True},
+        {"max_iter": 0}, {"max_iter": -5}, {"max_iter": "100"},
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
+        {"tol": -1e-12}, {"tol": True}, {"tol": "1e-9"}, {"tol": None},
+    ])
+    def test_bad_setting_raises_validation_error(self, fit, setting):
+        with pytest.raises(ValidationError, match=next(iter(setting))):
+            FITS[fit](**setting)
+
+    @pytest.mark.parametrize("fit", list(FITS))
+    def test_numpy_scalars_pass(self, fit):
+        _, diag = FITS[fit](tol=np.float64(1e-10), max_iter=np.int32(1000))
+        assert diag.margin_error <= 1e-10
+
+    def test_settings_checked_before_classifying(self):
+        # a class C input: a bad budget is reported, not the infeasibility
+        mask_values = np.array([[0.0, 0.0, 0.2], [0.0, 0.0, 0.2], [0.2, 0.2, 0.2]])
+        with pytest.raises(ValidationError, match="max_iter"):
+            ipf_fit(JointPmf(mask_values), uniform_pair(3, 3), max_iter=0)
 
 
 class TestCopulaPmf:
