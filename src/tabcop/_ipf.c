@@ -1,6 +1,6 @@
 /* Compiled proportional-fitting kernel.
  *
- * Same contract as tabcop._ipf_py.ipf_sweeps, which documents it; built
+ * The sweeps behind tabcop._ipf_py.bind, whose contract they follow; built
  * and loaded by tabcop.scaling.  Sums run in index order, so the compiler
  * must not reassociate them: build without -ffast-math.
  */

@@ -82,9 +82,11 @@ def check_nonnegative(value, name: str, error: type, allow_inf: bool = True) -> 
 
     Odds ratios and association parameters share this domain; each caller
     names the parameter and the :class:`ValidationError` subclass it
-    raises.  Booleans and non-real types are rejected, as is NaN.
+    raises.  Any real number is accepted, NumPy scalars included;
+    booleans (``np.bool_`` is not a real) and other types are rejected,
+    as is NaN.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if math.isnan(value) or value < 0.0 or (math.isinf(value) and not allow_inf):

@@ -4,6 +4,11 @@ A joint pmf is an R x S table of cell probabilities: rows index the first
 variable X in {0..R-1}, columns the second variable Y in {0..S-1}, and
 entry (x, y) is P(X = x, Y = y).  All CSV input and output follows the
 same rows-equal-X convention.
+
+Public constructors validate and copy what they are given.  Values tabcop
+builds from inputs it has already validated are not validated again:
+they go through the private :func:`_wrap`, which only makes them
+read-only.
 """
 
 from __future__ import annotations
@@ -28,6 +33,22 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _wrap(cls, **arrays):
+    """An instance of the dataclass ``cls`` around arrays tabcop built.
+
+    For values derived from validated inputs, which hold their invariants
+    by construction and which nothing else references: the public
+    constructor's O(RS) checks and copy are skipped, and the arrays are
+    only made read-only.  The caller passes every field, each an array of
+    the field's dtype.
+    """
+    obj = object.__new__(cls)
+    for name, a in arrays.items():
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -165,7 +186,8 @@ def support(p: JointPmf) -> SupportPattern:
     fits put exact zeros on the cells that every feasible table leaves
     empty, so tiny positive mass is mass.
     """
-    return SupportPattern(p.values > 0)
+    # a valid pmf has a positive entry in every row and column
+    return _wrap(SupportPattern, mask=p.values > 0)
 
 
 def is_copula_pmf(p: JointPmf, tol: float = 1e-9) -> bool:

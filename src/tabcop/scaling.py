@@ -16,7 +16,15 @@ rows and columns.  The sweeps run in a small C kernel (``_ipf.c``),
 compiled on the first import into ``__pycache__`` next to this module and
 loaded from there afterwards; where no C compiler, writable cache or
 loadable library is at hand, the NumPy kernel (``_ipf_py``) runs instead.
-:data:`IPF_BACKEND` reads ``"c"`` or ``"python"``.
+:data:`IPF_BACKEND` reads ``"c"`` or ``"python"``.  Either kernel is bound
+once per fit, which checks its buffers and takes their addresses, and
+then runs every chunk of sweeps of that fit.
+
+The fits take validated :class:`~tabcop.pmf_core.JointPmf` and
+:class:`~tabcop.pmf_core.MarginPair` inputs and do not validate what they
+build from them again: the uniform targets of :func:`copula_pmf` and the
+fitted table are wrapped read-only as they are, the table after a check
+of the mass and line sums that a fit does not guarantee.
 """
 
 from __future__ import annotations
@@ -71,12 +79,13 @@ def _build(source, lib_path):
 
 
 def _load_kernel(cache_dir):
-    """The sweep kernel and its backend name, ``"c"`` or ``"python"``.
+    """The sweep kernel's bind function and its backend, ``"c"`` or ``"python"``.
 
     The C kernel is built once into ``cache_dir``, under a name keyed by
     the platform and a CRC-32 of its source as Python keys bytecode, and
     loaded from there afterwards.  When it cannot be built or loaded the
-    NumPy kernel, which has the same contract, is returned.
+    NumPy kernel's :func:`tabcop._ipf_py.bind`, which has the same
+    contract, is returned.
     """
     source = os.path.join(os.path.dirname(__file__), "_ipf.c")
     try:
@@ -87,14 +96,19 @@ def _load_kernel(cache_dir):
             _build(source, lib_path)
         c_sweeps = ctypes.CDLL(lib_path).ipf_sweeps
     except OSError:
-        return _ipf_py.ipf_sweeps, "python"
+        return _ipf_py.bind, "python"
     c_long, c_ptr = ctypes.c_long, ctypes.c_void_p
     c_sweeps.argtypes = (c_ptr, c_long, c_long, c_ptr, c_ptr, ctypes.c_double,
                          c_long, c_ptr, c_long, c_ptr)
     c_sweeps.restype = c_long
 
-    def ipf_sweeps(table, row_targets, col_targets, tol, max_iter, err_ring):
-        """:func:`tabcop._ipf_py.ipf_sweeps`, run by the C kernel."""
+    def bind(table, row_targets, col_targets, err_ring):
+        """:func:`tabcop._ipf_py.bind`, run by the C kernel.
+
+        The buffers are checked, their addresses taken and the kernel's
+        scratch allocated here, once; each call of the returned function
+        is one call into the library.
+        """
         n_rows, n_cols = table.shape
         arrays = (table, row_targets, col_targets, err_ring)
         if (row_targets.shape != (n_rows,) or col_targets.shape != (n_cols,)
@@ -104,15 +118,22 @@ def _load_kernel(cache_dir):
             raise ValueError("the C kernel takes a writable C-contiguous float64 table, "
                              "targets of its row and column counts and a nonempty ring")
         scratch = np.empty(n_rows + n_cols)
-        sweeps = c_sweeps(table.ctypes.data, n_rows, n_cols, row_targets.ctypes.data,
-                          col_targets.ctypes.data, tol, max_iter, err_ring.ctypes.data,
-                          err_ring.size, scratch.ctypes.data)
-        return sweeps, float(err_ring[(sweeps - 1) % err_ring.size]) if sweeps else np.inf
+        n_ring = err_ring.size
+        head = (table.ctypes.data, n_rows, n_cols, row_targets.ctypes.data,
+                col_targets.ctypes.data)
+        tail = (err_ring.ctypes.data, n_ring, scratch.ctypes.data)
 
-    return ipf_sweeps, "c"
+        def sweeps(tol, max_iter):
+            done = c_sweeps(*head, tol, max_iter, *tail)
+            return done, float(err_ring[(done - 1) % n_ring]) if done else np.inf
+
+        sweeps.buffers = arrays + (scratch,)  # keeps the addresses above valid
+        return sweeps
+
+    return bind, "c"
 
 
-_kernel, IPF_BACKEND = _load_kernel(os.path.join(os.path.dirname(__file__), "__pycache__"))
+_bind, IPF_BACKEND = _load_kernel(os.path.join(os.path.dirname(__file__), "__pycache__"))
 
 #: Default convergence tolerance (max absolute margin deviation).
 DEFAULT_TOL = 1e-12
@@ -413,22 +434,24 @@ def _peel_forest(values, rt, ct):
 def _sweep(work, rt, ct, tol, max_iter):
     """Run the kernel on ``work`` in doubling chunks of 16, 32, 64, ... sweeps.
 
-    Sweeping is stateless apart from ``work`` and every chunk starts at a
-    multiple of the ring length, so the table and the 16-slot ring of max
-    errors are those of one uninterrupted run, and memory does not grow
-    with the sweeps.  The run stops early, as slow, when a full chunk ends
-    above ``tol`` with a rate estimate above :data:`NEWTON_SWITCH_RATE` or
-    with a max error no lower than the previous chunk's (the sweeps have
-    stalled).
+    The kernel is bound to ``work``, the targets and a 16-slot ring of max
+    errors once, and each chunk is one call of the bound kernel.  Sweeping
+    is stateless apart from ``work`` and every chunk starts at a multiple
+    of the ring length, so the table and the ring are those of one
+    uninterrupted run, and memory does not grow with the sweeps.  The run
+    stops early, as slow, when a full chunk ends above ``tol`` with a rate
+    estimate above :data:`NEWTON_SWITCH_RATE` or with a max error no lower
+    than the previous chunk's (the sweeps have stalled).
 
     Returns ``(sweeps, error, rate, slow)``, the rate as in
     :class:`ScalingDiagnostics`.
     """
     err_max = np.empty(_RING_LEN)
+    run = _bind(work, rt, ct, err_max)
     done, err, previous, chunk, slow = 0, np.inf, np.inf, _RING_LEN, False
     while done < max_iter:
         n = min(chunk, max_iter - done)
-        sweeps, err = _kernel(work, rt, ct, tol, n, err_max)
+        sweeps, err = run(tol, n)
         done += sweeps
         if sweeps < n or err <= tol:
             break
@@ -634,7 +657,14 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
             values[x, y] = 0.0
     fitted, diag = _run_ipf(values, t.row_margins, t.col_margins,
                             tol, max_iter, classification)
-    return JointPmf(fitted), diag
+    # ``fitted`` is the fit's own array, and the fit keeps it nonnegative.
+    # Unit mass and a positive sum on every line are not guaranteed, and a
+    # non-finite cell shows in the sum; where a check fails, JointPmf
+    # raises as it does for any input.
+    if not (abs(fitted.sum() - 1.0) <= pmf_core.SUM_TOL
+            and fitted.any(axis=1).all() and fitted.any(axis=0).all()):
+        return JointPmf(fitted), diag
+    return pmf_core._wrap(JointPmf, values=fitted), diag
 
 
 def copula_pmf(p: JointPmf, tol: float = DEFAULT_TOL,
@@ -647,8 +677,8 @@ def copula_pmf(p: JointPmf, tol: float = DEFAULT_TOL,
     and raises as :func:`ipf_fit`.
     """
     n_rows, n_cols = p.shape
-    uniform = MarginPair(np.full(n_rows, 1.0 / n_rows),
-                         np.full(n_cols, 1.0 / n_cols))
+    uniform = pmf_core._wrap(MarginPair, row_margins=np.full(n_rows, 1.0 / n_rows),
+                             col_margins=np.full(n_cols, 1.0 / n_cols))
     return ipf_fit(p, uniform, tol=tol, max_iter=max_iter)
 
 

@@ -20,6 +20,8 @@ from tabcop.families import (
     _gaussian_cdf,
     _geometric_limit_costs,
     _student_cdf,
+    _student_quantile,
+    _student_tail_quantile,
     binomial_copula,
     bivariate_binomial_pmf,
     copula_cdf,
@@ -375,6 +377,7 @@ class TestStudentCdf:
 
     @settings(max_examples=60, deadline=None)
     @example(u=1e-300, v=0.5, rho=0.3, df=3.0)
+    @example(u=1e-250, v=1e-250, rho=0.0, df=2.3412869356382107)  # stdtrit is nan
     @given(
         u=st.floats(250.0, 320.0).map(lambda k: 10.0 ** -k),
         v=st.one_of(st.floats(250.0, 320.0).map(lambda k: 10.0 ** -k),
@@ -383,8 +386,8 @@ class TestStudentCdf:
         df=st.floats(-1.0, 8.0).map(lambda k: 10.0 ** k),
     )
     def test_tiny_arguments_within_frechet_bounds(self, u, v, rho, df):
-        # stdtrit returns +inf for some of these u, where the quantile is
-        # a large negative number
+        # stdtrit returns nan or +inf for some of these u, where the
+        # quantile is a large negative number
         spec = ContinuousCopulaSpec("student", {"rho": rho, "df": df})
         for a, b in ((u, v), (v, u)):
             value = copula_cdf(spec, a, b)
@@ -402,6 +405,73 @@ class TestStudentCdf:
                 df = 10.0 ** rng.uniform(-1.0, 8.0)
                 value = _student_cdf(u, v, rho, df)
                 assert max(0.0, u + v - 1.0) - 1e-12 <= value <= min(u, v) + 1e-12
+
+
+def _student_quantile_by_mpmath(df, u, start):
+    """The t quantile of ``u`` in 40-digit arithmetic, by a root search near ``start``.
+
+    F(x) = I_z(df/2, 1/2) / 2 with z = df / (df + x^2), solved in log(-x)
+    for a lower-tail u.
+    """
+    with mpmath.workdps(40):
+        df, u = mpmath.mpf(df), mpmath.mpf(u)
+
+        def log_ratio(s):
+            x = -mpmath.exp(s)
+            z = df / (df + x * x)
+            return mpmath.log(mpmath.betainc(df / 2, 0.5, 0, z, regularized=True) / (2 * u))
+
+        return float(-mpmath.exp(mpmath.findroot(log_ratio, mpmath.log(-start))))
+
+
+#: (df, u) where ``stdtrit`` fails (nan or +inf) as of scipy 1.17, from a
+#: random scan; the first is the point hypothesis found.  The quantiles
+#: run from -3e7 (subnormal u at df near 48, solved by Newton steps) to
+#: -1e139 (closed form).
+STDTRIT_FAILURES = [
+    (2.3412869356382107, 1e-250),
+    (2.2601012553213224, 1.1844370865e-314),
+    (2.2848218317597415, 1.149093e-318),
+    (3.49755744171844, 3.363731445080055e-278),
+    (8.190156450587489, 5.935338121225812e-301),
+    (14.235503471911786, 1.27760749e-315),
+    (22.065989006738945, 1.4094e-319),
+    (27.426809717072807, 3.0677822e-316),
+    (47.97509082741389, 4.1101e-319),
+]
+
+
+class TestStudentQuantile:
+    @pytest.mark.parametrize("df, u", STDTRIT_FAILURES)
+    def test_tail_solve_matches_mpmath(self, df, u):
+        x = _student_tail_quantile(df, u)
+        assert x == pytest.approx(_student_quantile_by_mpmath(df, u, x), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("df, u", STDTRIT_FAILURES)
+    def test_replaces_a_failed_stdtrit(self, df, u):
+        by_stdtrit = float(special.stdtrit(df, u))
+        x = _student_quantile(df, u)
+        if math.isfinite(by_stdtrit):  # a scipy that no longer fails here
+            assert x == by_stdtrit
+        else:
+            assert x == _student_tail_quantile(df, u) and -math.inf < x < 0.0
+
+    @pytest.mark.parametrize("df, u", [(0.5, 1e-3), (1.0, 1e-30), (4.0, 1e-12),
+                                       (60.0, 1e-100), (1e4, 1e-200)])
+    def test_tail_solve_away_from_failures(self, df, u):
+        # closer in than the failures: Newton steps on the series and on stdtr
+        x = _student_tail_quantile(df, u)
+        assert x == pytest.approx(_student_quantile_by_mpmath(df, u, x), rel=1e-13, abs=0.0)
+
+    def test_quantile_past_the_doubles(self):
+        # at df = 0.5 the quantile of 1e-300 is about -1e1200
+        assert _student_tail_quantile(0.5, 1e-300) == -math.inf
+
+    def test_mesh_nodes_keep_stdtrit(self):
+        # the mesh never reaches a failure, so discretized pmfs are unchanged
+        for df in (0.1, 1.0, 2.3412869356382107, 30.0, 1e8):
+            for i in range(1, 15):
+                assert _student_quantile(df, i / 15) == float(special.stdtrit(df, i / 15))
 
 
 class TestDiscretize:
@@ -767,6 +837,20 @@ class TestSizeValidation:
         assert n == 3 and type(n) is int
         np.testing.assert_array_equal(fgm_pmf(0.5, np.int64(3), 3).values,
                                       fgm_pmf(0.5, 3, 3).values)
+
+
+class TestNonnegativeValidation:
+    @pytest.mark.parametrize("omega", [np.float32(2.0), np.float64(2.0), np.int64(2),
+                                       Fraction(2)])
+    def test_real_scalars_accepted(self, omega):
+        np.testing.assert_array_equal(binomial_copula(2, omega).values,
+                                      binomial_copula(2, 2.0).values)
+
+    @pytest.mark.parametrize("omega", [True, np.bool_(True), "2.0", None, np.array([2.0]),
+                                       complex(2.0), np.float32("nan"), math.nan])
+    def test_rejected(self, omega):
+        with pytest.raises(ParamError, match="omega"):
+            binomial_copula(2, omega)
 
 
 class TestFamilyInvariants:

@@ -109,7 +109,7 @@ class TestBivariatePoisson:
         mx = p.sum(axis=1)
         corner = p[29, 29]
         assert corner > 0
-        assert corner == pytest.approx(mx[29] * mx[29], rel=1e-10)
+        assert corner == pytest.approx(mx[29] * mx[29], rel=1e-10, abs=0.0)
 
     def test_param_validation(self):
         with pytest.raises(ParamError):

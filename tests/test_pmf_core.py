@@ -73,6 +73,17 @@ class TestFromCounts:
         with pytest.raises(EmptyTableError):
             from_counts([[0, 0], [0, 0]])
 
+    def test_overflowing_total_rejected(self):
+        # the grand total overflows to inf, so every cell normalizes to 0
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="sum to 1"):
+            from_counts([[1e308, 1e308], [1, 1]])
+
+    def test_read_only_and_own_memory(self):
+        counts = np.array(LIN_COUNTS, dtype=float)
+        p = from_counts(counts)
+        assert not p.values.flags.writeable
+        assert not np.shares_memory(p.values, counts)
+
 
 class TestMargins:
     def test_complete_case_margins(self):
@@ -117,6 +128,12 @@ class TestSupport:
         # tiny mass is mass: there is no threshold
         p = JointPmf([[1e-13, 0.5 - 1e-13], [0.5 - 1e-13, 1e-13]])
         assert pmf_core.support(p).mask.all()
+
+    def test_read_only_and_own_memory(self, rng):
+        p = JointPmf(random_positive_pmf(rng, 3, 4))
+        s = pmf_core.support(p)
+        assert s.mask.dtype == bool and not s.mask.flags.writeable
+        assert not np.shares_memory(s.mask, p.values)
 
     def test_every_row_and_column_covered(self, rng):
         for _ in range(50):

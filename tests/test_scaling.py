@@ -14,6 +14,7 @@ from tabcop.errors import (
     NonConvergenceError,
     NotACopulaError,
     ValidationError,
+    ZeroMarginError,
 )
 from tabcop.pmf_core import JointPmf, MarginPair, SupportPattern, from_counts
 from tabcop.scaling import (
@@ -158,9 +159,9 @@ class TestIpfFit:
             p = JointPmf(random_positive_pmf(rng, n_rows, n_cols))
             t = MarginPair(random_margins(rng, n_rows), random_margins(rng, n_cols))
             work, ring, l1 = p.values.copy(), np.empty(1), []
+            sweeps = scaling._bind(work, t.row_margins, t.col_margins, ring)
             for _sweep in range(10**4):
-                _, err = scaling._kernel(work, t.row_margins, t.col_margins,
-                                         scaling.DEFAULT_TOL, 1, ring)
+                _, err = sweeps(scaling.DEFAULT_TOL, 1)
                 l1.append(np.abs(work.sum(axis=1) - t.row_margins).sum())
                 if err <= scaling.DEFAULT_TOL:
                     break
@@ -263,6 +264,12 @@ class TestFitSettings:
         _, diag = FITS[fit](tol=np.float64(1e-10), max_iter=np.int32(1000))
         assert diag.margin_error <= 1e-10
 
+    @pytest.mark.parametrize("fit", list(FITS))
+    def test_float32_tol_passes(self, fit):
+        # a NumPy float that is not a Python float subclass
+        _, diag = FITS[fit](tol=np.float32(1e-9))
+        assert diag.margin_error <= float(np.float32(1e-9))
+
     def test_settings_checked_before_classifying(self):
         # a class C input: a bad budget is reported, not the infeasibility
         mask_values = np.array([[0.0, 0.0, 0.2], [0.0, 0.0, 0.2], [0.2, 0.2, 0.2]])
@@ -318,6 +325,139 @@ class TestCopulaPmf:
         assert peak < 2**20
 
 
+def fit_inputs(rng):
+    """Inputs of every fit path, each with the arrays the caller holds.
+
+    Yields ``(name, fit, caller arrays)``: ``fit()`` returns
+    ``(pmf, diagnostics)`` through ``ipf_fit``, ``copula_pmf`` or
+    ``couple``, from a sweep, Newton, exact, B2 or fixed-point fit.
+    """
+    dense = random_positive_pmf(rng, 4, 5)
+    rt, ct = random_margins(rng, 4), random_margins(rng, 5)
+    p, t = JointPmf(dense), MarginPair(rt, ct)
+    arrays = (dense, rt, ct, p.values, t.row_margins, t.col_margins)
+    yield "sweeps", lambda: ipf_fit(p, t), arrays
+    yield "copula", lambda: copula_pmf(p), arrays
+    cop, _ = copula_pmf(p)
+    yield "couple", lambda: couple(cop, t), arrays + (cop.values,)
+    yield "fixed point", lambda: ipf_fit(p, pmf_core.margins(p)), arrays
+    forest = JointPmf([[0.4, 0.3], [0.3, 0.0]])
+    yield "exact", lambda: copula_pmf(forest), (forest.values,)
+    b2 = JointPmf([[0.0, 0.3], [0.3, 0.4]])
+    yield "B2", lambda: ipf_fit(b2, uniform_pair(2, 2)), (b2.values,)
+    yield "newton", lambda: ipf_fit(CYCLE, cycle_targets(1e-4)), (CYCLE.values,)
+
+
+class TestFitOutputs:
+    """Fitted tables skip the public checks, so check what they promise."""
+
+    def test_read_only_and_own_memory(self, rng):
+        for name, fit, arrays in fit_inputs(rng):
+            fitted, diag = fit()
+            assert not fitted.values.flags.writeable, name
+            with pytest.raises(ValueError):
+                fitted.values[0, 0] = 0.5
+            for a in arrays:
+                assert not np.shares_memory(fitted.values, a), name
+            assert fitted.values.dtype == np.float64 and fitted.values.flags.c_contiguous
+        assert diag.newton_steps > 0  # the last input took the Newton path
+
+    def test_copula_targets_are_read_only(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(scaling, "classify_existence",
+                            lambda s, t: seen.append((s, t)) or scaling.FeasibilityClass("A"))
+        copula_pmf(from_counts(LIN_COUNTS))
+        (support, uniform), = seen
+        for a in (support.mask, uniform.row_margins, uniform.col_margins):
+            assert not a.flags.writeable
+        assert support.mask.dtype == bool and support.mask.all()
+        np.testing.assert_array_equal(uniform.row_margins, [0.5, 0.5])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 6), st.data())
+    def test_outputs_pass_the_public_checks(self, n_rows, n_cols, data):
+        cells = st.one_of(st.just(0.0), st.floats(-30.0, 30.0).map(np.exp))
+        values = np.reshape(data.draw(st.lists(cells, min_size=n_rows * n_cols,
+                                               max_size=n_rows * n_cols)), (n_rows, n_cols))
+        values[np.arange(n_rows), np.arange(n_rows) % n_cols] += 1.0
+        values[np.arange(n_cols) % n_rows, np.arange(n_cols)] += 1.0
+        p = from_counts(values)
+        logs = st.floats(-5.0, 5.0)
+        rt = np.exp(data.draw(st.lists(logs, min_size=n_rows, max_size=n_rows)))
+        ct = np.exp(data.draw(st.lists(logs, min_size=n_cols, max_size=n_cols)))
+        t = MarginPair(rt / rt.sum(), ct / ct.sum())
+        outputs = [pmf_core.support(p)]
+        for fit in (lambda: copula_pmf(p), lambda: ipf_fit(p, t),
+                    lambda: couple(copula_pmf(p)[0], t)):
+            try:
+                outputs.append(fit()[0])
+            except (InfeasibleError, NonConvergenceError):
+                pass
+        for out in outputs:
+            if isinstance(out, SupportPattern):
+                np.testing.assert_array_equal(SupportPattern(out.mask).mask, out.mask)
+            else:
+                np.testing.assert_array_equal(JointPmf(out.values).values, out.values)
+                np.testing.assert_array_equal(pmf_core.support(out).mask,
+                                              SupportPattern(out.values > 0).mask)
+
+    @pytest.mark.parametrize("p, t, tol, error, message", [
+        # a B2 fixed point within a loose tol: zeroing the forced cell loses mass
+        ([[0.0, 0.3], [0.3, 0.4]], ([0.5, 0.5], [0.5, 0.5]), 0.5,
+         ValidationError, r"must sum to 1 \(got np.float64\(0.6\)\)"),
+        # the smallest positive row target rounds a row to zeros
+        (np.full((2, 2), 0.25), ([5e-324, 1.0], [0.5, 0.5]), 1e-12,
+         ZeroMarginError, "all-zero row"),
+        (np.full((2, 2), 0.25), ([0.5, 0.5], [5e-324, 1.0]), 1e-12,
+         ZeroMarginError, "all-zero column"),
+    ])
+    def test_a_table_the_fit_cannot_vouch_for_raises_as_joint_pmf(self, p, t, tol,
+                                                                  error, message):
+        with pytest.raises(error, match=message):
+            ipf_fit(JointPmf(p), MarginPair(*t), tol=tol)
+
+
+class TestBind:
+    """The bind contract of both kernels: one bind per fit, buffers kept alive."""
+
+    def test_one_bind_per_fit(self, monkeypatch):
+        binds, calls = [], []
+
+        def counting_bind(*buffers):
+            sweeps = bind(*buffers)
+            binds.append(buffers)
+
+            def counted(tol, max_iter):
+                calls.append(max_iter)
+                return sweeps(tol, max_iter)
+
+            return counted
+
+        bind = scaling._bind
+        monkeypatch.setattr(scaling, "_bind", counting_bind)
+        _, diag = ipf_fit(CYCLE, cycle_targets(1e-1))
+        # the fit ends part-way through its third chunk
+        assert len(binds) == 1 and calls == [16, 32, 64]
+        assert 48 < diag.iterations < 112
+
+    @pytest.mark.parametrize("backend", ["loaded", "numpy"])
+    def test_bound_buffers_outlive_the_caller(self, rng, backend):
+        bind = scaling._bind if backend == "loaded" else _ipf_py.bind
+        p = random_positive_pmf(rng, 4, 5)
+        rt, ct = random_margins(rng, 4), random_margins(rng, 5)
+        ring = np.empty(16)
+        reference = p.copy()
+        expected = _ipf_py.bind(reference, rt, ct, ring)(1e-12, 10**4)
+        work = p.copy()
+        sweeps = bind(work, rt.copy(), ct.copy(), np.empty(16))  # temporaries
+        del work
+        # take back freed memory of the same sizes, were any freed
+        junk = [np.full(n, np.nan) for n in (4, 5, 9, 16, 20) for _ in range(50)]
+        got = sweeps(1e-12, 10**4)
+        assert np.isnan(junk[-1]).all()
+        assert got[0] == pytest.approx(expected[0], abs=2) and got[1] <= 1e-12
+
+
 #: A support with cycles (7 cells, more than 3 + 3 - 1); its column targets
 #: sit ``gap`` away from a tight null rectangle.
 CYCLE = JointPmf(np.array([[1, 1, 0], [1, 1, 0], [1, 1, 1]]) / 7.0)
@@ -330,15 +470,15 @@ def cycle_targets(gap):
 
 
 def one_kernel_run(p, t, max_iter):
-    """One uninterrupted kernel call, with an error ring of full length.
+    """One call of the bound kernel, with an error ring of full length.
 
     Returns ``(table, sweeps, error, max errors)``, the errors cut to the
     sweeps run.
     """
     err_max = np.empty(max_iter)
     work = p.values.copy()
-    sweeps, err = scaling._kernel(work, t.row_margins, t.col_margins,
-                                  scaling.DEFAULT_TOL, max_iter, err_max)
+    sweeps, err = scaling._bind(work, t.row_margins, t.col_margins,
+                                err_max)(scaling.DEFAULT_TOL, max_iter)
     return work, sweeps, err, err_max[:sweeps]
 
 
@@ -389,7 +529,7 @@ class TestHistory:
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
-    monkeypatch.setattr(scaling, "_kernel", _ipf_py.ipf_sweeps)
+    monkeypatch.setattr(scaling, "_bind", _ipf_py.bind)
 
 
 @pytest.mark.usefixtures("numpy_kernel")
@@ -416,8 +556,8 @@ class TestStall:
 def sweep_reference(values, t, tol=1e-14):
     """The sweep fit of ``values`` to a tighter tolerance; None if it misses."""
     work = values.copy()
-    _sweeps, err = _ipf_py.ipf_sweeps(work, t.row_margins, t.col_margins, tol, 10**5,
-                                      np.empty(scaling._RING_LEN))
+    _sweeps, err = _ipf_py.bind(work, t.row_margins, t.col_margins,
+                                np.empty(scaling._RING_LEN))(tol, 10**5)
     return work if err <= tol else None
 
 
@@ -578,7 +718,7 @@ class TestExactForest:
         # 10**6 sweeps used to leave this one 2e-6 off its margins
         t = MarginPair([0.5, 0.5], [0.5 + 1e-6, 0.5 - 1e-6])
         fitted, _ = ipf_fit(JointPmf([[0.4, 0.3], [0.3, 0.0]]), t)
-        assert fitted.values[0, 0] == pytest.approx(1e-6, rel=1e-9)
+        assert fitted.values[0, 0] == pytest.approx(1e-6, rel=1e-9, abs=0.0)
 
     def test_B2_copula_is_exact(self):
         # the forced zero leaves a forest, which is peeled to exact halves
@@ -689,7 +829,7 @@ class TestKernels:
         rt, ct = random_margins(rng, 4), random_margins(rng, 5)
         work = p.copy()
         hist = np.empty(16)
-        sweeps, err = _ipf_py.ipf_sweeps(work, rt, ct, 1e-12, 10000, hist)
+        sweeps, err = _ipf_py.bind(work, rt, ct, hist)(1e-12, 10000)
         assert err <= 1e-12
         assert hist[(sweeps - 1) % 16] == err
         assert np.abs(work.sum(axis=1) - rt).max() <= 1e-12
@@ -704,8 +844,8 @@ class TestKernels:
             ct = random_margins(rng, n_cols)
             w1, w2 = p.copy(), p.copy()
             h1, h2 = np.empty(16), np.empty(16)
-            s1, e1 = _ipf_py.ipf_sweeps(w1, rt, ct, 1e-12, 10**5, h1)
-            s2, e2 = scaling._kernel(w2, rt, ct, 1e-12, 10**5, h2)
+            s1, e1 = _ipf_py.bind(w1, rt, ct, h1)(1e-12, 10**5)
+            s2, e2 = scaling._bind(w2, rt, ct, h2)(1e-12, 10**5)
             assert abs(s1 - s2) <= 2  # summation order shifts the stop by a hair
             assert np.abs(w1 - w2).max() <= 1e-12
             assert e2 <= 1e-12 and h2[(s2 - 1) % 16] == e2
@@ -715,9 +855,9 @@ class TestKernels:
         # a zero row with a zero target sums to 0/0: neither kernel converges
         table = np.array([[0.0, 0.0], [0.5, 0.5]])
         rt, ct = np.array([0.0, 1.0]), np.array([0.5, 0.5])
-        for kernel in (_ipf_py.ipf_sweeps, scaling._kernel):
+        for bind in (_ipf_py.bind, scaling._bind):
             with np.errstate(invalid="ignore"):
-                sweeps, err = kernel(table.copy(), rt, ct, 1e-12, 5, np.empty(16))
+                sweeps, err = bind(table.copy(), rt, ct, np.empty(16))(1e-12, 5)
             assert sweeps == 5 and np.isnan(err)
 
     @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
@@ -729,9 +869,9 @@ class TestKernels:
                      (np.asfortranarray(np.full((3, 3), 1 / 9)), t3, t3),
                      (read_only, t2, t3), (table.astype(np.float32), t2, t3)]:
             with pytest.raises(ValueError):
-                scaling._kernel(*args, 1e-12, 5, np.empty(16))
+                scaling._bind(*args, np.empty(16))
         with pytest.raises(ValueError):
-            scaling._kernel(table, t2, t3, 1e-12, 5, np.empty(0))
+            scaling._bind(table, t2, t3, np.empty(0))
 
 
 class TestKernelBuild:
@@ -739,10 +879,10 @@ class TestKernelBuild:
 
     @staticmethod
     def build_or_skip(cache):
-        kernel, backend = scaling._load_kernel(str(cache))
+        bind, backend = scaling._load_kernel(str(cache))
         if backend != "c":
             pytest.skip("no C compiler here")
-        return kernel
+        return bind
 
     @staticmethod
     def fail_run(monkeypatch, error):
@@ -764,10 +904,10 @@ class TestKernelBuild:
     ])
     def test_failed_build_falls_back(self, tmp_path, monkeypatch, rng, error):
         self.fail_run(monkeypatch, error)
-        kernel, backend = scaling._load_kernel(str(tmp_path))
-        assert (kernel, backend) == (_ipf_py.ipf_sweeps, "python")
+        bind, backend = scaling._load_kernel(str(tmp_path))
+        assert (bind, backend) == (_ipf_py.bind, "python")
         assert not list(tmp_path.iterdir())
-        monkeypatch.setattr(scaling, "_kernel", kernel)
+        monkeypatch.setattr(scaling, "_bind", bind)
         p = JointPmf(random_positive_pmf(rng, 4, 5))
         t = MarginPair(random_margins(rng, 4), random_margins(rng, 5))
         _, diag = ipf_fit(p, t)
