@@ -245,12 +245,18 @@ def _student_quantile(df: float, u: float) -> float:
     ``stdtrit`` returns nan or +inf for some far lower-tail u (nan at df =
     2.3412869356382107, u = 1e-250, whose quantile is about -5e106).  In
     random scans of 60,000 (df, u), df in [0.1, 1e8] and u in [1e-320,
-    0.1], every failure had df in [0.96, 59] and u below 1e-148.  There
-    the quantile comes from :func:`_student_tail_quantile`; a finite
-    ``stdtrit`` value, as at every mesh node, is kept as it is.
+    0.1], every failure had df in [0.96, 59] and u below 1e-148.  Only
+    there, a nan or +inf below u = 1/2, does the quantile come from
+    :func:`_student_tail_quantile`, which solves the lower tail alone.
+    Every other ``stdtrit`` value is kept as it is: a finite one, as at
+    every mesh node, and an infinity on its own side of the median, which
+    at a small df stands for a quantile past the doubles (at df = 0.002
+    the quantile of 14/15 is about 1e437).
     """
     x = float(_special().stdtrit(df, u))
-    return x if math.isfinite(x) else _student_tail_quantile(df, u)
+    if u < 0.5 and not x < math.inf:  # nan or +inf
+        return _student_tail_quantile(df, u)
+    return x
 
 
 def _student_cdf(u: float, v: float, rho: float, df: float) -> float:

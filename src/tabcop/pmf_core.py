@@ -8,7 +8,8 @@ same rows-equal-X convention.
 Public constructors validate and copy what they are given.  Values tabcop
 builds from inputs it has already validated are not validated again:
 they go through the private :func:`_wrap`, which only makes them
-read-only.
+read-only.  A fitted table goes through :func:`_wrap_fitted`, which
+first checks what a fit does not guarantee.
 """
 
 from __future__ import annotations
@@ -49,6 +50,21 @@ def _wrap(cls, **arrays):
         a.flags.writeable = False
         object.__setattr__(obj, name, a)
     return obj
+
+
+def _wrap_fitted(values: np.ndarray) -> "JointPmf":
+    """A :class:`JointPmf` around a table that a fit built from a valid pmf.
+
+    A fit keeps the table's shape and its entries nonnegative, but unit
+    mass and a positive entry on every line are not guaranteed, and a
+    non-finite cell shows in the sum.  Where those checks hold the table
+    is wrapped as by :func:`_wrap`; where one fails, the public
+    constructor raises as it does for any input.
+    """
+    if (abs(values.sum() - 1.0) <= SUM_TOL
+            and values.any(axis=1).all() and values.any(axis=0).all()):
+        return _wrap(JointPmf, values=values)
+    return JointPmf(values)
 
 
 @dataclass(frozen=True)

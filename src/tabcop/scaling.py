@@ -23,8 +23,9 @@ then runs every chunk of sweeps of that fit.
 The fits take validated :class:`~tabcop.pmf_core.JointPmf` and
 :class:`~tabcop.pmf_core.MarginPair` inputs and do not validate what they
 build from them again: the uniform targets of :func:`copula_pmf` and the
-fitted table are wrapped read-only as they are, the table after a check
-of the mass and line sums that a fit does not guarantee.
+fitted table are wrapped read-only as they are, the table by
+:func:`~tabcop.pmf_core._wrap_fitted` after a check of the mass and line
+sums that a fit does not guarantee.
 """
 
 from __future__ import annotations
@@ -657,14 +658,7 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
             values[x, y] = 0.0
     fitted, diag = _run_ipf(values, t.row_margins, t.col_margins,
                             tol, max_iter, classification)
-    # ``fitted`` is the fit's own array, and the fit keeps it nonnegative.
-    # Unit mass and a positive sum on every line are not guaranteed, and a
-    # non-finite cell shows in the sum; where a check fails, JointPmf
-    # raises as it does for any input.
-    if not (abs(fitted.sum() - 1.0) <= pmf_core.SUM_TOL
-            and fitted.any(axis=1).all() and fitted.any(axis=0).all()):
-        return JointPmf(fitted), diag
-    return pmf_core._wrap(JointPmf, values=fitted), diag
+    return pmf_core._wrap_fitted(fitted), diag
 
 
 def copula_pmf(p: JointPmf, tol: float = DEFAULT_TOL,

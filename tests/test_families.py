@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.optimize import linear_sum_assignment
 
+from tabcop import families
 from tabcop.bernoulli import bernoulli_copula, odds_ratio
 from tabcop.dependence import frechet_bounds, odds_ratio_matrix, yule_upsilon
 from tabcop.errors import InfeasibleError, ParamError, ValidationError, check_size
@@ -441,6 +442,19 @@ STDTRIT_FAILURES = [
 ]
 
 
+class _FixedStdtrit:
+    """``scipy.special`` with ``stdtrit`` returning ``value`` at ``u``."""
+
+    def __init__(self, u, value):
+        self.u, self.value = u, value
+
+    def stdtrit(self, df, u):
+        return self.value if u == self.u else special.stdtrit(df, u)
+
+    def __getattr__(self, name):
+        return getattr(special, name)
+
+
 class TestStudentQuantile:
     @pytest.mark.parametrize("df, u", STDTRIT_FAILURES)
     def test_tail_solve_matches_mpmath(self, df, u):
@@ -467,9 +481,33 @@ class TestStudentQuantile:
         # at df = 0.5 the quantile of 1e-300 is about -1e1200
         assert _student_tail_quantile(0.5, 1e-300) == -math.inf
 
+    @pytest.mark.parametrize("value, u", [(math.nan, 1e-250), (math.inf, 1e-250)])
+    def test_lower_tail_failure_solved(self, monkeypatch, value, u):
+        monkeypatch.setattr(families, "_special", lambda: _FixedStdtrit(u, value))
+        assert _student_quantile(2.3412869356382107, u) == _student_tail_quantile(
+            2.3412869356382107, u)
+
+    @pytest.mark.parametrize("value, u", [(math.inf, 14 / 15), (math.inf, 0.9),
+                                          (-math.inf, 0.1), (-math.inf, 1e-250)])
+    def test_infinity_on_its_own_side_kept(self, monkeypatch, value, u):
+        # at df = 0.002 the quantile of 14/15 is past the doubles, so +inf
+        # is the right answer and not a lower-tail failure
+        monkeypatch.setattr(families, "_special", lambda: _FixedStdtrit(u, value))
+        assert _student_quantile(0.002, u) == value
+
+    def test_infinite_upper_quantile_gives_frechet_upper_bound(self, monkeypatch):
+        monkeypatch.setattr(families, "_special", lambda: _FixedStdtrit(14 / 15, math.inf))
+        assert _student_cdf(14 / 15, 7 / 15, 0.3, 0.002) == special.stdtr(0.002, special.stdtrit(0.002, 7 / 15))
+
+    @pytest.mark.parametrize("df", [0.0005, 0.002])
+    def test_tiny_df_upper_tail_raises_nothing(self, df):
+        spec = ContinuousCopulaSpec("student", {"rho": 0.3, "df": df})
+        for u in (0.9, 14 / 15):
+            assert 0.0 <= copula_cdf(spec, u, 0.4) <= 0.4
+
     def test_mesh_nodes_keep_stdtrit(self):
         # the mesh never reaches a failure, so discretized pmfs are unchanged
-        for df in (0.1, 1.0, 2.3412869356382107, 30.0, 1e8):
+        for df in (0.0005, 0.002, 0.1, 1.0, 2.3412869356382107, 30.0, 1e8):
             for i in range(1, 15):
                 assert _student_quantile(df, i / 15) == float(special.stdtrit(df, i / 15))
 

@@ -85,6 +85,28 @@ class TestFromCounts:
         assert not np.shares_memory(p.values, counts)
 
 
+class TestWrapFitted:
+    def test_valid_table_wrapped_read_only(self):
+        values = np.array([[0.25, 0.25], [0.5, 0.0]])
+        p = pmf_core._wrap_fitted(values)
+        assert type(p) is JointPmf and p.values is values
+        assert not values.flags.writeable
+
+    @pytest.mark.parametrize("bad, error, match", [
+        ([[0.5, 0.5], [0.5, 0.0]], ValidationError, "sum to 1"),
+        ([[0.5, np.nan], [0.5, 0.0]], ValidationError, "finite"),
+        ([[0.5, np.inf], [0.5, 0.0]], ValidationError, "finite"),
+        ([[0.5, 0.5], [0.0, 0.0]], ZeroMarginError, "row"),
+        ([[0.5, 0.0], [0.5, 0.0]], ZeroMarginError, "column"),
+    ])
+    def test_failed_check_raises_as_the_constructor(self, bad, error, match):
+        with pytest.raises(error, match=match) as by_constructor:
+            JointPmf(np.array(bad))
+        with pytest.raises(error, match=match) as by_wrap:
+            pmf_core._wrap_fitted(np.array(bad))
+        assert str(by_wrap.value) == str(by_constructor.value)
+
+
 class TestMargins:
     def test_complete_case_margins(self):
         pair = pmf_core.margins(from_counts(LIN_COUNTS))
