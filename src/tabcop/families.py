@@ -9,6 +9,11 @@ Two construction routes:
   normalize, and fit to uniform margins by :func:`tabcop.scaling.copula_pmf`
   at its default tolerance and sweep budget.
 
+Each continuous family has one array kernel that evaluates C on
+broadcast arrays of arguments: a mesh is one call on its row coordinates
+against its column coordinates, and :func:`copula_cdf` is the same call
+at one point.  The tables of the models are built from index grids.
+
 Both routes commute with the closed forms tabulated for the small cases,
 which the test suite uses as oracles.
 """
@@ -105,8 +110,8 @@ def parse_family_spec(text: str) -> ContinuousCopulaSpec:
 def _special():
     """scipy's ``special``, imported on first use.
 
-    The Gaussian and Student CDFs run once per mesh node; fetching the
-    module from this cache costs about a tenth of an import statement.
+    ``copula_cdf`` fetches it on every Gaussian and Student call; from
+    this cache that costs about a tenth of an import statement.
     """
     from scipy import special
 
@@ -121,8 +126,8 @@ def _quadrature():
     return integrate, _special()
 
 
-def _gaussian_cdf(u: float, v: float, rho: float) -> float:
-    """Gaussian copula C(u, v): P(Z1 <= a, Z2 <= b) at the normal quantiles.
+def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
+    """Gaussian copula C(u, v) on broadcast arrays: P(Z1 <= a, Z2 <= b) at normal quantiles.
 
     Owen's closed form (1956, Ann. Math. Statist. 27) in his function
     T(h, x) = (1/2pi) int_0^x exp(-h^2 (1 + t^2) / 2) / (1 + t^2) dt:
@@ -141,22 +146,23 @@ def _gaussian_cdf(u: float, v: float, rho: float) -> float:
     is taken as b - rho a = (b - s a) + (s - rho) a with s = sign(rho),
     where s - rho is exact.  At (u, v) = (0.3, 0.7), where b = -a, the
     direct b - rho a is all cancellation and costs 3.7e-10 at
-    rho = -(1 - 1e-15).
+    rho = -(1 - 1e-15).  ``ndtri`` runs once per entry of ``u`` and of
+    ``v``, so once per row and per column of a mesh.
     """
     special = _special()
-    a, b = float(special.ndtri(u)), float(special.ndtri(v))
-    if a == 0.0 and b == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    a, b = special.ndtri(u), special.ndtri(v)
     r = math.sqrt((1.0 - rho) * (1.0 + rho))
     s = 1.0 if rho >= 0.0 else -1.0
 
     def owen(h, k):
-        if h == 0.0:
-            return 0.25 if k > 0.0 else -0.25
-        return special.owens_t(h, ((k - s * h) + (s - rho) * h) / (h * r))
+        t = special.owens_t(h, ((k - s * h) + (s - rho) * h) / (h * r))
+        return np.where(h == 0.0, np.where(k > 0.0, 0.25, -0.25), t)
 
-    beta = 0.5 if a * b < 0.0 or (a * b == 0.0 and a + b < 0.0) else 0.0
-    return float(0.5 * (special.ndtr(a) + special.ndtr(b)) - owen(a, b) - owen(b, a) - beta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # h = 0, replaced in owen
+        ab = a * b
+        beta = np.where((ab < 0.0) | ((ab == 0.0) & (a + b < 0.0)), 0.5, 0.0)
+        c = 0.5 * (special.ndtr(a) + special.ndtr(b)) - owen(a, b) - owen(b, a) - beta
+    return np.where((a == 0.0) & (b == 0.0), 0.25 + math.asin(rho) / (2.0 * math.pi), c)
 
 
 def _student_tail_quantile(df: float, u: float) -> float:
@@ -171,9 +177,11 @@ def _student_tail_quantile(df: float, u: float) -> float:
 
     Far out, where x^2 > 1e32 df, the leading term is exact to rounding
     and gives x in closed form: x = -sqrt(df) (c / u)^(1/df) with
-    c = 1 / (2 a B(a, 1/2)), or -inf past -DBL_MAX.  Nearer in, Newton
-    steps on log(F / u) in s = log(-x), where log F falls nearly linearly
-    with slope -df, start from the closed form's s.  Each step is kept
+    c = 1 / (2 a B(a, 1/2)), or -inf past -DBL_MAX; at a tiny df, where
+    (c / u)^(1/df) is finite but one of its two factors over- or
+    underflows, it is taken in logs.  Nearer in, Newton steps on
+    log(F / u) in s = log(-x), where log F falls nearly linearly with
+    slope -df, start from the closed form's s.  Each step is kept
     inside the bracket [-20, log(DBL_MAX)], which the steps narrow, and is
     replaced by bisection when it leaves it.  log F is the series, in
     logs, while z <= 1/2, and ``stdtr`` nearer the centre, where a large
@@ -188,12 +196,18 @@ def _student_tail_quantile(df: float, u: float) -> float:
     been seen to fail at such df.
     """
     special = _special()
+    df = float(df)  # a NumPy df would warn where a float raises OverflowError
     a = 0.5 * df
     log_c = -math.log(2.0 * a) - float(special.betaln(a, 0.5))
     try:
         far = -math.sqrt(df) * math.exp(log_c / df) * u ** (-1.0 / df)
     except OverflowError:
-        return -math.inf
+        far = math.nan
+    if not far < 0.0:  # 0 * inf, inf, or an underflow to -0.0
+        log_far = 0.5 * math.log(df) + (log_c - math.log(u)) / df
+        if log_far > math.log(sys.float_info.max):
+            return -math.inf
+        far = -math.exp(log_far)
     if far * far > 1e32 * df:
         return far
     log_u = math.log(u)
@@ -239,28 +253,61 @@ def _student_tail_quantile(df: float, u: float) -> float:
     return -math.exp(s)
 
 
-def _student_quantile(df: float, u: float) -> float:
-    """The t quantile of ``u``: ``stdtrit``, or the tail solve where it fails.
+#: Largest relative miss of ``stdtr(df, stdtrit(df, u))`` against u (or of
+#: the upper tail against 1 - u) that :func:`_student_quantile` accepts.
+_ROUND_TRIP_RTOL = 1e-10
 
-    ``stdtrit`` returns nan or +inf for some far lower-tail u (nan at df =
-    2.3412869356382107, u = 1e-250, whose quantile is about -5e106).  In
-    random scans of 60,000 (df, u), df in [0.1, 1e8] and u in [1e-320,
-    0.1], every failure had df in [0.96, 59] and u below 1e-148.  Only
-    there, a nan or +inf below u = 1/2, does the quantile come from
-    :func:`_student_tail_quantile`, which solves the lower tail alone.
-    Every other ``stdtrit`` value is kept as it is: a finite one, as at
-    every mesh node, and an infinity on its own side of the median, which
-    at a small df stands for a quantile past the doubles (at df = 0.002
-    the quantile of 14/15 is about 1e437).
+
+def _student_quantile(df: float, u) -> np.ndarray:
+    """The t quantiles of the entries of ``u``: ``stdtrit``, checked by a round trip.
+
+    ``stdtrit`` fails in two ways.  It returns nan or +inf for some far
+    lower-tail u (nan at df = 2.3412869356382107, u = 1e-250, whose
+    quantile is about -5e106); in random scans of 60,000 (df, u), df in
+    [0.1, 1e8] and u in [1e-320, 0.1], every such failure had df in
+    [0.96, 59] and u below 1e-148.  And it returns finite wrong values:
+    -3.29e95 at df = 2.2103866156983756, u = 4.9493119154139494e-213,
+    where the quantile is -8.73e95, and a value stuck at -2.998e152 for
+    every u from 1e-5 to 0.2 at df = 0.002.  So each finite x is checked
+    by ``stdtr``: where the tail it lies in, F(x) below the median and
+    F(-x) above it, misses u (or 1 - u, exact there) by more than
+    ``_ROUND_TRIP_RTOL`` relative, the quantile comes from
+    :func:`_student_tail_quantile` on that tail, as it does for a nan or
+    +inf below u = 1/2.  A u or 1 - u below the normal doubles is not
+    checked, since ``stdtr`` keeps few digits there.  An infinity on its
+    own side of the median is kept: at a small df it stands for a
+    quantile past the doubles (at df = 0.002 the quantile of 14/15 is
+    about 1e437).  The nodes of a 15 x 15 mesh keep ``stdtrit`` from df
+    of about 0.006 on, those of a 64 x 64 mesh from about 0.01.
     """
-    x = float(_special().stdtrit(df, u))
-    if u < 0.5 and not x < math.inf:  # nan or +inf
-        return _student_tail_quantile(df, u)
+    special = _special()
+    u = np.asarray(u, dtype=float)
+    x = np.array(special.stdtrit(df, u), dtype=float)
+    lower = u < 0.5
+    tail = np.where(lower, u, 1.0 - u)
+    back = special.stdtr(df, np.where(lower, x, -x))
+    wrong = (np.isfinite(x) & (sys.float_info.min <= tail) & (tail < 0.4999999)
+             & ~(np.abs(back - tail) <= _ROUND_TRIP_RTOL * tail))
+    redo = wrong | (lower & ~(x < np.inf))  # nan or +inf below the median
+    if redo.any():
+        for idx in np.ndindex(x.shape):
+            if redo[idx]:
+                q = _student_tail_quantile(df, float(tail[idx]))
+                x[idx] = q if lower[idx] else -q
     return x
 
 
-def _student_cdf(u: float, v: float, rho: float, df: float) -> float:
-    """Student copula C(u, v): P(T1 <= x, T2 <= y) at the t quantiles.
+def _student_kernel(theta, rho_sign, d2, xy2, df):
+    """The correlation-integral kernel of :func:`_student_cdf` at r = sin(theta)."""
+    s, c = math.sin(theta), math.cos(theta)
+    q = d2 / (c * c) + xy2 / (1.0 + rho_sign * s)
+    # q is nan (inf - inf) only when both quantiles pass 1e154, where
+    # the kernel is below (1e308 / df)^(-df/2)
+    return math.exp(-0.5 * df * math.log1p(q / df)) if q == q else 0.0
+
+
+def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
+    """Student copula C(u, v) on broadcast arrays: P(T1 <= x, T2 <= y) at t quantiles.
 
     One-dimensional adaptive quadrature over the correlation integral,
     the Student form of the Gaussian one (Genz 2004, Statistics and
@@ -277,37 +324,46 @@ def _student_cdf(u: float, v: float, rho: float, df: float) -> float:
     that it does not cancel at the endpoint integrated to:
     (x - y)^2/cos^2 + 2xy/(1 + sin) toward +pi/2 and
     (x + y)^2/cos^2 - 2xy/(1 - sin) toward -pi/2.  The kernel goes
-    through log1p, so a large df does not round it away.
+    through log1p, so a large df does not round it away.  Where the
+    quantiles nearly meet (|x - y| for rho >= 0, |x + y| for rho < 0,
+    below 1% of the interval) the kernel falls to 0 that close to the
+    endpoint, and breakpoints there keep ``quad`` from stepping over the
+    dip (at (u, v) = (0.5, 0.4999999), rho = 0, df = 1 the plain call was
+    5e-8 off).  The quantiles are taken once per entry of ``u`` and of
+    ``v``; the integral is one ``quad`` per point.
     """
     integrate, special = _quadrature()
-    x, y = _student_quantile(df, u), _student_quantile(df, v)
+    x, y = np.broadcast_arrays(_student_quantile(df, u), _student_quantile(df, v))
     sign = 1.0 if rho >= 0.0 else -1.0
-    d2 = (x - sign * y) * (x - sign * y)
-    xy2 = sign * 2.0 * x * y
-
-    def kernel(theta):
-        s, c = math.sin(theta), math.cos(theta)
-        q = d2 / (c * c) + xy2 / (1.0 + sign * s)
-        # q is nan (inf - inf) only when both quantiles pass 1e154, where
-        # the kernel is below (1e308 / df)^(-df/2)
-        return math.exp(-0.5 * df * math.log1p(q / df)) if q == q else 0.0
-
-    value, _ = integrate.quad(
-        kernel, math.asin(rho), sign * math.pi / 2.0, epsabs=1e-13, epsrel=1e-12
-    )
+    start, stop = math.asin(rho), sign * math.pi / 2.0
+    length = abs(stop - start)
+    value = np.empty(x.shape)
+    for idx in np.ndindex(x.shape):
+        xi, yi = float(x[idx]), float(y[idx])
+        d2 = (xi - sign * yi) * (xi - sign * yi)
+        width, points = math.sqrt(d2), None
+        if 0.0 < width < 1e-2 * length:
+            # the kernel drops to 0 within about |x -+ y| of the endpoint,
+            # a dip the rule's nodes can miss; a breakpoint per decade
+            # from there resolves it
+            points = [stop - sign * width * 10.0 ** k
+                      for k in range(-2, int(math.log10(length / width)) + 1)]
+        value[idx] = integrate.quad(_student_kernel, start, stop,
+                                    args=(sign, d2, sign * 2.0 * xi * yi, df),
+                                    points=points, epsabs=1e-13, epsrel=1e-12)[0]
     if sign > 0.0:
-        base = special.stdtr(df, min(x, y))
+        base = special.stdtr(df, np.minimum(x, y))
     else:
-        base = max(0.0, special.stdtr(df, x) + special.stdtr(df, y) - 1.0)
-    return float(base - value / (2.0 * math.pi))
+        base = np.maximum(0.0, special.stdtr(df, x) + special.stdtr(df, y) - 1.0)
+    return base - value / (2.0 * math.pi)
 
 
-def _log1mexp(x: float) -> float:
+def _log1mexp(x):
     """log(1 - e^-x) for x > 0."""
-    return math.log(-math.expm1(-x))
+    return np.log(-np.expm1(-x))
 
 
-def _frank_cdf(u: float, v: float, th: float) -> float:
+def _frank_cdf(u, v, th: float) -> np.ndarray:
     """Frank copula CDF -log1p(r) / th, r = expm1(-th u) expm1(-th v) / expm1(-th).
 
     The direct form is accurate to rounding while r is finite, its
@@ -326,41 +382,105 @@ def _frank_cdf(u: float, v: float, th: float) -> float:
     For theta > 0,
     1 + r = (e^(-th u) (1 - e^(-th (1 - u))) + e^(-th v) (1 - e^(-th u)))
     / (1 - e^-th), a sum of positive terms; for theta < 0, r is a product
-    of positive factors.
+    of positive factors.  All three forms are evaluated on every entry
+    and each entry takes the one that holds there.
     """
     try:
-        a, b = math.expm1(-th * u), math.expm1(-th * v)
-        r = a * b / math.expm1(-th)
+        d = math.expm1(-th)
     except OverflowError:
-        a = b = r = math.inf
-    if (th > 0.0 and r > -0.5) or (th < 0.0 and r < math.inf):
-        if min(abs(a), abs(b), abs(a * b), abs(r)) >= sys.float_info.min:
-            return -math.log1p(r) / th
+        d = math.inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, b = np.expm1(-th * u), np.expm1(-th * v)
+        r = np.where(np.isinf(a) | np.isinf(b) | math.isinf(d), np.inf, a * b / d)
+        direct = -np.log1p(r) / th
+        tiny = np.minimum(np.minimum(np.abs(a), np.abs(b)),
+                          np.minimum(np.abs(a * b), np.abs(r))) < sys.float_info.min
         x, y = -th * u, -th * v
-        ratios = ((math.expm1(x) / x if x else 1.0) * (math.expm1(y) / y if y else 1.0)
-                  * (math.log1p(r) / r if r else 1.0))
-        return -th / math.expm1(-th) * ratios * v * u
-    if th > 0.0:
-        a = -th * u + _log1mexp(th * (1.0 - u))
-        b = -th * v + _log1mexp(th * u)
-        log_sum = max(a, b) + math.log1p(math.exp(-abs(a - b)))
-        return (_log1mexp(th) - log_sum) / th
-    phi = -th
-    log_r = (phi * (u + v - 1.0) + _log1mexp(phi * u) + _log1mexp(phi * v)
-             - _log1mexp(phi))
-    return (max(log_r, 0.0) + math.log1p(math.exp(-abs(log_r)))) / phi
+        ratios = (np.where(x != 0.0, a / x, 1.0) * np.where(y != 0.0, b / y, 1.0)
+                  * np.where(r != 0.0, np.log1p(r) / r, 1.0))
+        small = -th / d * ratios * v * u
+        if th > 0.0:
+            kept = r > -0.5
+            la = -th * u + _log1mexp(th * (1.0 - u))
+            lb = -th * v + _log1mexp(th * u)
+            log_sum = np.maximum(la, lb) + np.log1p(np.exp(-np.abs(la - lb)))
+            far = (_log1mexp(th) - log_sum) / th
+        else:
+            kept = r < np.inf
+            phi = -th
+            log_r = (phi * (u + v - 1.0) + _log1mexp(phi * u) + _log1mexp(phi * v)
+                     - _log1mexp(phi))
+            far = (np.maximum(log_r, 0.0) + np.log1p(np.exp(-np.abs(log_r)))) / phi
+    return np.where(kept, np.where(tiny, small, direct), far)
+
+
+def _clayton_cdf(u, v, th: float) -> np.ndarray:
+    """Clayton copula CDF (u^-th + v^-th - 1)^(-1/th), or 0 where the base is <= 0.
+
+    Where a power or their sum passes 1e308 (theta > 0) the larger of
+    a = -th log u and b = -th log v is factored out:
+    C = exp(-(m + log1p(e^-|a - b| - e^-m)) / th), m = max(a, b).
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        base = u ** (-th) + v ** (-th) - 1.0
+        direct = np.where(base <= 0.0, 0.0, base ** (-1.0 / th))
+        a, b = -th * np.log(u), -th * np.log(v)
+        m = np.maximum(a, b)
+        far = np.exp(-(m + np.log1p(np.exp(-np.abs(a - b)) - np.exp(-m))) / th)
+    return np.where(base < np.inf, direct, far)
+
+
+def _gumbel_cdf(u, v, th: float) -> np.ndarray:
+    """Gumbel copula CDF exp(-(a^th + b^th)^(1/th)), a = -log u, b = -log v.
+
+    The larger of a and b is factored out, so no power of a value above
+    1 overflows at large theta.
+    """
+    a, b = -np.log(u), -np.log(v)
+    m = np.maximum(a, b)
+    return np.exp(-m * np.exp(np.log1p((np.minimum(a, b) / m) ** th) / th))
+
+
+def _interior_cdf(spec: ContinuousCopulaSpec, u, v) -> np.ndarray:
+    """C(u, v) of ``spec`` on broadcast arrays with entries in (0, 1).
+
+    One array kernel per family; every value is clamped to the Frechet
+    bounds max(0, u + v - 1) <= C <= min(u, v), which rounding and
+    quadrature error of order 1e-16 would otherwise cross at small
+    arguments.
+    """
+    p = spec.params
+    if spec.family == "independence":
+        c = u * v
+    elif spec.family == "fgm":
+        c = u * v * (1.0 + p["theta"] * (1.0 - u) * (1.0 - v))
+    elif spec.family == "clayton":
+        c = _clayton_cdf(u, v, p["theta"])
+    elif spec.family == "gumbel":
+        c = _gumbel_cdf(u, v, p["theta"])
+    elif spec.family == "frank":
+        c = _frank_cdf(u, v, p["theta"])
+    elif spec.family == "gaussian":
+        c = _gaussian_cdf(u, v, p["rho"])
+    else:
+        c = _student_cdf(u, v, p["rho"], p["df"])
+    lower = np.where(u + v > 1.0, u + v - 1.0, 0.0)
+    upper = np.minimum(u, v)
+    c = np.where(c < lower, lower, c)
+    return np.where(c > upper, upper, c)
 
 
 def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
     """Evaluate the copula CDF C(u, v) of the given family.
 
     Grounded and margin-exact by construction: C(u, 0) = C(0, v) = 0,
-    C(u, 1) = u, C(1, v) = v.  The Gaussian family is closed form in
-    Owen's T, to about 1e-16 absolute; the Student family evaluates to
-    ~1e-12 via a one-dimensional correlation integral.  Every family is
-    clamped to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v),
-    which rounding and quadrature error of order 1e-16 would otherwise
-    cross at small arguments.
+    C(u, 1) = u, C(1, v) = v.  Inside the square this is the family's
+    array kernel at one point, the same one :func:`discretize_copula`
+    runs on a whole mesh, so a mesh node and this value agree exactly.
+    The Gaussian family is closed form in Owen's T, to about 1e-16
+    absolute; the Student family evaluates to ~1e-12 via a
+    one-dimensional correlation integral.  Every family is clamped to the
+    Frechet bounds max(0, u + v - 1) <= C <= min(u, v).
     """
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise DomainError(f"copula arguments must lie in [0, 1], got ({u!r}, {v!r})")
@@ -370,62 +490,54 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
         return v
     if v == 1.0:
         return u
+    # one-entry arrays, not scalars: NumPy's scalar operators take other
+    # code paths than its array loops, and a mesh runs the array loops
+    return float(_interior_cdf(spec, np.array([float(u)]), np.array([float(v)]))[0])
 
-    p = spec.params
-    if spec.family == "independence":
-        c = u * v
-    elif spec.family == "fgm":
-        c = u * v * (1.0 + p["theta"] * (1.0 - u) * (1.0 - v))
-    elif spec.family == "clayton":
-        th = p["theta"]
-        try:
-            base = u ** (-th) + v ** (-th) - 1.0
-        except OverflowError:
-            base = math.inf
-        if base < math.inf:
-            c = 0.0 if base <= 0.0 else base ** (-1.0 / th)
-        else:
-            # a power or their sum past 1e308 (theta > 0): factor the larger out
-            a, b = -th * math.log(u), -th * math.log(v)
-            m = max(a, b)
-            c = math.exp(-(m + math.log1p(math.exp(-abs(a - b)) - math.exp(-m))) / th)
-    elif spec.family == "gumbel":
-        # (a^th + b^th)^(1/th) with the larger of a, b factored out, so no
-        # power of a value above 1 overflows at large theta
-        th = p["theta"]
-        a, b = -math.log(u), -math.log(v)
-        m = max(a, b)
-        c = math.exp(-m * math.exp(math.log1p((min(a, b) / m) ** th) / th))
-    elif spec.family == "frank":
-        c = _frank_cdf(u, v, p["theta"])
-    elif spec.family == "gaussian":
-        c = _gaussian_cdf(u, v, p["rho"])
-    else:
-        c = _student_cdf(u, v, p["rho"], p["df"])
-    lower = u + v - 1.0 if u + v > 1.0 else 0.0
-    upper = u if u < v else v
-    if c < lower:
-        c = lower
-    if c > upper:
-        c = upper
-    return c
+
+#: Largest |t quantile| of a Student mesh node: below it (x - y)^2 is a
+#: finite double.  At 15 x 15 the quantile of 1/15 passes it below df of
+#: about 0.0055 (it is about -7.6e435 at df = 0.002).
+_STUDENT_MESH_QUANTILE_MAX = 0.5 * math.sqrt(sys.float_info.max)
+
+
+def _cdf_mesh(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> np.ndarray:
+    """C at every node (i/R, j/S) of the mesh, in one kernel call for the interior."""
+    u = np.arange(n_rows + 1) / n_rows
+    v = np.arange(n_cols + 1) / n_cols
+    if spec.family == "student":
+        df = spec.params["df"]
+        quantiles = _student_quantile(df, np.concatenate((u[1:-1], v[1:-1])))
+        if not (np.abs(quantiles) < _STUDENT_MESH_QUANTILE_MAX).all():
+            raise ParamError(
+                f"student df={df!r} is too small for a {n_rows}x{n_cols} mesh: the t "
+                f"quantile of a mesh node passes {_STUDENT_MESH_QUANTILE_MAX:.2g}, "
+                "where the correlation integral overflows"
+            )
+    nodes = np.zeros((n_rows + 1, n_cols + 1))
+    nodes[1:, n_cols] = u[1:]
+    nodes[n_rows, 1:] = v[1:]
+    nodes[1:n_rows, 1:n_cols] = _interior_cdf(spec, u[1:n_rows, None], v[None, 1:n_cols])
+    return nodes
 
 
 def discretize_copula(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> JointPmf:
     """Copula pmf from rectangle differences of ``C`` on a regular mesh.
 
     Cell (u, v) receives the C-mass of the rectangle
-    [u/R, (u+1)/R] x [v/S, (v+1)/S].  Each mesh node is evaluated once, so
-    the row and column sums telescope to the exact uniform margins up to
-    rounding, independent of any quadrature error in the interior nodes.
+    [u/R, (u+1)/R] x [v/S, (v+1)/S].  The interior nodes are one call of
+    the family's array kernel on the row coordinates against the column
+    coordinates, so per-argument work (the normal and t quantiles) runs
+    once per row and per column; each node equals ``copula_cdf`` there.
+    Each node is evaluated once, so the row and column sums telescope to
+    the exact uniform margins up to rounding, independent of any
+    quadrature error in the interior nodes.  A Student df so small that a
+    mesh node's t quantile leaves the range where the correlation integral
+    can be evaluated raises ``ParamError``.
     """
     n_rows = check_size(n_rows, "n_rows", 2, ValidationError)
     n_cols = check_size(n_cols, "n_cols", 2, ValidationError)
-    nodes = np.empty((n_rows + 1, n_cols + 1))
-    for i in range(n_rows + 1):
-        for j in range(n_cols + 1):
-            nodes[i, j] = copula_cdf(spec, i / n_rows, j / n_cols)
-    cells = np.diff(np.diff(nodes, axis=0), axis=1)
+    cells = np.diff(np.diff(_cdf_mesh(spec, n_rows, n_cols), axis=0), axis=1)
     # 2-increasingness can be lost to the Student CDF's quadrature noise
     # at ~1e-12, and to rounding elsewhere; clip
     return JointPmf(np.clip(cells, 0.0, None))
@@ -502,11 +614,9 @@ def binomial_copula(n: int, omega: float) -> JointPmf:
     n = check_size(n, "n", 1, ParamError)
     omega = check_nonnegative(omega, "omega", ParamError)
     size = n + 1
-    upper, lower = frechet_bounds(size)
-    if omega == 0.0:
-        return lower
-    if math.isinf(omega):
-        return upper
+    if omega == 0.0 or math.isinf(omega):
+        upper, lower = frechet_bounds(size)
+        return lower if omega == 0.0 else upper
     if omega == 1.0:
         return JointPmf(np.full((size, size), 1.0 / size**2))
 
@@ -527,8 +637,15 @@ def truncated_geometric_pmf(n_levels: int, p2: JointPmf) -> JointPmf:
 
     X counts the leading (X_i = 0)'s and Y the leading (Y_i = 0)'s in a
     shared i.i.d. stream from ``p2``; both are truncated by min(., N-1).
-    The four branches (interior above/on/below the diagonal plus the
-    absorbing boundary) are evaluated exactly from the cell products.
+    With row0 = p00 + p01, row1 = p10 + p11, col0 = p00 + p10 and
+    col1 = p01 + p11, the cells are exact products:
+
+        x < y:  p00^x p10 col0^(y-x-1) col1,    x = y:  p00^x p11,
+        x > y:  p00^y p01 row0^(x-y-1) row1,
+
+    where the absorbing boundary (x or y = N-1) drops the last factor
+    (col1, row1 or p11).  The table is built at once from the index grids,
+    with each power looked up in a table of p^0 .. p^(N-1).
     """
     n = check_size(n_levels, "n_levels", 2, ParamError)
     if p2.shape != (2, 2):
@@ -540,22 +657,23 @@ def truncated_geometric_pmf(n_levels: int, p2: JointPmf) -> JointPmf:
     row0, col0 = p00 + p01, p00 + p10
     row1, col1 = p10 + p11, p01 + p11
 
-    out = np.empty((n, n))
-    for x in range(n):
-        for y in range(n):
-            if x < n - 1 and y < n - 1:
-                if x < y:
-                    out[x, y] = p00**x * p10 * col0 ** (y - x - 1) * col1
-                elif x == y:
-                    out[x, y] = p00**x * p11
-                else:
-                    out[x, y] = p00**y * p01 * row0 ** (x - y - 1) * row1
-            elif x == n - 1 and y < n - 1:
-                out[x, y] = p00**y * p01 * row0 ** (n - y - 2)
-            elif y == n - 1 and x < n - 1:
-                out[x, y] = p00**x * p10 * col0 ** (n - x - 2)
-            else:
-                out[x, y] = p00 ** (n - 1)
+    def powers(base):
+        # scalar powers, as the per-cell products take them
+        return np.array([base**k for k in range(n)])
+
+    def before_last(factor):
+        # the factor of every level but the absorbing one
+        out = np.full(n, factor)
+        out[-1] = 1.0
+        return out
+
+    k = np.arange(n)
+    gap = np.abs(k[:, None] - k) - 1  # -1 on the diagonal, overwritten below
+    lead = powers(p00)
+    above = lead[:, None] * p10 * powers(col0)[gap] * before_last(col1)
+    below = lead * p01 * powers(row0)[gap] * before_last(row1)[:, None]
+    out = np.where(k[:, None] < k, above, below)
+    out[k, k] = lead * before_last(p11)
     return JointPmf(out)
 
 
@@ -565,29 +683,14 @@ def _geometric_limit_costs(n: int):
     With the base table at odds ratio omega -> 0, every cell of the
     truncated table behaves like coef * sqrt(omega)**order; the surviving
     copula support minimizes the total order subject to uniform margins.
+    Off the diagonal and on the boundary the order is min(x, y); the
+    interior diagonal adds 1.  The coefficient is 2^-(max(x, y) + 1),
+    capped at 2^-(N-1) on the boundary.
     """
-    order = np.empty((n, n), dtype=np.int64)
-    coef = np.empty((n, n))
-    for x in range(n):
-        for y in range(n):
-            if x == n - 1 and y == n - 1:
-                order[x, y] = n - 1
-                coef[x, y] = 2.0 ** -(n - 1)
-            elif x == n - 1:
-                order[x, y] = y
-                coef[x, y] = 2.0 ** -(n - 1)
-            elif y == n - 1:
-                order[x, y] = x
-                coef[x, y] = 2.0 ** -(n - 1)
-            elif x < y:
-                order[x, y] = x
-                coef[x, y] = 2.0 ** -(y + 1)
-            elif x > y:
-                order[x, y] = y
-                coef[x, y] = 2.0 ** -(x + 1)
-            else:
-                order[x, y] = x + 1
-                coef[x, y] = 2.0 ** -(x + 1)
+    x = np.arange(n)[:, None]
+    y = np.arange(n)[None, :]
+    order = np.minimum(x, y) + ((x == y) & (x < n - 1))
+    coef = np.ldexp(1.0, -np.minimum(np.maximum(x, y) + 1, n - 1))
     return order, coef
 
 

@@ -25,7 +25,7 @@ from tabcop.errors import (
     check_nonnegative,
     check_size,
 )
-from tabcop.pmf_core import JointPmf, MarginPair
+from tabcop.pmf_core import JointPmf, MarginPair, _wrap
 
 _GRID_MASS_TOL = 1e-9
 _GRID_MARGIN_TOL = 1e-6
@@ -198,7 +198,8 @@ def poisson_copula_grid(omega: float, n_levels: int) -> DensityGrid:
         )
     pmf = bivariate_poisson_pmf(1.0, 1.0, omega, n_levels)
     cop, _diag = scaling.copula_pmf(pmf)
-    return DensityGrid(n_levels**2 * cop.values)
+    # N^2 times a fitted copula pmf: the grid's invariants hold by construction
+    return _wrap(DensityGrid, heights=n_levels**2 * cop.values)
 
 
 def geometric_copula_grid(omega: float, n_levels: int) -> DensityGrid:
@@ -211,7 +212,7 @@ def geometric_copula_grid(omega: float, n_levels: int) -> DensityGrid:
     from tabcop.families import truncated_geometric_copula
 
     cop = truncated_geometric_copula(n_levels, omega)
-    return DensityGrid(n_levels**2 * cop.values)
+    return _wrap(DensityGrid, heights=n_levels**2 * cop.values)
 
 
 def couple_countable_margins(margin_x, margin_y, copula: JointPmf) -> JointPmf:

@@ -353,6 +353,7 @@ def _student_cdf_by_mixture(u, v, rho, df):
 
 class TestStudentCdf:
     @settings(max_examples=40, deadline=None)
+    @example(u=0.5, v=0.4999999, rho=0.0, df=1.0)  # the kernel's dip at the endpoint
     @given(
         u=st.floats(0.01, 0.99),
         v=st.floats(0.01, 0.99),
@@ -363,6 +364,20 @@ class TestStudentCdf:
         assert _student_cdf(u, v, rho, df) == pytest.approx(
             _student_cdf_by_mixture(u, v, rho, df), abs=1e-10
         )
+
+    @pytest.mark.parametrize("u, v, rho, df", [
+        (0.5, 0.4999999, 0.0, 1.0), (0.3, 0.3 + 1e-9, 0.5, 4.0), (0.7, 0.7 - 1e-12, 0.9, 30.0),
+        (0.2, 0.8 + 1e-7, -0.6, 2.0), (0.45, 0.55 - 1e-10, -0.3, 0.5), (0.9, 0.9 + 1e-5, 0.2, 8.0),
+    ])
+    def test_nearly_equal_quantiles(self, u, v, rho, df):
+        # the kernel drops to 0 within |x -+ y| of the endpoint, where a
+        # plain adaptive rule can step over it (5e-8 off at the first point);
+        # the bound is the mixture test's, since stdtr itself is 5.8e-11 off
+        # at the first point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = float(_student_cdf(u, v, rho, df))
+        assert value == pytest.approx(_student_cdf_by_mixture(u, v, rho, df), abs=1e-10)
 
     @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.3, 0.9, 0.99])
     def test_large_df_is_gaussian(self, rho):
@@ -506,10 +521,46 @@ class TestStudentQuantile:
             assert 0.0 <= copula_cdf(spec, u, 0.4) <= 0.4
 
     def test_mesh_nodes_keep_stdtrit(self):
-        # the mesh never reaches a failure, so discretized pmfs are unchanged
-        for df in (0.0005, 0.002, 0.1, 1.0, 2.3412869356382107, 30.0, 1e8):
+        # from df of about 0.006 on stdtrit passes its round trip at every
+        # node of a 15 x 15 mesh, so discretized pmfs are unchanged (smaller
+        # df below)
+        for df in (0.01, 0.1, 1.0, 2.3412869356382107, 30.0, 1e8):
             for i in range(1, 15):
                 assert _student_quantile(df, i / 15) == float(special.stdtrit(df, i / 15))
+
+    @pytest.mark.parametrize("df", [0.0005, 0.002])
+    def test_tiny_df_values_that_miss_the_round_trip_replaced(self, df):
+        # scipy 1.17's stdtrit sticks at about -+1.5e152 (df = 0.0005) and
+        # -+3e152 (df = 0.002) across most of the mesh; a value whose tail
+        # misses u (or 1 - u) is replaced by the tail solve on that tail,
+        # and one that round-trips is kept
+        for i in range(1, 15):
+            u = i / 15
+            by_stdtrit = float(special.stdtrit(df, u))
+            tail = min(u, 1.0 - u)
+            back = special.stdtr(df, by_stdtrit if u < 0.5 else -by_stdtrit)
+            x = _student_quantile(df, u)
+            if abs(back - tail) <= 1e-10 * tail:
+                assert x == by_stdtrit
+            else:
+                q = _student_tail_quantile(df, tail)
+                assert x == (q if u < 0.5 else -q)
+
+    def test_finite_wrong_quantile_replaced(self):
+        # stdtrit gives a finite -3.29e95 here; F(-3.29e95) is 8.65 u
+        df, u = 2.2103866156983756, 4.9493119154139494e-213
+        x = float(_student_quantile(df, u))
+        assert x == pytest.approx(-8.73345862645786e95, rel=1e-13, abs=0.0)
+        assert x == pytest.approx(_student_quantile_by_mpmath(df, u, x), rel=1e-13, abs=0.0)
+
+    def test_closed_form_in_logs_at_tiny_df(self):
+        # at df = 0.0005 the closed form's exp(log c / df) underflows while
+        # u^(-1/df) overflows, though their product is about -7.4e191; the
+        # quantile's condition number in u is 1/df = 2000, hence rel 5e-12
+        x = _student_tail_quantile(0.0005, 0.4)
+        assert x == pytest.approx(_student_quantile_by_mpmath(0.0005, 0.4, x), rel=5e-12,
+                                  abs=0.0)
+        assert _student_tail_quantile(0.0005, 0.3) == -math.inf  # about -5.6e441
 
 
 class TestDiscretize:
@@ -538,6 +589,40 @@ class TestDiscretize:
         p = discretize_copula(spec, *shape)
         assert np.abs(p.values.sum(axis=1) - 1.0 / shape[0]).max() <= 1e-14
         assert np.abs(p.values.sum(axis=0) - 1.0 / shape[1]).max() <= 1e-14
+
+    @pytest.mark.parametrize("spec", [
+        ContinuousCopulaSpec("independence", {}),
+        ContinuousCopulaSpec("fgm", {"theta": -0.7}),
+        *(ContinuousCopulaSpec("clayton", {"theta": th}) for th in (-0.6, 0.8, 300.0)),
+        *(ContinuousCopulaSpec("gumbel", {"theta": th}) for th in (2.0, 50.0, 1000.0)),
+        *(ContinuousCopulaSpec("frank", {"theta": th})
+          for th in (-800.0, -3.0, 1e-8, 4.0, 50.0, 700.0)),
+        *(ContinuousCopulaSpec("gaussian", {"rho": rho}) for rho in (-0.8, 0.0, 1.0 - 1e-12)),
+        ContinuousCopulaSpec("student", {"rho": 0.5, "df": 4.0}),
+        ContinuousCopulaSpec("student", {"rho": -0.3, "df": 1.0}),
+    ], ids=lambda spec: f"{spec.family}-{'-'.join(map(str, spec.params.values()))}")
+    def test_nodes_equal_copula_cdf(self, spec):
+        # one kernel call for the mesh, the same kernel at one point in
+        # copula_cdf: equal to the bit, boundary nodes included
+        for n_rows, n_cols in ((15, 15), (4, 7)):
+            nodes = families._cdf_mesh(spec, n_rows, n_cols)
+            expected = [[copula_cdf(spec, i / n_rows, j / n_cols) for j in range(n_cols + 1)]
+                        for i in range(n_rows + 1)]
+            np.testing.assert_array_equal(nodes, expected)
+            cells = discretize_copula(spec, n_rows, n_cols).values
+            np.testing.assert_array_equal(
+                cells, np.clip(np.diff(np.diff(expected, axis=0), axis=1), 0.0, None))
+
+    @pytest.mark.parametrize("df", [0.0005, 0.002, 0.004])
+    def test_tiny_student_df_is_a_param_error(self, df):
+        # the t quantile of 1/15 is about -7.6e435 at df = 0.002, past the
+        # doubles, and about -1.8e217 at df = 0.004, where (x - y)^2 in the
+        # correlation integral overflows (the mesh then summed to 1.13)
+        spec = ContinuousCopulaSpec("student", {"rho": 0.3, "df": df})
+        with pytest.raises(ParamError, match=f"df={df!r}"):
+            discretize_copula(spec, 15, 15)
+        assert is_copula_pmf(discretize_copula(
+            ContinuousCopulaSpec("student", {"rho": 0.3, "df": 0.01}), 15, 15), tol=1e-12)
 
     def test_matches_fgm_closed_form_everywhere(self):
         for theta in (-1.0, -0.3, 0.4, 1.0):
@@ -713,6 +798,72 @@ class TestTruncatedGeometricPmf:
     def test_level_validation(self):
         with pytest.raises(ParamError):
             truncated_geometric_pmf(1, JointPmf(np.full((2, 2), 0.25)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40),
+           cells=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                          min_size=4, max_size=4).filter(
+               lambda c: min(c[0] + c[1], c[2] + c[3], c[0] + c[2], c[1] + c[3]) > 0.0
+               and c[0] < 0.9 * sum(c)))
+    def test_matches_per_cell_branches(self, n, cells):
+        # base tables with zero cells included; the broadcast table equals
+        # the docstring's branches cell by cell, to the bit
+        base = np.array(cells).reshape(2, 2)
+        p2 = JointPmf(base / base.sum())
+        np.testing.assert_array_equal(truncated_geometric_pmf(n, p2).values,
+                                      _geometric_pmf_per_cell(n, p2))
+
+    @pytest.mark.parametrize("base", [[[0.4, 0.15], [0.2, 0.25]], [[0.0, 0.5], [0.5, 0.0]],
+                                      [[0.5, 0.0], [0.0, 0.5]], [[0.97, 0.01], [0.01, 0.01]]])
+    @pytest.mark.parametrize("n", [2, 3, 15, 40])
+    def test_matches_per_cell_branches_fixed(self, base, n):
+        p2 = JointPmf(base)
+        np.testing.assert_array_equal(truncated_geometric_pmf(n, p2).values,
+                                      _geometric_pmf_per_cell(n, p2))
+
+
+def _geometric_pmf_per_cell(n, p2):
+    """The truncated geometric table, one branch of its docstring per cell."""
+    v = p2.values
+    p00, p01, p10, p11 = v[0, 0], v[0, 1], v[1, 0], v[1, 1]
+    row0, col0, row1, col1 = p00 + p01, p00 + p10, p10 + p11, p01 + p11
+    out = np.empty((n, n))
+    for x in range(n):
+        for y in range(n):
+            if x < y:
+                cell = p00**x * p10 * col0 ** (y - x - 1)
+                out[x, y] = cell * col1 if y < n - 1 else cell
+            elif x > y:
+                cell = p00**y * p01 * row0 ** (x - y - 1)
+                out[x, y] = cell * row1 if x < n - 1 else cell
+            else:
+                out[x, y] = p00**x * p11 if x < n - 1 else p00**x
+    return out
+
+
+def _geometric_limit_costs_per_cell(n):
+    """Orders and coefficients of the omega -> 0 limit, branch by branch."""
+    order = np.empty((n, n), dtype=np.int64)
+    coef = np.empty((n, n))
+    for x in range(n):
+        for y in range(n):
+            if x == n - 1 or y == n - 1:
+                order[x, y], coef[x, y] = min(x, y), 2.0 ** -(n - 1)
+            elif x == y:
+                order[x, y], coef[x, y] = x + 1, 2.0 ** -(x + 1)
+            else:
+                order[x, y], coef[x, y] = min(x, y), 2.0 ** -(max(x, y) + 1)
+    return order, coef
+
+
+class TestGeometricLimitCosts:
+    @pytest.mark.parametrize("n", [*range(2, 41), 64, 300])
+    def test_matches_per_cell_branches(self, n):
+        order, coef = _geometric_limit_costs(n)
+        expected_order, expected_coef = _geometric_limit_costs_per_cell(n)
+        assert order.dtype == np.int64
+        np.testing.assert_array_equal(order, expected_order)
+        np.testing.assert_array_equal(coef, expected_coef)
 
 
 def _face_by_resolves(cost):

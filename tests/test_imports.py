@@ -4,11 +4,12 @@ scipy is imported only inside the functions that need it (the Gaussian
 and Student CDFs, the geometric omega = 0 assignment face, the Poisson
 pmf, tails and grid), so ``import tabcop``, the ``analyze``, ``copula``
 and ``couple`` verbs, the binomial, geometric and Goodman families, the
-geometric grid at omega != 0 and the bivariate Binomial pmf never load
-it.  The Gaussian CDF needs only ``scipy.special`` (Owen's T), and the
-Student CDF adds ``scipy.integrate``; neither loads ``scipy.stats``.  Each
-check runs in a fresh interpreter, since the test session itself has
-scipy loaded.
+geometric grid at omega != 0, the bivariate Binomial pmf and the
+independence, FGM, Clayton, Gumbel and Frank CDFs never load it.  The
+Gaussian CDF needs only ``scipy.special`` (Owen's T), and the Student
+CDF adds ``scipy.integrate``; neither loads ``scipy.stats``.  Each check
+runs in a fresh interpreter, since the test session itself has scipy
+loaded.
 """
 
 import json
@@ -44,6 +45,11 @@ families = [
 with contextlib.redirect_stdout(io.StringIO()):
     report["family_codes"] = [tabcop.cli.run(argv) for argv in families]
 tabcop.bivariate_binomial_pmf(40, tabcop.bernoulli_copula(2.5))
+for name, params in (("independence", {}), ("fgm", {"theta": 0.5}), ("clayton", {"theta": 2.0}),
+                     ("gumbel", {"theta": 2.0}), ("frank", {"theta": -3.0})):
+    spec = tabcop.ContinuousCopulaSpec(name, params)
+    tabcop.discretize_copula(spec, 5, 5)
+    tabcop.copula_cdf(spec, 0.3, 0.6)
 report["families"] = scipy_modules()
 spec = tabcop.ContinuousCopulaSpec("gaussian", {"rho": 0.5})
 report["gaussian_is_copula"] = tabcop.is_copula_pmf(tabcop.discretize_copula(spec, 4, 4))

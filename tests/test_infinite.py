@@ -232,6 +232,18 @@ class TestDensityGrid:
             DensityGrid(bad_margins)
         DensityGrid(np.array([[2.0, 0.0], [0.0, 2.0]]))  # diagonal grid is valid
 
+    @pytest.mark.parametrize("make", [
+        lambda: poisson_copula_grid(0.5, 24), lambda: poisson_copula_grid(0.0, 16),
+        lambda: geometric_copula_grid(2.0, 16), lambda: geometric_copula_grid(0.0, 8),
+        lambda: geometric_copula_grid(1.0, 2),
+    ])
+    def test_constructed_grids_pass_the_public_checks(self, make):
+        # the constructors skip DensityGrid's checks; their grids still pass them
+        g = make()
+        assert not g.heights.flags.writeable
+        assert g.heights.dtype == np.float64 and g.heights.flags.c_contiguous
+        np.testing.assert_array_equal(DensityGrid(g.heights).heights, g.heights)
+
     def test_cell_centers(self):
         g = geometric_copula_grid(1.0, 4)
         np.testing.assert_allclose(g.cell_centers(), [0.2, 0.4, 0.6, 0.8])
