@@ -573,10 +573,14 @@ def _solve_exact(values, rt, ct, tol, classification):
 
 
 def _run_ipf(values, rt, ct, tol, max_iter, classification):
-    init_dev = _margin_error(values, rt, ct)
-    if init_dev <= tol:
-        diag = ScalingDiagnostics(0, float(init_dev), classification)
-        return values, diag
+    # the rows and columns are checked apart, and the columns only when
+    # the rows already fit: a table that starts at its margins is rare
+    row_dev = np.abs(values.sum(axis=1) - rt).max()
+    if row_dev <= tol:
+        init_dev = np.maximum(row_dev, np.abs(values.sum(axis=0) - ct).max())
+        if init_dev <= tol:
+            diag = ScalingDiagnostics(0, float(init_dev), classification)
+            return values, diag
 
     solved = _solve_exact(values, rt, ct, tol, classification)
     if solved is not None:

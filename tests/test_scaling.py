@@ -116,6 +116,25 @@ class TestIpfFit:
         assert diag.iterations <= 1
         np.testing.assert_array_equal(fitted.values, p.values)
 
+    @pytest.mark.parametrize("fit_rows, fit_cols", [(True, False), (False, True),
+                                                    (True, True)])
+    def test_start_at_the_margins_needs_rows_and_columns(self, rng, fit_rows, fit_cols):
+        # the first check sums the columns only when the rows already fit;
+        # only a table at both margins skips the fit, and its margin error
+        # is the larger deviation of the two
+        p = JointPmf(random_positive_pmf(rng, 3, 4))
+        have = pmf_core.margins(p)
+        t = MarginPair(have.row_margins if fit_rows else random_margins(rng, 3),
+                       have.col_margins if fit_cols else random_margins(rng, 4))
+        fitted, diag = ipf_fit(p, t, tol=1e-12)
+        deviation = max(np.abs(p.values.sum(axis=1) - t.row_margins).max(),
+                        np.abs(p.values.sum(axis=0) - t.col_margins).max())
+        if fit_rows and fit_cols:
+            assert diag.iterations == 0 and diag.margin_error == deviation
+            np.testing.assert_array_equal(fitted.values, p.values)
+        else:
+            assert diag.iterations > 0 and diag.margin_error <= 1e-12 < deviation
+
     def test_graubard_copula(self):
         p = from_counts(GRAUBARD_COUNTS)
         fitted, _ = ipf_fit(p, uniform_pair(2, 5))
