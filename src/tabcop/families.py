@@ -658,7 +658,7 @@ def truncated_geometric_pmf(n_levels: int, p2: JointPmf) -> JointPmf:
     row1, col1 = p10 + p11, p01 + p11
 
     def powers(base):
-        # scalar powers, as the per-cell products take them
+        # scalar powers: NumPy's vector power can differ in the last bit
         return np.array([base**k for k in range(n)])
 
     def before_last(factor):
@@ -684,8 +684,8 @@ def _geometric_limit_costs(n: int):
     truncated table behaves like coef * sqrt(omega)**order; the surviving
     copula support minimizes the total order subject to uniform margins.
     Off the diagonal and on the boundary the order is min(x, y); the
-    interior diagonal adds 1.  The coefficient is 2^-(max(x, y) + 1),
-    capped at 2^-(N-1) on the boundary.
+    interior diagonal adds 1.  The coefficient is 2^-(max(x, y) + 1)
+    inside and 2^-(N-1) on the boundary.
     """
     x = np.arange(n)[:, None]
     y = np.arange(n)[None, :]
