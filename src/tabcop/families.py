@@ -297,6 +297,29 @@ def _student_quantile(df: float, u) -> np.ndarray:
     return x
 
 
+def _student_t_cdf(df: float, x) -> np.ndarray:
+    """The t CDF at the entries of ``x``: ``stdtr``, but from the centre's own form near it.
+
+    ``stdtr`` cancels near x = 0: ``stdtr(1, -1e-9)`` is exactly 0.5, 3.2e-10
+    off.  Where |x| < sqrt(df) the CDF is taken as
+
+        1/2 + sign(x) I_z(1/2, df/2) / 2,    z = x^2 / (df + x^2),
+
+    the probability of |T| <= |x| halved, which keeps the digits of the
+    offset from 1/2: for df from 0.5 to 30 it is within 1.1e-16 of a
+    40-digit reference at u within 1e-6 of 1/2, and within 4.4e-16
+    anywhere in that range.  Elsewhere ``stdtr`` is kept.
+    """
+    special = _special()
+    x = np.asarray(x, dtype=float)
+    cdf = np.array(special.stdtr(df, x), dtype=float)
+    centre = np.abs(x) < math.sqrt(df)
+    xc = x[centre]
+    z = xc * xc / (df + xc * xc)
+    cdf[centre] = 0.5 + np.sign(xc) * special.betainc(0.5, 0.5 * df, z) / 2.0
+    return cdf
+
+
 def _student_kernel(theta, rho_sign, d2, xy2, df):
     """The correlation-integral kernel of :func:`_student_cdf` at r = sin(theta)."""
     s, c = math.sin(theta), math.cos(theta)
@@ -330,9 +353,10 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     endpoint, and breakpoints there keep ``quad`` from stepping over the
     dip (at (u, v) = (0.5, 0.4999999), rho = 0, df = 1 the plain call was
     5e-8 off).  The quantiles are taken once per entry of ``u`` and of
-    ``v``; the integral is one ``quad`` per point.
+    ``v``; the integral is one ``quad`` per point, and T is
+    :func:`_student_t_cdf`.
     """
-    integrate, special = _quadrature()
+    integrate, _ = _quadrature()
     x, y = np.broadcast_arrays(_student_quantile(df, u), _student_quantile(df, v))
     sign = 1.0 if rho >= 0.0 else -1.0
     start, stop = math.asin(rho), sign * math.pi / 2.0
@@ -352,9 +376,9 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
                                     args=(sign, d2, sign * 2.0 * xi * yi, df),
                                     points=points, epsabs=1e-13, epsrel=1e-12)[0]
     if sign > 0.0:
-        base = special.stdtr(df, np.minimum(x, y))
+        base = _student_t_cdf(df, np.minimum(x, y))
     else:
-        base = np.maximum(0.0, special.stdtr(df, x) + special.stdtr(df, y) - 1.0)
+        base = np.maximum(0.0, _student_t_cdf(df, x) + _student_t_cdf(df, y) - 1.0)
     return base - value / (2.0 * math.pi)
 
 
@@ -594,7 +618,9 @@ def _binomial_odds_entries(n: int, omega: float) -> np.ndarray:
     """
     pascal = [np.ones(1)]
     for _ in range(n):
-        pascal.append(np.convolve(pascal[-1], [1.0, 1.0]))
+        prev, row = pascal[-1], np.ones(len(pascal[-1]) + 1)
+        row[1:-1] = prev[:-1] + prev[1:]
+        pascal.append(row)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = omega ** np.arange(n + 1.0)
         rows = [np.convolve(pascal[x] * powers[: x + 1], pascal[n - x])

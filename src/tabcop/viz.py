@@ -59,10 +59,12 @@ def confetti_svg(p: JointPmf, opts: ConfettiOptions | None = None) -> str:
     margins appear as black dots in a right gutter and the column margins
     in a bottom gutter, on the same area scale.
 
-    Radii and ramp colours come from one array pass, in the same double
-    operations as a per-cell evaluation, and each row's cy and column's cx
-    is formatted once; Python's ``round`` and ``repr`` on the resulting
-    floats then give the same bytes as formatting cell by cell.
+    Radii and ramp colours come from one array pass over the flattened
+    table, in the same double operations as a per-cell evaluation: the
+    radii are formatted by ``repr`` and the colours rounded half to even
+    by ``np.rint``, as Python's ``round`` rounds them.  Each row's cy and
+    column's cx is formatted once, so the bytes equal those of
+    formatting cell by cell.
     """
     if opts is None:
         opts = ConfettiOptions()
@@ -73,32 +75,29 @@ def confetti_svg(p: JointPmf, opts: ConfettiOptions | None = None) -> str:
     height = (n_rows + (1 if opts.show_margins else 0)) * cell
     cys = [_fmt((x + 0.5) * cell) for x in range(n_rows)]
     cxs = [_fmt((y + 0.5) * cell) for y in range(n_cols)]
-    radii = _radii(values, opts)
-    t = values / values.max()
+    flat = values.ravel()
+    radii = list(map(repr, _radii(flat, opts)))
+    t = flat / flat.max()
     (r0, g0, b0), (r1, g1, b1) = opts.color_ramp_ends
-    reds = (r0 + t * (r1 - r0)).tolist()
-    greens = (g0 + t * (g1 - g0)).tolist()
-    blues = (b0 + t * (b1 - b0)).tolist()
-    positive = (values > 0.0).tolist()
+    reds, greens, blues = (np.rint(lo + t * (hi - lo)).astype(np.int64).tolist()
+                           for lo, hi in ((r0, r1), (g0, g1), (b0, b1)))
+    positive = (flat > 0.0).tolist()
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    for x, cy in enumerate(cys):
-        for y, cx in enumerate(cxs):
-            if positive[x][y]:
-                parts.append(
-                    f'<circle cx="{cx}" cy="{cy}" r="{radii[x][y]!r}" '
-                    f'fill="rgb({round(reds[x][y])},{round(greens[x][y])},'
-                    f'{round(blues[x][y])})"/>'
-                )
+    i = 0
+    for cy in cys:
+        for cx in cxs:
+            if positive[i]:
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="{radii[i]}" '
+                             f'fill="rgb({reds[i]},{greens[i]},{blues[i]})"/>')
             else:
-                parts.append(
-                    f'<circle cx="{cx}" cy="{cy}" r="1" '
-                    f'fill="none" stroke="black" stroke-width="1"/>'
-                )
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="1" '
+                             f'fill="none" stroke="black" stroke-width="1"/>')
+            i += 1
     if opts.show_margins:
         gx = _fmt((n_cols + 0.5) * cell)
         for cy, radius in zip(cys, _radii(values.sum(axis=1), opts)):

@@ -22,6 +22,7 @@ from tabcop.families import (
     _geometric_limit_costs,
     _student_cdf,
     _student_quantile,
+    _student_t_cdf,
     _student_tail_quantile,
     binomial_copula,
     bivariate_binomial_pmf,
@@ -351,7 +352,24 @@ def _student_cdf_by_mixture(u, v, rho, df):
     )
 
 
+def _student_t_cdf_by_mpmath(df, x):
+    """The t CDF at 40 digits, by the hypergeometric series of its offset from 1/2."""
+    with mpmath.workdps(40):
+        df, x = mpmath.mpf(df), mpmath.mpf(x)
+        scale = mpmath.gamma((df + 1) / 2) / (mpmath.sqrt(df * mpmath.pi) * mpmath.gamma(df / 2))
+        return float(0.5 + x * scale * mpmath.hyp2f1(0.5, (df + 1) / 2, 1.5, -x * x / df))
+
+
 class TestStudentCdf:
+    @pytest.mark.parametrize("df", [0.5, 1.0, 4.0, 30.0])
+    def test_base_term_near_the_median(self, df):
+        # stdtr cancels here: stdtr(1, -1e-9) is exactly 0.5, 3.2e-10 off
+        for offset in (1e-6, 3.1416e-7, 1e-9, 1e-12, 1e-15):
+            for u in (0.5 - offset, 0.5 + offset):
+                x = float(special.stdtrit(df, u))
+                assert _student_t_cdf(df, x) == pytest.approx(
+                    _student_t_cdf_by_mpmath(df, x), abs=2.3e-16)
+
     @settings(max_examples=40, deadline=None)
     @example(u=0.5, v=0.4999999, rho=0.0, df=1.0)  # the kernel's dip at the endpoint
     @given(
@@ -372,8 +390,7 @@ class TestStudentCdf:
     def test_nearly_equal_quantiles(self, u, v, rho, df):
         # the kernel drops to 0 within |x -+ y| of the endpoint, where a
         # plain adaptive rule can step over it (5e-8 off at the first point);
-        # the bound is the mixture test's, since stdtr itself is 5.8e-11 off
-        # at the first point
+        # the bound is the mixture test's
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = float(_student_cdf(u, v, rho, df))
@@ -750,7 +767,36 @@ def _exact_odds_entries(n, omega):
              for y in range(1, n + 1)] for x in range(1, n + 1)]
 
 
+def _convolved_odds_entries(n, omega):
+    """:func:`_binomial_odds_entries` with each Pascal row convolved from the last."""
+    pascal = [np.ones(1)]
+    for _ in range(n):
+        pascal.append(np.convolve(pascal[-1], [1.0, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = omega ** np.arange(n + 1.0)
+        rows = [np.convolve(pascal[x] * powers[: x + 1], pascal[n - x])
+                for x in range(1, n + 1)]
+        return np.array(rows)[:, 1:] / pascal[n][1:]
+
+
+#: The largest omega whose n = 120 entries are all finite, and the next double.
+_LAST_FINITE_OMEGA_120 = 370.50092478473675
+_FIRST_OVERFLOW_OMEGA_120 = 370.5009247847368
+
+
 class TestBinomialOddsEntries:
+    def test_bit_identical_to_convolved_pascal_rows(self):
+        for n in range(1, 121):
+            for omega in (0.3, 2.0, 37.0):
+                np.testing.assert_array_equal(_binomial_odds_entries(n, omega),
+                                              _convolved_odds_entries(n, omega))
+        for omega in (_LAST_FINITE_OMEGA_120, _FIRST_OVERFLOW_OMEGA_120):
+            got = _binomial_odds_entries(120, omega)
+            np.testing.assert_array_equal(got, _convolved_odds_entries(120, omega))
+            assert np.isfinite(got).all() == (omega == _LAST_FINITE_OMEGA_120)
+        with pytest.raises(ParamError, match="overflow"):
+            binomial_copula(120, _FIRST_OVERFLOW_OMEGA_120)
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 30), num=st.integers(1, 40), den=st.integers(1, 40))
     def test_match_exact_sums(self, n, num, den):

@@ -842,7 +842,71 @@ class TestCouple:
                    MarginPair([0.5, 0.5], [0.5, 0.5]))
 
 
+def in_order_sweeps(table, row_targets, col_targets, tol, max_iter, ring):
+    """The C kernel's loops over plain Python floats, one operation at a time.
+
+    Sweeps the nested list ``table`` and fills the list ``ring`` in place;
+    returns the number of sweeps run.
+    """
+    n_rows, n_cols, n_ring = len(table), len(table[0]), len(ring)
+    row_sums = []
+    for row in table:
+        s = 0.0
+        for cell in row:
+            s += cell
+        row_sums.append(s)
+    for k in range(max_iter):
+        err = 0.0
+        col_sums = [0.0] * n_cols
+        for x in range(n_rows):
+            factor = row_targets[x] / row_sums[x]
+            for y in range(n_cols):
+                table[x][y] *= factor
+                col_sums[y] += table[x][y]
+        col_factors = [col_targets[y] / col_sums[y] for y in range(n_cols)]
+        for x in range(n_rows):
+            s = 0.0
+            for y in range(n_cols):
+                table[x][y] *= col_factors[y]
+                s += table[x][y]
+            row_sums[x] = s
+            dev = abs(s - row_targets[x])
+            if dev > err or dev != dev:
+                err = dev
+        ring[k % n_ring] = err
+        if err <= tol:
+            return k + 1
+    return max_iter
+
+
 class TestKernels:
+    @pytest.mark.skipif(scaling.IPF_BACKEND == "python", reason="C kernel not built")
+    def test_c_kernel_is_bit_identical_to_in_order_loops(self, rng):
+        # tables with zero cells (none in a whole line) and row counts on
+        # and off multiples of 4; budgets and tolerances stop runs both
+        # part-way through a ring and at convergence
+        shapes = [(2, 2), (3, 40), (4, 4), (5, 7), (7, 3), (9, 16), (13, 13), (40, 40),
+                  (37, 21)] + [tuple(rng.integers(2, 41, size=2)) for _ in range(40)]
+        for n_rows, n_cols in shapes:
+            table = rng.random((n_rows, n_cols)) ** 3
+            table[rng.random((n_rows, n_cols)) < 0.2] = 0.0
+            table[np.arange(n_rows), np.arange(n_rows) % n_cols] += 0.1
+            table[np.arange(n_cols) % n_rows, np.arange(n_cols)] += 0.1
+            table /= table.sum()
+            rt, ct = random_margins(rng, n_rows), random_margins(rng, n_cols)
+            tol = float(rng.choice([0.0, 1e-12, 1e-6]))
+            max_iter = int(rng.integers(1, 70))
+            n_ring = int(rng.choice([1, 5, 16]))
+            work, ring = table.copy(), np.full(n_ring, -1.0)
+            done, err = scaling._bind(work, rt, ct, ring)(tol, max_iter)
+            ref_table, ref_ring = table.tolist(), [-1.0] * n_ring
+            ref_done = in_order_sweeps(ref_table, rt.tolist(), ct.tolist(), tol, max_iter,
+                                       ref_ring)
+            assert done == ref_done
+            assert work.tobytes() == np.array(ref_table).tobytes()
+            assert ring.tobytes() == np.array(ref_ring).tobytes()
+            assert err == ref_ring[(done - 1) % n_ring]
+
     def test_python_kernel_contract(self, rng):
         p = random_positive_pmf(rng, 4, 5)
         rt, ct = random_margins(rng, 4), random_margins(rng, 5)
@@ -915,6 +979,13 @@ class TestKernelBuild:
         assert len(built) == 1 and built[0].suffix == ".so"  # no temp file left
         self.fail_run(monkeypatch, AssertionError("a warm cache must not build"))
         assert scaling._load_kernel(str(tmp_path))[1] == "c"
+
+    def test_cache_name_keys_the_flags(self, tmp_path):
+        source = b"long f(void) { return 0; }"
+        path = scaling._lib_path(str(tmp_path), source, scaling._CFLAGS)
+        assert path == scaling._lib_path(str(tmp_path), source, scaling._CFLAGS)
+        assert path != scaling._lib_path(str(tmp_path), source, ("-O2", "-shared", "-fPIC"))
+        assert path != scaling._lib_path(str(tmp_path), source + b"\n", scaling._CFLAGS)
 
     @pytest.mark.parametrize("error", [
         FileNotFoundError("cc"),

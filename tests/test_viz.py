@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from tabcop.errors import ValidationError
 from tabcop.infinite import DensityGrid, geometric_copula_grid
@@ -81,14 +80,22 @@ def confetti_svg_per_cell(p, opts):
     return "\n".join(parts) + "\n"
 
 
-@st.composite
-def confetti_cases(draw):
-    """A table with zero cells but none in a whole row or column, and options."""
-    n_rows, n_cols = draw(st.integers(2, 25)), draw(st.integers(2, 25))
-    weights = draw(arrays(np.float64, (n_rows, n_cols),
-                          elements=st.one_of(st.just(0.0), st.floats(1e-12, 1e3))))
+def confetti_table(seed, n_rows, n_cols, zero_share):
+    """A pmf with about ``zero_share`` zero cells, none in a whole line,
+    and positive cells spread over 15 orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(-12.0, 3.0, size=(n_rows, n_cols))
+    weights[rng.random((n_rows, n_cols)) < zero_share] = 0.0
     weights[np.arange(n_rows), np.arange(n_rows) % n_cols] += 1.0
     weights[np.arange(n_cols) % n_rows, np.arange(n_cols)] += 1.0
+    return JointPmf(weights / weights.sum())
+
+
+@st.composite
+def confetti_cases(draw):
+    """A table of up to 64 x 64 with zero cells, and options."""
+    p = confetti_table(draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 64)),
+                       draw(st.integers(2, 64)), draw(st.sampled_from([0.0, 0.1, 0.5, 0.9])))
     color = st.tuples(*[st.integers(0, 255)] * 3)
     opts = ConfettiOptions(
         cell_size=draw(st.one_of(st.floats(0.01, 500.0), st.integers(1, 100))),
@@ -96,7 +103,7 @@ def confetti_cases(draw):
         show_margins=draw(st.booleans()),
         dot_area_scale=draw(st.floats(1e-3, 1e3)),
     )
-    return JointPmf(weights / weights.sum()), opts
+    return p, opts
 
 
 class TestConfettiSvg:
@@ -157,6 +164,23 @@ class TestConfettiSvg:
     @given(case=confetti_cases())
     def test_bytes_match_per_cell_renderer(self, case):
         p, opts = case
+        assert confetti_svg(p, opts) == confetti_svg_per_cell(p, opts)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 2), (2, 64), (61, 61)])
+    @pytest.mark.parametrize("show_margins", [True, False])
+    def test_large_tables_match_per_cell_renderer(self, shape, show_margins):
+        p = confetti_table(sum(shape), *shape, zero_share=0.3)
+        for opts in (ConfettiOptions(show_margins=show_margins),
+                     ConfettiOptions(cell_size=7.3, color_ramp_ends=((0, 255, 13), (250, 1, 128)),
+                                     show_margins=show_margins, dot_area_scale=37.5)):
+            assert confetti_svg(p, opts) == confetti_svg_per_cell(p, opts)
+
+    def test_colour_ties_round_half_to_even(self):
+        # t = 1/2 puts the channels at 0.5, 1.5 and 2.5 exactly
+        p = JointPmf([[0.4, 0.2], [0.2, 0.2]])
+        opts = ConfettiOptions(color_ramp_ends=((0, 0, 0), (1, 3, 5)), show_margins=False)
+        fills = [c.get("fill") for c in circles_of(confetti_svg(p, opts))]
+        assert fills == ["rgb(1,3,5)"] + ["rgb(0,2,2)"] * 3
         assert confetti_svg(p, opts) == confetti_svg_per_cell(p, opts)
 
     def test_option_validation(self):
