@@ -21,22 +21,24 @@ static double finish_row(double s, long x, double *row_sums,
 }
 
 /* Sweep the row-major n_rows x n_cols ``table`` in place: every row to
- * its target, then every column.  After sweep k (1-based) the max
- * deviation of the row sums from their targets goes to
- * err_ring[(k - 1) % n_ring].  Stops after max_iter sweeps or as soon as
- * that deviation is within tol; returns the number of sweeps run.
- * ``scratch`` holds n_rows + n_cols doubles: the row sums, which the
- * next sweep reuses, and the column sums.
+ * its target, then every column.  ``aux`` holds, in order, the n_rows row
+ * targets, the n_cols column targets, the n_ring slots of the error ring
+ * and n_rows + n_cols doubles of scratch.  After sweep k (1-based) the max
+ * deviation of the row sums from their targets goes to ring slot
+ * (k - 1) % n_ring.  Stops after max_iter sweeps or as soon as that
+ * deviation is within tol; returns the number of sweeps run.  The scratch
+ * holds the row sums, which the next sweep reuses and which on return
+ * are those of the table, and the column sums.
  *
  * The column pass scales four rows per step: their four sums are
  * separate chains, each still added in column order, so they overlap
  * without changing a bit of any of them. */
-long ipf_sweeps(double *table, long n_rows, long n_cols,
-                const double *row_targets, const double *col_targets,
-                double tol, long max_iter, double *err_ring, long n_ring,
-                double *scratch)
+long ipf_sweeps(double *table, long n_rows, long n_cols, double *aux, long n_ring,
+                double tol, long max_iter)
 {
-    double *row_sums = scratch, *col_sums = scratch + n_rows;
+    const double *row_targets = aux, *col_targets = aux + n_rows;
+    double *err_ring = aux + n_rows + n_cols;
+    double *row_sums = err_ring + n_ring, *col_sums = row_sums + n_rows;
     long k, x, y;
     for (x = 0; x < n_rows; x++) {
         row_sums[x] = 0.0;

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabcop.errors import NotACopulaError, UndefinedEntryError, ValidationError, check_size
-from tabcop.pmf_core import JointPmf, is_copula_pmf
+from tabcop import pmf_core
+from tabcop.errors import (
+    NotACopulaError,
+    UndefinedEntryError,
+    ValidationError,
+    check_nonnegative,
+    check_size,
+)
+from tabcop.pmf_core import JointPmf
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,9 @@ def odds_ratio_matrix(p: JointPmf) -> OddsRatioMatrix:
     num = v[0, 0] * v[1:, 1:]
     den = np.outer(v[1:, 0], v[0, 1:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return OddsRatioMatrix(num / den)
+        entries = num / den
+    # a quotient of nonnegative products: entries in [0, inf] or NaN
+    return pmf_core._wrap(OddsRatioMatrix, entries=entries)
 
 
 def omega_matrices_agree(m1: OddsRatioMatrix, m2: OddsRatioMatrix,
@@ -67,8 +76,10 @@ def omega_matrices_agree(m1: OddsRatioMatrix, m2: OddsRatioMatrix,
 
     Finite entries agree when |a - b| <= tol * max(1, |a|, |b|); infinite
     entries only match infinite entries.  Returns ``(agree, n_undefined)``
-    where the count covers entries undefined in either matrix.
+    where the count covers entries undefined in either matrix.  ``tol``
+    must be a finite real of at least 0; ValidationError says otherwise.
     """
+    tol = check_nonnegative(tol, "tol", ValidationError, allow_inf=False)
     a, b = m1.entries, m2.entries
     if a.shape != b.shape:
         return False, 0
@@ -116,15 +127,18 @@ def yule_upsilon(cop: JointPmf) -> float:
     For R != S the extreme values +/-1 are unattainable (no diagonal
     table exists); the attainable maximum is not computed here.
     """
-    if not is_copula_pmf(cop, tol=1e-9):
+    values = cop.values
+    # the line sums serve both the copula check and the variances
+    row_sums, col_sums = values.sum(axis=1), values.sum(axis=0)
+    if not pmf_core._has_uniform_lines(row_sums, col_sums, 1e-9):
         raise NotACopulaError("Yule's coefficient is defined on copula pmfs; "
                               "margins deviate from uniform by more than 1e-9")
     n_rows, n_cols = cop.shape
     a = np.arange(n_rows) - (n_rows - 1) / 2.0
     b = np.arange(n_cols) - (n_cols - 1) / 2.0
-    cov = math.fsum((np.outer(a, b) * cop.values).ravel())
-    var_u = math.fsum((a * a) * cop.values.sum(axis=1))
-    var_v = math.fsum((b * b) * cop.values.sum(axis=0))
+    cov = math.fsum((np.outer(a, b) * values).ravel().tolist())
+    var_u = math.fsum(((a * a) * row_sums).tolist())
+    var_v = math.fsum(((b * b) * col_sums).tolist())
     if cov == 0.0:
         return 0.0
     ratio = min((cov * cov) / (var_u * var_v), 1.0)

@@ -294,6 +294,16 @@ def _student_quantile(df: float, u) -> np.ndarray:
             if redo[idx]:
                 q = _student_tail_quantile(df, float(tail[idx]))
                 x[idx] = q if lower[idx] else -q
+    # nearer the median the round trip is not taken, as ``stdtr`` cancels
+    # there, yet ``stdtrit`` misses (by 4.0e-11 in F at df = 4, u =
+    # 0.4999999): one Newton step on _student_t_cdf, which keeps the
+    # digits of F - 1/2, finishes it.  u = 1/2 keeps the ``stdtrit`` value
+    centre = (0.4999999 <= tail) & (tail < 0.5)
+    if centre.any():
+        xc = x[centre]
+        log_pdf = (-0.5 * math.log(df) - float(special.betaln(0.5 * df, 0.5))
+                   - 0.5 * (df + 1.0) * np.log1p(xc * xc / df))
+        x[centre] = xc - (_student_t_cdf(df, xc) - u[centre]) / np.exp(log_pdf)
     return x
 
 

@@ -5,7 +5,11 @@ variable X in {0..R-1}, columns the second variable Y in {0..S-1}, and
 entry (x, y) is P(X = x, Y = y).  All CSV input and output follows the
 same rows-equal-X convention.
 
-Public constructors validate and copy what they are given.  Values tabcop
+Public constructors validate and copy what they are given.  Valid input
+is accepted by the fewest whole-array reductions that imply every
+invariant (:func:`_holds_pmf`); only input that fails them goes through
+the ordered checks, which name the first invariant it breaks, so every
+error is the one the ordered checks alone would raise.  Values tabcop
 builds from inputs it has already validated are not validated again:
 they go through the private :func:`_wrap`, which only makes them
 read-only.  A fitted table goes through :func:`_wrap_fitted`, which
@@ -15,6 +19,7 @@ first checks what a fit does not guarantee.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +29,7 @@ from tabcop.errors import (
     ParseError,
     ValidationError,
     ZeroMarginError,
+    check_nonnegative,
 )
 
 #: Absolute tolerance on "probabilities sum to one" checks.
@@ -52,18 +58,36 @@ def _wrap(cls, **arrays):
     return obj
 
 
-def _wrap_fitted(values: np.ndarray) -> "JointPmf":
+def _holds_pmf(v: np.ndarray) -> bool:
+    """Whether the float matrix ``v`` passes every entry check of :class:`JointPmf`.
+
+    ``min >= 0`` rules out NaN and negative entries and a sum within
+    ``SUM_TOL`` of 1 rules out infinite ones; on finite nonnegative
+    entries a line has positive mass iff it has a nonzero entry.  So
+    four reductions decide what the ordered checks of
+    :class:`JointPmf` decide, and where this is False those checks raise.
+    """
+    return bool(v.min() >= 0.0 and abs(v.sum() - 1.0) <= SUM_TOL
+                and v.any(axis=1).all() and v.any(axis=0).all())
+
+
+def _wrap_fitted(values: np.ndarray, row_sums=None) -> "JointPmf":
     """A :class:`JointPmf` around a table that a fit built from a valid pmf.
 
     A fit keeps the table's shape and its entries nonnegative, but unit
     mass and a positive entry on every line are not guaranteed, and a
-    non-finite cell shows in the sum.  Where those checks hold the table
-    is wrapped as by :func:`_wrap`; where one fails, the public
+    non-finite cell shows in the sum.  ``row_sums``, where the fit has
+    them, are the row sums of ``values`` in any summation order: once
+    the sum shows every entry finite, a positive row sum means a nonzero
+    entry, so they stand in for the row check.  Where the checks hold the
+    table is wrapped as by :func:`_wrap`; where one fails, the public
     constructor raises as it does for any input.
     """
-    if (abs(values.sum() - 1.0) <= SUM_TOL
-            and values.any(axis=1).all() and values.any(axis=0).all()):
-        return _wrap(JointPmf, values=values)
+    if abs(values.sum() - 1.0) <= SUM_TOL:
+        rows = (min(row_sums.tolist()) > 0.0 if row_sums is not None
+                else values.any(axis=1).all())
+        if rows and values.any(axis=0).all():
+            return _wrap(JointPmf, values=values)
     return JointPmf(values)
 
 
@@ -86,18 +110,21 @@ class JointPmf:
                 f"joint pmf must be a matrix with at least 2 rows and 2 "
                 f"columns, got shape {v.shape}"
             )
-        if not np.isfinite(v).all():
-            raise ValidationError("joint pmf entries must be finite")
-        if (v < 0).any():
-            raise ValidationError("joint pmf entries must be nonnegative")
-        if abs(v.sum() - 1.0) > SUM_TOL:
-            raise ValidationError(
-                f"joint pmf entries must sum to 1 (got {v.sum()!r})"
-            )
-        if (v.sum(axis=1) <= 0).any():
-            raise ZeroMarginError("joint pmf has an all-zero row")
-        if (v.sum(axis=0) <= 0).any():
-            raise ZeroMarginError("joint pmf has an all-zero column")
+        # valid tables pass on four reductions; the rest are checked in
+        # order, so that the first broken rule is the one named
+        if not _holds_pmf(v):
+            if not np.isfinite(v).all():
+                raise ValidationError("joint pmf entries must be finite")
+            if (v < 0).any():
+                raise ValidationError("joint pmf entries must be nonnegative")
+            if abs(v.sum() - 1.0) > SUM_TOL:
+                raise ValidationError(
+                    f"joint pmf entries must sum to 1 (got {v.sum()!r})"
+                )
+            if (v.sum(axis=1) <= 0).any():
+                raise ZeroMarginError("joint pmf has an all-zero row")
+            if (v.sum(axis=0) <= 0).any():
+                raise ZeroMarginError("joint pmf has an all-zero column")
         object.__setattr__(self, "values", _as_readonly(v))
 
     @property
@@ -125,12 +152,16 @@ class MarginPair:
             v = np.asarray(m, dtype=float)
             if v.ndim != 1 or v.size < 2:
                 raise ValidationError(f"{name} margins must be a vector of length >= 2")
-            if not np.isfinite(v).all() or (v <= 0).any():
-                raise ValidationError(f"{name} margins must be strictly positive")
-            if abs(v.sum() - 1.0) > SUM_TOL:
-                raise ValidationError(
-                    f"{name} margins must sum to 1 (got {v.sum()!r})"
-                )
+            # min > 0 rules out NaN and a sum near 1 rules out inf, so
+            # valid margins pass on two reductions; the rest are checked
+            # in order, so that the first broken rule is the one named
+            if not (v.min() > 0.0 and abs(v.sum() - 1.0) <= SUM_TOL):
+                if not np.isfinite(v).all() or (v <= 0).any():
+                    raise ValidationError(f"{name} margins must be strictly positive")
+                if abs(v.sum() - 1.0) > SUM_TOL:
+                    raise ValidationError(
+                        f"{name} margins must sum to 1 (got {v.sum()!r})"
+                    )
             object.__setattr__(self, f"{name}_margins", _as_readonly(v))
 
 
@@ -180,6 +211,18 @@ def from_counts(counts) -> JointPmf:
         raise ValidationError(
             f"count table must have at least 2 rows and 2 columns, got {c.shape}"
         )
+    # valid counts: min >= 0 rules out NaN and negative counts (taken on
+    # the counts, as a count of -5e-324 divides to -0.0), a finite positive
+    # total rules out inf and an empty table, and the lines of c / total,
+    # whose sum JointPmf would check, cover those of c
+    if c.min() >= 0.0:
+        total = c.sum()
+        if 0.0 < total < math.inf:
+            p = c / total
+            if (abs(p.sum() - 1.0) <= SUM_TOL
+                    and p.any(axis=1).all() and p.any(axis=0).all()):
+                return _wrap(JointPmf, values=p)
+    # otherwise the ordered checks name what is wrong
     if not np.isfinite(c).all() or (c < 0).any():
         raise ValidationError("counts must be finite and nonnegative")
     total = c.sum()
@@ -207,14 +250,20 @@ def support(p: JointPmf) -> SupportPattern:
 
 
 def is_copula_pmf(p: JointPmf, tol: float = 1e-9) -> bool:
-    """True when every row sums to 1/R and every column to 1/S within tol."""
-    if tol <= 0:
+    """True when every row sums to 1/R and every column to 1/S within tol.
+
+    ``tol`` must be a finite real above 0; ValidationError says otherwise.
+    """
+    tol = check_nonnegative(tol, "tol", ValidationError, allow_inf=False)
+    if tol == 0.0:
         raise ValidationError("tol must be positive")
-    r, s = p.shape
-    return bool(
-        np.abs(p.values.sum(axis=1) - 1.0 / r).max() <= tol
-        and np.abs(p.values.sum(axis=0) - 1.0 / s).max() <= tol
-    )
+    return _has_uniform_lines(p.values.sum(axis=1), p.values.sum(axis=0), tol)
+
+
+def _has_uniform_lines(row_sums: np.ndarray, col_sums: np.ndarray, tol: float) -> bool:
+    """:func:`is_copula_pmf` on a table's row and column sums, ``tol`` taken as valid."""
+    return bool(np.abs(row_sums - 1.0 / row_sums.size).max() <= tol
+                and np.abs(col_sums - 1.0 / col_sums.size).max() <= tol)
 
 
 def parse_table(text, fmt: str = "csv_counts") -> np.ndarray:

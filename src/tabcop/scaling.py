@@ -21,15 +21,19 @@ errors equal those of plain in-order loops over doubles bit for bit.
 Where no C compiler, writable cache or
 loadable library is at hand, the NumPy kernel (``_ipf_py``) runs instead.
 :data:`IPF_BACKEND` reads ``"c"`` or ``"python"``.  Either kernel is bound
-once per fit, which checks its buffers and takes their addresses, and
-then runs every chunk of sweeps of that fit.
+once per fit, to the table and to one buffer that holds the targets, the
+error ring and the kernel's scratch; binding checks the two and takes
+their addresses, and the bound kernel runs every chunk of sweeps of that
+fit.
 
 The fits take validated :class:`~tabcop.pmf_core.JointPmf` and
 :class:`~tabcop.pmf_core.MarginPair` inputs and do not validate what they
 build from them again: the uniform targets of :func:`copula_pmf` and the
 fitted table are wrapped read-only as they are, the table by
 :func:`~tabcop.pmf_core._wrap_fitted` after a check of the mass and line
-sums that a fit does not guarantee.
+sums that a fit does not guarantee, which takes the row sums the fit
+already has.  The fitted table owns its memory, apart from any buffer
+of the fit.
 """
 
 from __future__ import annotations
@@ -117,36 +121,29 @@ def _load_kernel(cache_dir):
     except OSError:
         return _ipf_py.bind, "python"
     c_long, c_ptr = ctypes.c_long, ctypes.c_void_p
-    c_sweeps.argtypes = (c_ptr, c_long, c_long, c_ptr, c_ptr, ctypes.c_double,
-                         c_long, c_ptr, c_long, c_ptr)
+    c_sweeps.argtypes = (c_ptr, c_long, c_long, c_ptr, c_long, ctypes.c_double, c_long)
     c_sweeps.restype = c_long
 
-    def bind(table, row_targets, col_targets, err_ring):
+    def bind(table, aux):
         """:func:`tabcop._ipf_py.bind`, run by the C kernel.
 
-        The buffers are checked, their addresses taken and the kernel's
-        scratch allocated here, once; each call of the returned function
-        is one call into the library.
+        The two buffers are checked and their addresses taken here, once;
+        each call of the returned function is one call into the library.
         """
         n_rows, n_cols = table.shape
-        arrays = (table, row_targets, col_targets, err_ring)
-        if (row_targets.shape != (n_rows,) or col_targets.shape != (n_cols,)
-                or err_ring.ndim != 1 or err_ring.size == 0
-                or not (table.flags.writeable and err_ring.flags.writeable)
-                or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays)):
-            raise ValueError("the C kernel takes a writable C-contiguous float64 table, "
-                             "targets of its row and column counts and a nonempty ring")
-        scratch = np.empty(n_rows + n_cols)
+        err_ring = _ipf_py.split_aux(aux, n_rows, n_cols)[2]
         n_ring = err_ring.size
-        head = (table.ctypes.data, n_rows, n_cols, row_targets.ctypes.data,
-                col_targets.ctypes.data)
-        tail = (err_ring.ctypes.data, n_ring, scratch.ctypes.data)
+        if (aux.ndim != 1 or n_ring < 1 or table.dtype != np.float64
+                or aux.dtype != np.float64 or not (table.flags.carray and aux.flags.carray)):
+            raise ValueError("the C kernel takes a writable C-contiguous float64 table and "
+                             "a float64 vector of its targets, a nonempty ring and scratch")
+        head = (table.ctypes.data, n_rows, n_cols, aux.ctypes.data, n_ring)
 
         def sweeps(tol, max_iter):
-            done = c_sweeps(*head, tol, max_iter, *tail)
+            done = c_sweeps(*head, tol, max_iter)
             return done, float(err_ring[(done - 1) % n_ring]) if done else np.inf
 
-        sweeps.buffers = arrays + (scratch,)  # keeps the addresses above valid
+        sweeps.buffers = (table, aux)  # keeps the addresses above valid
         return sweeps
 
     return bind, "c"
@@ -453,20 +450,23 @@ def _peel_forest(values, rt, ct):
 def _sweep(work, rt, ct, tol, max_iter):
     """Run the kernel on ``work`` in doubling chunks of 16, 32, 64, ... sweeps.
 
-    The kernel is bound to ``work``, the targets and a 16-slot ring of max
-    errors once, and each chunk is one call of the bound kernel.  Sweeping
-    is stateless apart from ``work`` and every chunk starts at a multiple
-    of the ring length, so the table and the ring are those of one
-    uninterrupted run, and memory does not grow with the sweeps.  The run
-    stops early, as slow, when a full chunk ends above ``tol`` with a rate
-    estimate above :data:`NEWTON_SWITCH_RATE` or with a max error no lower
-    than the previous chunk's (the sweeps have stalled).
+    The kernel is bound once, to ``work`` and to one buffer holding the
+    targets, a 16-slot ring of max errors and its scratch, and each chunk
+    is one call of the bound kernel.  Sweeping is stateless apart from
+    ``work`` and every chunk starts at a multiple of the ring length, so
+    the table and the ring are those of one uninterrupted run, and memory
+    does not grow with the sweeps.  The run stops early, as slow, when a
+    full chunk ends above ``tol`` with a rate estimate above
+    :data:`NEWTON_SWITCH_RATE` or with a max error no lower than the
+    previous chunk's (the sweeps have stalled).
 
-    Returns ``(sweeps, error, rate, slow)``, the rate as in
-    :class:`ScalingDiagnostics`.
+    Returns ``(sweeps, error, rate, slow, row_sums)``, the rate as in
+    :class:`ScalingDiagnostics` and ``row_sums`` those of ``work`` as the
+    kernel left them.
     """
-    err_max = np.empty(_RING_LEN)
-    run = _bind(work, rt, ct, err_max)
+    aux = _ipf_py.aux_buffer(rt, ct, _RING_LEN)
+    _rt, _ct, err_max, row_sums = _ipf_py.split_aux(aux, *work.shape)
+    run = _bind(work, aux)
     done, err, previous, chunk, slow = 0, np.inf, np.inf, _RING_LEN, False
     while done < max_iter:
         n = min(chunk, max_iter - done)
@@ -479,7 +479,7 @@ def _sweep(work, rt, ct, tol, max_iter):
             slow = True
             break
         previous, chunk = err, 2 * chunk
-    return done, err, _rate_from_ring(err_max, done), slow
+    return done, err, _rate_from_ring(err_max, done), slow, row_sums
 
 
 def _newton_direction(x, f_long, f_short, free):
@@ -591,25 +591,34 @@ def _solve_exact(values, rt, ct, tol, classification):
 
 
 def _run_ipf(values, rt, ct, tol, max_iter, classification):
+    """Fit ``values``, which the caller owns, to (rt, ct) and wrap the result.
+
+    Returns ``(fitted, diagnostics)``, ``fitted`` a :class:`JointPmf` from
+    :func:`~tabcop.pmf_core._wrap_fitted`, which is handed the row sums
+    where the fit has those of the fitted table: the first margin check's
+    when the table already fits, the kernel's after sweeps alone.
+    """
     # the rows and columns are checked apart, and the columns only when
     # the rows already fit: a table that starts at its margins is rare
-    row_dev = np.abs(values.sum(axis=1) - rt).max()
+    row_sums = values.sum(axis=1)
+    row_dev = np.abs(row_sums - rt).max()
     if row_dev <= tol:
         init_dev = np.maximum(row_dev, np.abs(values.sum(axis=0) - ct).max())
         if init_dev <= tol:
             diag = ScalingDiagnostics(0, float(init_dev), classification)
-            return values, diag
+            return pmf_core._wrap_fitted(values, row_sums), diag
 
     solved = _solve_exact(values, rt, ct, tol, classification)
     if solved is not None:
-        return solved
+        peeled, diag = solved
+        return pmf_core._wrap_fitted(peeled), diag
 
     work = np.ascontiguousarray(values)
-    rt, ct = np.ascontiguousarray(rt), np.ascontiguousarray(ct)
-    iterations, err, rate, slow = _sweep(work, rt, ct, tol, max_iter)
+    iterations, err, rate, slow, row_sums = _sweep(work, rt, ct, tol, max_iter)
     newton_steps = 0
     if slow:
         newton_steps, err = _newton_finish(work, rt, ct, tol)
+        row_sums = None  # the steps rescaled the table after the sweeps
     diag = ScalingDiagnostics(
         iterations=int(iterations),
         margin_error=float(err),
@@ -625,7 +634,7 @@ def _run_ipf(values, rt, ct, tol, max_iter, classification):
             f"(class {classification.tag})",
             diagnostics=diag,
         )
-    return work, diag
+    return pmf_core._wrap_fitted(work, row_sums), diag
 
 
 def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
@@ -678,9 +687,7 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
     if classification.tag == "B2":
         for x, y in classification.forced_zero_cells:
             values[x, y] = 0.0
-    fitted, diag = _run_ipf(values, t.row_margins, t.col_margins,
-                            tol, max_iter, classification)
-    return pmf_core._wrap_fitted(fitted), diag
+    return _run_ipf(values, t.row_margins, t.col_margins, tol, max_iter, classification)
 
 
 def copula_pmf(p: JointPmf, tol: float = DEFAULT_TOL,
@@ -728,6 +735,7 @@ def same_nucleus(p1: JointPmf, p2: JointPmf, tol: float = 1e-9) -> bool:
     matrices agree within ``tol`` (undefined 0/0 entries compare equal to
     anything, matching the identification used throughout).
     """
+    tol = check_nonnegative(tol, "tol", ValidationError, allow_inf=False)
     if p1.shape != p2.shape:
         raise DimensionMismatchError(
             f"shapes {p1.shape} and {p2.shape} differ"
@@ -748,7 +756,8 @@ def couple(copula: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
     requested margins produces the unique member of that class (closure
     in case B2) carrying them.  Returns ``(table, diagnostics)``.
     """
-    if not pmf_core.is_copula_pmf(copula, tol=1e-9):
+    values = copula.values
+    if not pmf_core._has_uniform_lines(values.sum(axis=1), values.sum(axis=0), 1e-9):
         raise NotACopulaError(
             "coupling requires a table with uniform margins within 1e-9"
         )

@@ -13,9 +13,9 @@ from tabcop.dependence import (
     omega_matrices_agree,
     yule_upsilon,
 )
-from tabcop.errors import NotACopulaError, UndefinedEntryError
+from tabcop.errors import NotACopulaError, UndefinedEntryError, ValidationError
 from tabcop.families import binomial_copula, bivariate_binomial_pmf
-from tabcop.pmf_core import JointPmf, from_counts
+from tabcop.pmf_core import JointPmf, from_counts, is_copula_pmf
 
 from conftest import (
     GRAUBARD_COUNTS,
@@ -76,6 +76,23 @@ class TestOddsRatioMatrix:
             assert (np.abs(a - b) / np.abs(a)).max() <= 1e-9
 
 
+    def test_wraps_what_the_constructor_builds(self, rng):
+        # zero cells give 0, inf and undefined 0/0 entries
+        for _ in range(30):
+            n_rows, n_cols = rng.integers(2, 7, size=2)
+            values = random_positive_pmf(rng, n_rows, n_cols)
+            values[rng.random(values.shape) < 0.3] = 0.0
+            values[np.arange(n_rows), np.arange(n_rows) % n_cols] += 0.1
+            values[np.arange(n_cols) % n_rows, np.arange(n_cols)] += 0.1
+            p = JointPmf(values / values.sum())
+            v = p.values
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = OddsRatioMatrix(v[0, 0] * v[1:, 1:] / np.outer(v[1:, 0], v[0, 1:]))
+            got = odds_ratio_matrix(p).entries
+            assert got.tobytes() == expected.entries.tobytes()
+            assert not got.flags.writeable and got.base is None
+
+
 class TestCompletedOddsMatrix:
     def test_trivial(self):
         out = completed_odds_matrix(OddsRatioMatrix([[1.0]]))
@@ -114,6 +131,23 @@ class TestOmegaAgreement:
         assert omega_matrices_agree(m1, OddsRatioMatrix([[math.inf]]))[0]
         assert not omega_matrices_agree(m1, OddsRatioMatrix([[1e30]]))[0]
 
+    @pytest.mark.parametrize("tol, message", [
+        (math.nan, "tol must lie in [0, inf), got nan"),
+        (-1.0, "tol must lie in [0, inf), got -1.0"),
+        (math.inf, "tol must lie in [0, inf), got inf"),
+        (True, "tol must be a real number, got True"),
+    ])
+    def test_invalid_tol_raises(self, tol, message):
+        m = OddsRatioMatrix([[2.0, 3.0]])
+        with pytest.raises(ValidationError) as info:
+            omega_matrices_agree(m, m, tol)
+        assert str(info.value) == message
+
+    def test_zero_tol_compares_exactly(self):
+        m = OddsRatioMatrix([[2.0, 3.0]])
+        assert omega_matrices_agree(m, m, 0.0) == (True, 0)
+        assert not omega_matrices_agree(m, OddsRatioMatrix([[2.0, 3.0000000000000004]]), 0.0)[0]
+
 
 class TestYuleUpsilon:
     def test_graubard_value(self):
@@ -147,6 +181,25 @@ class TestYuleUpsilon:
     def test_rejects_non_copula(self):
         with pytest.raises(NotACopulaError):
             yule_upsilon(JointPmf([[0.52, 0.02], [0.10, 0.36]]))
+
+    def test_same_bits_as_summing_the_lines_twice(self, rng):
+        # the line sums are taken once, for the check and the variances
+        def twice(cop):
+            assert is_copula_pmf(cop, tol=1e-9)
+            n_rows, n_cols = cop.shape
+            a = np.arange(n_rows) - (n_rows - 1) / 2.0
+            b = np.arange(n_cols) - (n_cols - 1) / 2.0
+            cov = math.fsum((np.outer(a, b) * cop.values).ravel())
+            var_u = math.fsum((a * a) * cop.values.sum(axis=1))
+            var_v = math.fsum((b * b) * cop.values.sum(axis=0))
+            if cov == 0.0:
+                return 0.0
+            return math.copysign(math.sqrt(min((cov * cov) / (var_u * var_v), 1.0)), cov)
+
+        for _ in range(30):
+            n_rows, n_cols = rng.integers(2, 9, size=2)
+            cop, _ = scaling.copula_pmf(JointPmf(random_positive_pmf(rng, n_rows, n_cols)))
+            assert yule_upsilon(cop) == twice(cop)
 
 
 class TestFrechetBounds:

@@ -352,12 +352,14 @@ def _student_cdf_by_mixture(u, v, rho, df):
     )
 
 
-def _student_t_cdf_by_mpmath(df, x):
-    """The t CDF at 40 digits, by the hypergeometric series of its offset from 1/2."""
+def _student_t_cdf_by_mpmath(df, x, minus=0.0):
+    """The t CDF at 40 digits, less ``minus``, by the hypergeometric series of its
+    offset from 1/2."""
     with mpmath.workdps(40):
         df, x = mpmath.mpf(df), mpmath.mpf(x)
         scale = mpmath.gamma((df + 1) / 2) / (mpmath.sqrt(df * mpmath.pi) * mpmath.gamma(df / 2))
-        return float(0.5 + x * scale * mpmath.hyp2f1(0.5, (df + 1) / 2, 1.5, -x * x / df))
+        return float(0.5 + x * scale * mpmath.hyp2f1(0.5, (df + 1) / 2, 1.5, -x * x / df)
+                     - mpmath.mpf(minus))
 
 
 class TestStudentCdf:
@@ -512,6 +514,23 @@ class TestStudentQuantile:
     def test_quantile_past_the_doubles(self):
         # at df = 0.5 the quantile of 1e-300 is about -1e1200
         assert _student_tail_quantile(0.5, 1e-300) == -math.inf
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 4.0, 30.0])
+    def test_near_the_median(self, df):
+        # stdtrit is not checked by a round trip here, and misses: F(x) - u
+        # is 4.0e-11 at df = 4, u = 0.4999999; the bound is that of
+        # _student_t_cdf, which the Newton step that finishes x relies on
+        for offset in (1e-7, 9.9e-8, 3.1416e-8, 1e-9, 1e-12, 1e-15, 2.0**-53):
+            for u in (0.5 - offset, 0.5 + offset):
+                x = float(_student_quantile(df, u))
+                assert abs(_student_t_cdf_by_mpmath(df, x, minus=u)) <= 2.3e-16
+
+    @pytest.mark.parametrize("df", [0.002, 0.5, 1.0, 4.0, 30.0, 1e8])
+    def test_median_keeps_stdtrit(self, df):
+        # u = 1/2 is a node of every even mesh, which stays bit-identical
+        assert _student_quantile(df, 0.5) == special.stdtrit(df, 0.5)
+        nodes = np.arange(1, 64) / 64.0
+        assert _student_quantile(df, nodes)[31] == special.stdtrit(df, 0.5)
 
     @pytest.mark.parametrize("value, u", [(math.nan, 1e-250), (math.inf, 1e-250)])
     def test_lower_tail_failure_solved(self, monkeypatch, value, u):

@@ -1,3 +1,5 @@
+import functools
+import operator
 import subprocess
 import time
 import tracemalloc
@@ -35,6 +37,16 @@ from conftest import (
     random_positive_pmf,
     rectangle_classification_oracle,
 )
+
+
+def bind_with_ring(bind, table, row_targets, col_targets, n_ring):
+    """Bind the kernel ``bind`` to ``table`` and a new buffer with an ``n_ring``-slot ring.
+
+    Returns ``(sweeps, ring)``, ``ring`` the view of the buffer the
+    kernel records its max errors in.
+    """
+    aux = _ipf_py.aux_buffer(row_targets, col_targets, n_ring)
+    return bind(table, aux), _ipf_py.split_aux(aux, *table.shape)[2]
 
 
 def uniform_pair(n_rows, n_cols):
@@ -177,8 +189,9 @@ class TestIpfFit:
             n_rows, n_cols = rng.integers(2, 7, size=2)
             p = JointPmf(random_positive_pmf(rng, n_rows, n_cols))
             t = MarginPair(random_margins(rng, n_rows), random_margins(rng, n_cols))
-            work, ring, l1 = p.values.copy(), np.empty(1), []
-            sweeps = scaling._bind(work, t.row_margins, t.col_margins, ring)
+            work, l1 = p.values.copy(), []
+            sweeps, _ring = bind_with_ring(scaling._bind, work, t.row_margins,
+                                           t.col_margins, 1)
             for _sweep in range(10**4):
                 _, err = sweeps(scaling.DEFAULT_TOL, 1)
                 l1.append(np.abs(work.sum(axis=1) - t.row_margins).sum())
@@ -454,27 +467,56 @@ class TestBind:
 
         bind = scaling._bind
         monkeypatch.setattr(scaling, "_bind", counting_bind)
-        _, diag = ipf_fit(CYCLE, cycle_targets(1e-1))
+        fitted, diag = ipf_fit(CYCLE, cycle_targets(1e-1))
         # the fit ends part-way through its third chunk
         assert len(binds) == 1 and calls == [16, 32, 64]
         assert 48 < diag.iterations < 112
+        # two buffers: the table, and the targets, a 16-slot ring and the
+        # scratch in one vector, which the fitted table does not keep alive
+        ((table, aux),) = binds
+        assert table.shape == (3, 3) and aux.shape == (2 * (3 + 3) + scaling._RING_LEN,)
+        assert fitted.values is table and fitted.values.base is None
 
     @pytest.mark.parametrize("backend", ["loaded", "numpy"])
     def test_bound_buffers_outlive_the_caller(self, rng, backend):
         bind = scaling._bind if backend == "loaded" else _ipf_py.bind
         p = random_positive_pmf(rng, 4, 5)
         rt, ct = random_margins(rng, 4), random_margins(rng, 5)
-        ring = np.empty(16)
-        reference = p.copy()
-        expected = _ipf_py.bind(reference, rt, ct, ring)(1e-12, 10**4)
+        expected = _ipf_py.bind(p.copy(), _ipf_py.aux_buffer(rt, ct, 16))(1e-12, 10**4)
         work = p.copy()
-        sweeps = bind(work, rt.copy(), ct.copy(), np.empty(16))  # temporaries
+        sweeps = bind(work, _ipf_py.aux_buffer(rt, ct, 16))  # temporaries
         del work
-        # take back freed memory of the same sizes, were any freed
-        junk = [np.full(n, np.nan) for n in (4, 5, 9, 16, 20) for _ in range(50)]
+        # take back freed memory of the same sizes (the table's 20 and the
+        # buffer's 2 * (4 + 5) + 16 doubles), were any freed
+        junk = [np.full(n, np.nan) for n in (20, 34) for _ in range(50)]
         got = sweeps(1e-12, 10**4)
         assert np.isnan(junk[-1]).all()
         assert got[0] == pytest.approx(expected[0], abs=2) and got[1] <= 1e-12
+
+
+class TestFittedTableOwnsItsMemory:
+    """A fitted table is a base array: it keeps no binding buffer alive."""
+
+    @pytest.mark.parametrize("case", ["sweeps", "already_fits", "exact", "newton", "B2"])
+    def test_base_is_none(self, case):
+        if case == "sweeps":
+            p, t = from_counts(LIN_COUNTS), MarginPair([0.6, 0.4], [0.3, 0.7])
+        elif case == "already_fits":
+            p = JointPmf(np.full((3, 4), 1 / 12))
+            t = uniform_pair(3, 4)
+        elif case == "exact":
+            p, t = JointPmf([[0.0, 0.5], [0.3, 0.2]]), MarginPair([0.4, 0.6], [0.5, 0.5])
+        elif case == "newton":
+            p, t = CYCLE, cycle_targets(1e-4)
+        else:
+            p, t = JointPmf([[0.0, 0.3], [0.3, 0.4]]), uniform_pair(2, 2)
+        fitted, diag = ipf_fit(p, t)
+        assert fitted.values.base is None and not fitted.values.flags.writeable
+        assert {"sweeps": diag.method == "sweeps" and diag.iterations > 0,
+                "already_fits": diag.iterations == 0 and diag.method == "sweeps",
+                "exact": diag.method == "exact",
+                "newton": diag.newton_steps > 0,
+                "B2": diag.classification.tag == "B2"}[case]
 
 
 #: A support with cycles (7 cells, more than 3 + 3 - 1); its column targets
@@ -494,10 +536,9 @@ def one_kernel_run(p, t, max_iter):
     Returns ``(table, sweeps, error, max errors)``, the errors cut to the
     sweeps run.
     """
-    err_max = np.empty(max_iter)
     work = p.values.copy()
-    sweeps, err = scaling._bind(work, t.row_margins, t.col_margins,
-                                err_max)(scaling.DEFAULT_TOL, max_iter)
+    run, err_max = bind_with_ring(scaling._bind, work, t.row_margins, t.col_margins, max_iter)
+    sweeps, err = run(scaling.DEFAULT_TOL, max_iter)
     return work, sweeps, err, err_max[:sweeps]
 
 
@@ -575,8 +616,8 @@ class TestStall:
 def sweep_reference(values, t, tol=1e-14):
     """The sweep fit of ``values`` to a tighter tolerance; None if it misses."""
     work = values.copy()
-    _sweeps, err = _ipf_py.bind(work, t.row_margins, t.col_margins,
-                                np.empty(scaling._RING_LEN))(tol, 10**5)
+    aux = _ipf_py.aux_buffer(t.row_margins, t.col_margins, scaling._RING_LEN)
+    _sweeps, err = _ipf_py.bind(work, aux)(tol, 10**5)
     return work if err <= tol else None
 
 
@@ -807,6 +848,23 @@ class TestSameNucleus:
         p2 = JointPmf(np.outer([0.8, 0.2], [0.1, 0.9]))
         assert same_nucleus(p1, p2)
 
+    @pytest.mark.parametrize("tol, message", [
+        (-1.0, "tol must lie in [0, inf), got -1.0"),
+        (float("nan"), "tol must lie in [0, inf), got nan"),
+        (float("inf"), "tol must lie in [0, inf), got inf"),
+        (True, "tol must be a real number, got True"),
+    ])
+    def test_invalid_tol_raises(self, tol, message):
+        # a negative or NaN tol used to call identical tables unrelated
+        q = JointPmf([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(ValidationError) as info:
+            same_nucleus(q, q, tol=tol)
+        assert str(info.value) == message
+
+    def test_zero_tol(self):
+        q = JointPmf([[0.1, 0.2], [0.3, 0.4]])
+        assert same_nucleus(q, q, tol=0.0)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             same_nucleus(
@@ -897,8 +955,10 @@ class TestKernels:
             tol = float(rng.choice([0.0, 1e-12, 1e-6]))
             max_iter = int(rng.integers(1, 70))
             n_ring = int(rng.choice([1, 5, 16]))
-            work, ring = table.copy(), np.full(n_ring, -1.0)
-            done, err = scaling._bind(work, rt, ct, ring)(tol, max_iter)
+            work, aux = table.copy(), _ipf_py.aux_buffer(rt, ct, n_ring)
+            ring, row_sums = _ipf_py.split_aux(aux, n_rows, n_cols)[2:]
+            ring[:] = -1.0
+            done, err = scaling._bind(work, aux)(tol, max_iter)
             ref_table, ref_ring = table.tolist(), [-1.0] * n_ring
             ref_done = in_order_sweeps(ref_table, rt.tolist(), ct.tolist(), tol, max_iter,
                                        ref_ring)
@@ -906,16 +966,21 @@ class TestKernels:
             assert work.tobytes() == np.array(ref_table).tobytes()
             assert ring.tobytes() == np.array(ref_ring).tobytes()
             assert err == ref_ring[(done - 1) % n_ring]
+            # the scratch keeps the row sums of the final table, in order
+            assert row_sums.tobytes() == np.array(
+                [functools.reduce(operator.add, row, 0.0) for row in ref_table]).tobytes()
+            assert (aux[:n_rows] == rt).all() and (aux[n_rows:n_rows + n_cols] == ct).all()
 
     def test_python_kernel_contract(self, rng):
         p = random_positive_pmf(rng, 4, 5)
         rt, ct = random_margins(rng, 4), random_margins(rng, 5)
-        work = p.copy()
-        hist = np.empty(16)
-        sweeps, err = _ipf_py.bind(work, rt, ct, hist)(1e-12, 10000)
+        work, aux = p.copy(), _ipf_py.aux_buffer(rt, ct, 16)
+        sweeps, err = _ipf_py.bind(work, aux)(1e-12, 10000)
+        _rt, _ct, hist, row_sums = _ipf_py.split_aux(aux, 4, 5)
         assert err <= 1e-12
         assert hist[(sweeps - 1) % 16] == err
         assert np.abs(work.sum(axis=1) - rt).max() <= 1e-12
+        assert (row_sums == work.sum(axis=1)).all()
 
     @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
     def test_kernels_agree(self, rng):
@@ -926,12 +991,37 @@ class TestKernels:
             rt = random_margins(rng, n_rows)
             ct = random_margins(rng, n_cols)
             w1, w2 = p.copy(), p.copy()
-            h1, h2 = np.empty(16), np.empty(16)
-            s1, e1 = _ipf_py.bind(w1, rt, ct, h1)(1e-12, 10**5)
-            s2, e2 = scaling._bind(w2, rt, ct, h2)(1e-12, 10**5)
+            run1, _h1 = bind_with_ring(_ipf_py.bind, w1, rt, ct, 16)
+            run2, h2 = bind_with_ring(scaling._bind, w2, rt, ct, 16)
+            s1, e1 = run1(1e-12, 10**5)
+            s2, e2 = run2(1e-12, 10**5)
             assert abs(s1 - s2) <= 2  # summation order shifts the stop by a hair
             assert np.abs(w1 - w2).max() <= 1e-12
             assert e2 <= 1e-12 and h2[(s2 - 1) % 16] == e2
+
+    @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
+    def test_kernels_agree_bit_for_bit_below_8_columns(self, rng):
+        # NumPy sums rows of fewer than 8 cells in order, as the C kernel
+        # does, so there the two kernels leave the same bits everywhere
+        for _ in range(30):
+            n_rows, n_cols = int(rng.integers(2, 13)), int(rng.integers(2, 8))
+            table = random_positive_pmf(rng, n_rows, n_cols)
+            table[rng.random(table.shape) < 0.2] = 0.0
+            table[np.arange(n_rows), np.arange(n_rows) % n_cols] += 0.05
+            table /= table.sum()
+            rt, ct = random_margins(rng, n_rows), random_margins(rng, n_cols)
+            max_iter, tol = int(rng.integers(1, 200)), float(rng.choice([1e-6, 1e-12]))
+            results = []
+            for bind in (_ipf_py.bind, scaling._bind):
+                work, aux = table.copy(), _ipf_py.aux_buffer(rt, ct, 16)
+                aux[n_rows + n_cols:] = -1.0
+                done, err = bind(work, aux)(tol, max_iter)
+                results.append((done, err, work.tobytes(), aux.tobytes()))
+            numpy_run, c_run = results
+            # the scratch past the row sums is the C kernel's own
+            assert numpy_run[:3] == c_run[:3]
+            end = len(aux) - n_cols
+            assert numpy_run[3][:8 * end] == c_run[3][:8 * end]
 
     @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
     def test_c_kernel_keeps_nan_error(self):
@@ -940,21 +1030,32 @@ class TestKernels:
         rt, ct = np.array([0.0, 1.0]), np.array([0.5, 0.5])
         for bind in (_ipf_py.bind, scaling._bind):
             with np.errstate(invalid="ignore"):
-                sweeps, err = bind(table.copy(), rt, ct, np.empty(16))(1e-12, 5)
+                sweeps, err = bind(table.copy(), _ipf_py.aux_buffer(rt, ct, 16))(1e-12, 5)
             assert sweeps == 5 and np.isnan(err)
 
     @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
     def test_c_kernel_checks_its_buffers(self):
-        table, t2, t3 = np.full((2, 3), 1 / 6), np.full(2, 0.5), np.full(3, 1 / 3)
-        read_only = table.copy()
-        read_only.flags.writeable = False
-        for args in [(table, t3, t3), (table, t2, t2), (np.full((2, 4), 1 / 8)[:, :3], t2, t3),
-                     (np.asfortranarray(np.full((3, 3), 1 / 9)), t3, t3),
-                     (read_only, t2, t3), (table.astype(np.float32), t2, t3)]:
+        table = np.full((2, 3), 1 / 6)
+        aux = _ipf_py.aux_buffer(np.full(2, 0.5), np.full(3, 1 / 3), 16)  # 2 * 5 + 16
+        scaling._bind(table, aux)
+        scaling._bind(table, aux[:11])  # one ring slot
+        read_only_table, read_only_aux = table.copy(), aux.copy()
+        read_only_table.flags.writeable = False
+        read_only_aux.flags.writeable = False
+        for args in [
+            (np.full((2, 4), 1 / 8)[:, :3], aux),               # table not contiguous
+            (np.asfortranarray(np.full((3, 3), 1 / 9)), aux),   # Fortran order
+            (read_only_table, aux),
+            (table.astype(np.float32), aux),
+            (table, aux[:10]),                                  # no ring slot
+            (table, np.empty(0)),
+            (table, aux[::2]),                                  # buffer not contiguous
+            (table, aux.reshape(2, 13)),
+            (table, aux.astype(np.float32)),
+            (table, read_only_aux),
+        ]:
             with pytest.raises(ValueError):
-                scaling._bind(*args, np.empty(16))
-        with pytest.raises(ValueError):
-            scaling._bind(table, t2, t3, np.empty(0))
+                scaling._bind(*args)
 
 
 class TestKernelBuild:
