@@ -23,6 +23,7 @@ from tabcop.errors import (
     DomainError,
     ValidationError,
     check_nonnegative,
+    check_positive,
 )
 from tabcop.pmf_core import JointPmf
 
@@ -160,15 +161,13 @@ def perturb(p: JointPmf, q: JointPmf) -> JointPmf:
 
 def row_perturbation_table(phi: float) -> JointPmf:
     """Independent 2x2 table that rescales only the X margin by ``phi``."""
-    if not (phi > 0 and math.isfinite(phi)):
-        raise ValidationError(f"phi must be a positive real, got {phi!r}")
+    phi = check_positive(phi, "phi", ValidationError)
     c = 1.0 / (2.0 * (1.0 + phi))
     return JointPmf(np.array([[c, c], [phi * c, phi * c]]))
 
 
 def col_perturbation_table(psi: float) -> JointPmf:
     """Independent 2x2 table that rescales only the Y margin by ``psi``."""
-    if not (psi > 0 and math.isfinite(psi)):
-        raise ValidationError(f"psi must be a positive real, got {psi!r}")
+    psi = check_positive(psi, "psi", ValidationError)
     c = 1.0 / (2.0 * (1.0 + psi))
     return JointPmf(np.array([[c, psi * c], [c, psi * c]]))

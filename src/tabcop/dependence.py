@@ -116,7 +116,7 @@ def completed_odds_matrix(omega: OddsRatioMatrix) -> np.ndarray:
 def yule_upsilon(cop: JointPmf) -> float:
     """Pearson correlation of a copula pmf over its uniform grid points.
 
-    Requires uniform margins within 1e-9.  Evaluated as a centered
+    Requires uniform margins within ``pmf_core.COPULA_TOL``.  Evaluated as a centered
     covariance over integer labels (affine changes of the support points
     cancel in a correlation), summed exactly, so the diagonal and
     anti-diagonal tables score exactly +/-1 and the uniform table exactly
@@ -130,9 +130,9 @@ def yule_upsilon(cop: JointPmf) -> float:
     values = cop.values
     # the line sums serve both the copula check and the variances
     row_sums, col_sums = values.sum(axis=1), values.sum(axis=0)
-    if not pmf_core._has_uniform_lines(row_sums, col_sums, 1e-9):
-        raise NotACopulaError("Yule's coefficient is defined on copula pmfs; "
-                              "margins deviate from uniform by more than 1e-9")
+    if not pmf_core._has_uniform_lines(row_sums, col_sums, pmf_core.COPULA_TOL):
+        raise NotACopulaError("Yule's coefficient is defined on copula pmfs; margins deviate "
+                              f"from uniform by more than {pmf_core.COPULA_TOL:g}")
     n_rows, n_cols = cop.shape
     a = np.arange(n_rows) - (n_rows - 1) / 2.0
     b = np.arange(n_cols) - (n_cols - 1) / 2.0

@@ -95,6 +95,14 @@ def check_nonnegative(value, name: str, error: type, allow_inf: bool = True) -> 
     return value
 
 
+def check_positive(value, name: str, error: type) -> float:
+    """``value`` as a float in (0, inf): :func:`check_nonnegative` without inf, then not 0."""
+    value = check_nonnegative(value, name, error, allow_inf=False)
+    if value == 0.0:
+        raise error(f"{name} must be positive")
+    return value
+
+
 def check_size(value, name: str, minimum: int, error: type) -> int:
     """``value`` as an int of at least ``minimum``.
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from tabcop.errors import (
     ParamError,
     ValidationError,
     check_nonnegative,
+    check_positive,
     check_size,
 )
 from tabcop.pmf_core import JointPmf
@@ -55,7 +57,7 @@ FAMILY_PARAMS = {
 
 @dataclass(frozen=True)
 class ContinuousCopulaSpec:
-    """A continuous copula family name plus its parameter values."""
+    """A continuous copula family name plus its parameters, finite reals stored as floats."""
 
     family: str
     params: dict
@@ -73,9 +75,11 @@ class ContinuousCopulaSpec:
                 f"family {self.family!r} takes parameters {expected}, got {given}"
             )
         for name, value in self.params.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise ParamError(f"parameter {name} must be a finite real, got {value!r}")
-        p = self.params
+        p = {name: float(value) for name, value in self.params.items()}
+        object.__setattr__(self, "params", p)
         if self.family == "fgm" and not -1.0 <= p["theta"] <= 1.0:
             raise ParamError("fgm theta must lie in [-1, 1]")
         if self.family == "clayton" and (p["theta"] < -1.0 or p["theta"] == 0.0):
@@ -86,8 +90,8 @@ class ContinuousCopulaSpec:
             raise ParamError("frank theta must differ from 0")
         if self.family in ("gaussian", "student") and not -1.0 < p["rho"] < 1.0:
             raise ParamError("rho must lie strictly inside (-1, 1)")
-        if self.family == "student" and p["df"] <= 0.0:
-            raise ParamError("student df must be positive")
+        if self.family == "student":
+            check_positive(p["df"], "student df", ParamError)
 
 
 def parse_family_spec(text: str) -> ContinuousCopulaSpec:
@@ -584,8 +588,7 @@ def fgm_pmf(theta: float, n_rows: int, n_cols: int) -> JointPmf:
     the mesh discretization of the continuous FGM copula, and reduces to
     the uniform table at theta = 0.
     """
-    if not -1.0 <= theta <= 1.0:
-        raise ParamError("fgm theta must lie in [-1, 1]")
+    theta = ContinuousCopulaSpec("fgm", {"theta": theta}).params["theta"]
     n_rows = check_size(n_rows, "n_rows", 2, ValidationError)
     n_cols = check_size(n_cols, "n_cols", 2, ValidationError)
     u = 1.0 - (2.0 * np.arange(n_rows) + 1.0) / n_rows
@@ -713,46 +716,30 @@ def truncated_geometric_pmf(n_levels: int, p2: JointPmf) -> JointPmf:
     return JointPmf(out)
 
 
-def _geometric_limit_costs(n: int):
-    """Vanishing orders and leading coefficients of the standard model.
+def _geometric_limit_seed(n: int) -> np.ndarray:
+    """The omega -> 0 seed: leading coefficients of the standard model on the limit's support.
 
-    With the base table at odds ratio omega -> 0, every cell of the
-    truncated table behaves like coef * sqrt(omega)**order; the surviving
-    copula support minimizes the total order subject to uniform margins.
-    Off the diagonal and on the boundary the order is min(x, y); the
-    interior diagonal adds 1.  The coefficient is 2^-(max(x, y) + 1)
-    inside and 2^-(N-1) on the boundary.
+    As omega -> 0, cell (x, y) of the truncated table behaves like
+    2^-min(max(x, y) + 1, N - 1) sqrt(omega)^order, the order min(x, y) plus
+    1 on the interior diagonal x = y < N-1.  The mass settles on the union
+    of the permutations of least total order (the unit-margin plans have
+    permutation vertices): max(x, y) >= N//2, min(x, y) < (N+1)//2, x != y.
+
+    * The order of a permutation pi is sum_{t=1..N-1} |{x >= t : pi(x) >= t}|
+      plus its interior fixed points.
+    * By pigeonhole each term is at least max(0, N - 2t): at most t of the
+      N - t rows from t on reach a column below t.
+    * Every term meets its bound exactly when pi has no cell in [0, N//2)^2
+      and none in [(N+1)//2, N)^2.  The rows below N//2 may then take any
+      N//2 of the columns from N//2 on, and the rows from (N+1)//2 on any of
+      the columns below (N+1)//2, so every other cell lies on such a pi.
+    * The +1 on the interior diagonal removes only the middle cell of an odd N.
     """
     x = np.arange(n)[:, None]
     y = np.arange(n)[None, :]
-    order = np.minimum(x, y) + ((x == y) & (x < n - 1))
+    support = (np.maximum(x, y) >= n // 2) & (np.minimum(x, y) < (n + 1) // 2) & (x != y)
     coef = np.ldexp(1.0, -np.minimum(np.maximum(x, y) + 1, n - 1))
-    return order, coef
-
-
-def _assignment_face(cost):
-    """Cells carrying mass in some minimum-cost doubly stochastic plan.
-
-    The transportation polytope with unit margins has permutation
-    vertices, so the optimal face is the union of optimal assignments.
-    From one optimal matching m, moving column m(b) to row a changes the
-    cost by w[a, b] = c[a, m(b)] - c[b, m(b)]; every other assignment is
-    m composed with cycles of such moves, none of negative weight.  Cell
-    (a, m(b)) is thus on the face iff the move a -> b closes a zero-weight
-    cycle, w[a, b] + dist[b, a] == 0 with dist the shortest move paths
-    (integer costs make the equality test exact).
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    n = cost.shape[0]
-    _rows, match = linear_sum_assignment(cost)
-    moves = cost[:, match] - cost[np.arange(n), match]
-    dist = moves.copy()
-    for k in range(n):  # Floyd-Warshall
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    face = np.zeros((n, n), dtype=bool)
-    face[:, match] = moves + dist.T == 0
-    return face
+    return np.where(support, coef, 0.0)
 
 
 def truncated_geometric_copula(n_levels: int, omega: float) -> JointPmf:
@@ -768,10 +755,8 @@ def truncated_geometric_copula(n_levels: int, omega: float) -> JointPmf:
     """
     n_levels = check_size(n_levels, "n_levels", 2, ParamError)
     omega = check_nonnegative(omega, "omega", ParamError)
-    if omega == 0.0 and n_levels > 2:
-        order, coef = _geometric_limit_costs(n_levels)
-        face = _assignment_face(order)
-        seed = np.where(face, coef, 0.0)
+    if omega == 0.0:
+        seed = _geometric_limit_seed(n_levels)
         result, _diag = scaling.copula_pmf(JointPmf(seed / seed.sum()))
         return result
     base = bernoulli_copula(omega)

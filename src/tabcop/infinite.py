@@ -23,6 +23,7 @@ from tabcop.errors import (
     ParamError,
     ValidationError,
     check_nonnegative,
+    check_positive,
     check_size,
 )
 from tabcop.pmf_core import JointPmf, MarginPair, _wrap
@@ -81,8 +82,7 @@ def truncated_poisson_margin(lam: float, n_levels: int) -> np.ndarray:
     """
     from scipy.special import pdtrc
 
-    if lam <= 0 or not math.isfinite(lam):
-        raise ParamError(f"lam must be a positive real, got {lam!r}")
+    lam = check_positive(lam, "lam", ParamError)
     n_levels = check_size(n_levels, "n_levels", 2, ParamError)
     pmf = np.array([math.exp(_poisson_log_pmf(lam, k)) for k in range(n_levels)])
     pmf[n_levels - 1] = pdtrc(n_levels - 2, lam)
@@ -148,10 +148,9 @@ def bivariate_poisson_pmf(lam10: float, lam01: float, lam11: float,
     terms die out.  Margins are the truncated Poisson(lam10+lam11) and
     Poisson(lam01+lam11) laws.
     """
-    if lam10 <= 0 or lam01 <= 0 or not (math.isfinite(lam10) and math.isfinite(lam01)):
-        raise ParamError("lam10 and lam01 must be positive reals")
-    if lam11 < 0 or not math.isfinite(lam11):
-        raise ParamError("lam11 must be a nonnegative real")
+    lam10 = check_positive(lam10, "lam10", ParamError)
+    lam01 = check_positive(lam01, "lam01", ParamError)
+    lam11 = check_nonnegative(lam11, "lam11", ParamError, allow_inf=False)
     n = check_size(n_levels, "n_levels", 2, ParamError)
 
     from scipy.special import logsumexp

@@ -29,11 +29,13 @@ from tabcop.errors import (
     ParseError,
     ValidationError,
     ZeroMarginError,
-    check_nonnegative,
+    check_positive,
 )
 
 #: Absolute tolerance on "probabilities sum to one" checks.
 SUM_TOL = 1e-12
+#: Absolute tolerance on the uniform line sums 1/R and 1/S of a copula pmf.
+COPULA_TOL = 1e-9
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -249,14 +251,12 @@ def support(p: JointPmf) -> SupportPattern:
     return _wrap(SupportPattern, mask=p.values > 0)
 
 
-def is_copula_pmf(p: JointPmf, tol: float = 1e-9) -> bool:
+def is_copula_pmf(p: JointPmf, tol: float = COPULA_TOL) -> bool:
     """True when every row sums to 1/R and every column to 1/S within tol.
 
     ``tol`` must be a finite real above 0; ValidationError says otherwise.
     """
-    tol = check_nonnegative(tol, "tol", ValidationError, allow_inf=False)
-    if tol == 0.0:
-        raise ValidationError("tol must be positive")
+    tol = check_positive(tol, "tol", ValidationError)
     return _has_uniform_lines(p.values.sum(axis=1), p.values.sum(axis=0), tol)
 
 

@@ -56,6 +56,7 @@ from tabcop.errors import (
     NotACopulaError,
     ValidationError,
     check_nonnegative,
+    check_positive,
     check_size,
 )
 from tabcop.pmf_core import JointPmf, MarginPair, SupportPattern
@@ -671,9 +672,7 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
     of ``tol`` (the fit stalled, as at a target no rescaling reaches), or
     when the sweep budget runs out first.
     """
-    tol = check_nonnegative(tol, "tol", ValidationError, allow_inf=False)
-    if tol == 0.0:
-        raise ValidationError("tol must be positive")
+    tol = check_positive(tol, "tol", ValidationError)
     max_iter = check_size(max_iter, "max_iter", 1, ValidationError)
     classification = classify_existence(pmf_core.support(p), t)
     if classification.tag == "C":
@@ -756,9 +755,8 @@ def couple(copula: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
     requested margins produces the unique member of that class (closure
     in case B2) carrying them.  Returns ``(table, diagnostics)``.
     """
-    values = copula.values
-    if not pmf_core._has_uniform_lines(values.sum(axis=1), values.sum(axis=0), 1e-9):
+    if not pmf_core.is_copula_pmf(copula):
         raise NotACopulaError(
-            "coupling requires a table with uniform margins within 1e-9"
+            f"coupling requires a table with uniform margins within {pmf_core.COPULA_TOL:g}"
         )
     return ipf_fit(copula, t, tol=tol, max_iter=max_iter)

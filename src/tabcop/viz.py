@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabcop.errors import ValidationError
+from tabcop.errors import ValidationError, check_positive
 from tabcop.infinite import DensityGrid
 from tabcop.pmf_core import JointPmf
 
@@ -30,10 +30,10 @@ class ConfettiOptions:
     dot_area_scale: float = 1.0
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValidationError("cell_size must be positive")
-        if self.dot_area_scale <= 0:
-            raise ValidationError("dot_area_scale must be positive")
+        for name in ("cell_size", "dot_area_scale"):
+            # stored as floats, so a NumPy scalar is not drawn in its own precision
+            object.__setattr__(self, name,
+                               check_positive(getattr(self, name), name, ValidationError))
         lo, hi = self.color_ramp_ends
         for c in (*lo, *hi):
             if not (isinstance(c, (int, np.integer)) and 0 <= c <= 255):
@@ -116,8 +116,7 @@ def heatmap_ppm(grid: DensityGrid, gamma: float = 1.0,
     Colors follow (height/max)**gamma along the ramp; gamma < 1 lifts the
     low end, which helps when a grid has a sharp ridge.
     """
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
+    gamma = check_positive(gamma, "gamma", ValidationError)
     h = grid.heights
     peak = h.max()
     scaled = (h / peak) ** gamma if peak > 0 else np.zeros_like(h)

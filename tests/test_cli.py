@@ -266,6 +266,22 @@ class TestErrorPaths:
         assert run(argv) == 1
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--cell-size", "--dot-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_confetti_scale_must_be_positive(self, tmp_path, capsys, option, value):
+        path = tmp_path / "cop.csv"
+        path.write_text("0.25,0.25\n0.25,0.25\n")
+        assert run(["plot", "--kind", "confetti", "--input", str(path),
+                    f"{option}={value}"]) == 1
+        assert "must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_heatmap_gamma_must_be_positive(self, tmp_path, capsys, value):
+        path = tmp_path / "g.txt"
+        path.write_text("1.5 0.5\n0.5 1.5\n")
+        assert run(["plot", "--kind", "heatmap", "--grid", str(path), f"--gamma={value}"]) == 1
+        assert "gamma must" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert run(["analyze", "--help"]) == 0
         assert "usage:" in capsys.readouterr().out

@@ -11,15 +11,19 @@ from scipy import integrate, special
 from scipy.optimize import linear_sum_assignment
 
 from tabcop import families
-from tabcop.bernoulli import bernoulli_copula, odds_ratio
+from tabcop.bernoulli import (
+    bernoulli_copula,
+    col_perturbation_table,
+    odds_ratio,
+    row_perturbation_table,
+)
 from tabcop.dependence import frechet_bounds, odds_ratio_matrix, yule_upsilon
 from tabcop.errors import InfeasibleError, ParamError, ValidationError, check_size
 from tabcop.families import (
     ContinuousCopulaSpec,
-    _assignment_face,
     _binomial_odds_entries,
     _gaussian_cdf,
-    _geometric_limit_costs,
+    _geometric_limit_seed,
     _student_cdf,
     _student_quantile,
     _student_t_cdf,
@@ -34,8 +38,14 @@ from tabcop.families import (
     truncated_geometric_copula,
     truncated_geometric_pmf,
 )
-from tabcop.infinite import bivariate_poisson_pmf, poisson_copula_grid, truncated_poisson_margin
+from tabcop.infinite import (
+    DensityGrid,
+    bivariate_poisson_pmf,
+    poisson_copula_grid,
+    truncated_poisson_margin,
+)
 from tabcop.pmf_core import JointPmf, is_copula_pmf
+from tabcop.viz import ConfettiOptions, confetti_svg, heatmap_ppm
 
 from conftest import (
     binomial2_copula_closed_form,
@@ -78,6 +88,26 @@ class TestSpecValidation:
     def test_rejected(self, family, params):
         with pytest.raises(ParamError):
             ContinuousCopulaSpec(family, params)
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, math.nan, math.inf, complex(0.5)])
+    def test_non_finite_or_non_real_rejected(self, value):
+        with pytest.raises(ParamError, match="must be a finite real"):
+            ContinuousCopulaSpec("gaussian", {"rho": value})
+
+    def test_real_scalars_stored_as_floats(self):
+        spec = ContinuousCopulaSpec("student", {"rho": np.float32(0.5), "df": np.int64(4)})
+        assert spec.params == {"rho": 0.5, "df": 4.0}
+        assert all(type(value) is float for value in spec.params.values())
+        # a float32 rho is computed at the double it stands for
+        rho = np.float32(0.3)
+        np.testing.assert_array_equal(
+            discretize_copula(ContinuousCopulaSpec("gaussian", {"rho": rho}), 4, 4).values,
+            discretize_copula(ContinuousCopulaSpec("gaussian", {"rho": float(rho)}), 4, 4).values)
+
+    @pytest.mark.parametrize("theta", ["0.5", True, math.nan, 1.5])
+    def test_fgm_pmf_rejects_what_the_spec_rejects(self, theta):
+        with pytest.raises(ParamError):
+            fgm_pmf(theta, 3, 3)
 
     def test_parse(self):
         spec = parse_family_spec("clayton:theta=-0.8")
@@ -921,14 +951,19 @@ def _geometric_limit_costs_per_cell(n):
     return order, coef
 
 
+def _geometric_limit_support_per_cell(n):
+    """Off the diagonal, outside [0, N//2)^2 and outside [(N+1)//2, N)^2."""
+    low, high = n // 2, (n + 1) // 2
+    return np.array([[x != y and not (x < low and y < low) and not (x >= high and y >= high)
+                      for y in range(n)] for x in range(n)])
+
+
 class TestGeometricLimitCosts:
     @pytest.mark.parametrize("n", [*range(2, 41), 64, 300])
     def test_matches_per_cell_branches(self, n):
-        order, coef = _geometric_limit_costs(n)
-        expected_order, expected_coef = _geometric_limit_costs_per_cell(n)
-        assert order.dtype == np.int64
-        np.testing.assert_array_equal(order, expected_order)
-        np.testing.assert_array_equal(coef, expected_coef)
+        _order, coef = _geometric_limit_costs_per_cell(n)
+        expected = np.where(_geometric_limit_support_per_cell(n), coef, 0.0)
+        np.testing.assert_array_equal(_geometric_limit_seed(n), expected)
 
 
 def _face_by_resolves(cost):
@@ -946,18 +981,10 @@ def _face_by_resolves(cost):
 
 
 class TestAssignmentFace:
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 8).flatmap(
-        lambda n: st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n)))
-    def test_matches_resolves_on_random_costs(self, flat):
-        n = math.isqrt(len(flat))
-        cost = np.array(flat, dtype=np.int64).reshape(n, n)
-        np.testing.assert_array_equal(_assignment_face(cost), _face_by_resolves(cost))
-
-    @pytest.mark.parametrize("n", [3, 4, 7, 12, 20])
+    @pytest.mark.parametrize("n", range(2, 25))
     def test_matches_resolves_on_geometric_orders(self, n):
-        order, _coef = _geometric_limit_costs(n)
-        np.testing.assert_array_equal(_assignment_face(order), _face_by_resolves(order))
+        order, _coef = _geometric_limit_costs_per_cell(n)
+        np.testing.assert_array_equal(_geometric_limit_seed(n) > 0.0, _face_by_resolves(order))
 
 
 class TestTruncatedGeometricCopula:
@@ -1105,6 +1132,50 @@ class TestNonnegativeValidation:
     def test_rejected(self, omega):
         with pytest.raises(ParamError, match="omega"):
             binomial_copula(2, omega)
+
+
+_TABLE = JointPmf([[0.4, 0.1], [0.2, 0.3]])
+
+#: Each parameter that must be a finite real above 0, as a call of its
+#: value alone, with the error it raises otherwise.
+POSITIVE_CALLS = {
+    "cell_size": (lambda v: confetti_svg(_TABLE, ConfettiOptions(cell_size=v)), ValidationError),
+    "dot_area_scale": (lambda v: confetti_svg(_TABLE, ConfettiOptions(dot_area_scale=v)),
+                       ValidationError),
+    "gamma": (lambda v: heatmap_ppm(DensityGrid(np.array([[1.5, 0.5], [0.5, 1.5]])), gamma=v),
+              ValidationError),
+    "phi": (lambda v: row_perturbation_table(v).values, ValidationError),
+    "psi": (lambda v: col_perturbation_table(v).values, ValidationError),
+    "lam": (lambda v: truncated_poisson_margin(v, 4), ParamError),
+    "lam10": (lambda v: bivariate_poisson_pmf(v, 1.0, 0.5, 4).values, ParamError),
+    "lam01": (lambda v: bivariate_poisson_pmf(1.0, v, 0.5, 4).values, ParamError),
+    "df": (lambda v: copula_cdf(ContinuousCopulaSpec("student", {"rho": 0.5, "df": v}), 0.3, 0.6),
+           ParamError),
+}
+
+
+class TestPositiveValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1"])
+    @pytest.mark.parametrize("name", sorted(POSITIVE_CALLS))
+    def test_rejected(self, name, bad):
+        call, error = POSITIVE_CALLS[name]
+        with pytest.raises(error, match=name):
+            call(bad)
+
+    @pytest.mark.parametrize("name", sorted(POSITIVE_CALLS))
+    def test_float32_read_as_its_double(self, name):
+        call, _error = POSITIVE_CALLS[name]
+        value = np.float32(0.3)
+        np.testing.assert_array_equal(call(value), call(float(value)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, True, "1"])
+    def test_lam11_rejected(self, bad):
+        with pytest.raises(ParamError, match="lam11"):
+            bivariate_poisson_pmf(1.0, 1.0, bad, 4)
+
+    def test_lam11_zero_accepted(self):
+        np.testing.assert_array_equal(bivariate_poisson_pmf(1.0, 1.0, np.int64(0), 4).values,
+                                      bivariate_poisson_pmf(1.0, 1.0, 0.0, 4).values)
 
 
 class TestFamilyInvariants:

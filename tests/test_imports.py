@@ -1,11 +1,11 @@
 """Import budget: the table verbs run on numpy alone.
 
 scipy is imported only inside the functions that need it (the Gaussian
-and Student CDFs, the geometric omega = 0 assignment face, the Poisson
-pmf, tails and grid), so ``import tabcop``, the ``analyze``, ``copula``
-and ``couple`` verbs, the binomial, geometric and Goodman families, the
-geometric grid at omega != 0, the bivariate Binomial pmf and the
-independence, FGM, Clayton, Gumbel and Frank CDFs never load it.  The
+and Student CDFs, the Poisson pmf, tails and grid), so ``import tabcop``,
+the ``analyze``, ``copula`` and ``couple`` verbs, the binomial, geometric
+and Goodman families, the geometric grid (omega = 0 included), the
+bivariate Binomial pmf and the independence, FGM, Clayton, Gumbel and
+Frank CDFs never load it.  The
 Gaussian CDF needs only ``scipy.special`` (Owen's T), and the Student
 CDF adds ``scipy.integrate``; neither loads ``scipy.stats``.  Each check
 runs in a fresh interpreter, since the test session itself has scipy
@@ -39,8 +39,10 @@ report["verbs"] = scipy_modules()
 families = [
     ["family", "--name", "binomial", "--N", "40", "--omega", "2.5"],
     ["family", "--name", "geometric", "--N", "6", "--omega", "0.5"],
+    ["family", "--name", "geometric", "--N", "8", "--omega", "0"],
     ["family", "--name", "goodman", "--shape", "3x4", "--theta", "2"],
     ["grid", "--name", "geometric", "--N", "8", "--omega", "2"],
+    ["grid", "--name", "geometric", "--N", "8", "--omega", "0"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     report["family_codes"] = [tabcop.cli.run(argv) for argv in families]
@@ -75,7 +77,7 @@ def test_cli_verbs_load_no_scipy(tmp_path):
     assert report["import"] == []
     assert (report["analyze"], report["copula"], report["couple"]) == (0, 0, 0)
     assert report["verbs"] == []
-    assert report["family_codes"] == [0, 0, 0, 0]
+    assert report["family_codes"] == [0] * 6
     assert report["families"] == []
     assert report["gaussian_is_copula"] is True
     assert "scipy.special" in report["after_gaussian"]
