@@ -71,13 +71,15 @@ def _sweeps(table, row_targets, col_targets, err_ring, row_sums, tol, max_iter):
     row_sums[:] = table.sum(axis=1)
     err = np.inf
     done = 0
-    for k in range(max_iter):
-        table *= (row_targets / row_sums)[:, np.newaxis]
-        table *= (col_targets / table.sum(axis=0))[np.newaxis, :]
-        row_sums[:] = table.sum(axis=1)
-        err = np.abs(row_sums - row_targets).max()
-        err_ring[k % n_ring] = err
-        done = k + 1
-        if err <= tol:
-            break
+    # silent, as the compiled kernel: an underflowing line sum shows as a NaN error
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(max_iter):
+            table *= (row_targets / row_sums)[:, np.newaxis]
+            table *= (col_targets / table.sum(axis=0))[np.newaxis, :]
+            row_sums[:] = table.sum(axis=1)
+            err = np.abs(row_sums - row_targets).max()
+            err_ring[k % n_ring] = err
+            done = k + 1
+            if err <= tol:
+                break
     return done, float(err)

@@ -77,6 +77,19 @@ class NonConvergenceError(TabcopError):
         self.diagnostics = diagnostics
 
 
+def real_as_float(value, name: str, error: type) -> float:
+    """``value``, a real but not a bool, as a float; else ``error`` names ``name``.
+
+    A real that no float holds, such as the int 10**400, is rejected too.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} lies past the range of a double") from None
+
+
 def check_nonnegative(value, name: str, error: type, allow_inf: bool = True) -> float:
     """``value`` as a float in [0, inf], or in [0, inf) without ``allow_inf``.
 
@@ -84,11 +97,9 @@ def check_nonnegative(value, name: str, error: type, allow_inf: bool = True) -> 
     names the parameter and the :class:`ValidationError` subclass it
     raises.  Any real number is accepted, NumPy scalars included;
     booleans (``np.bool_`` is not a real) and other types are rejected,
-    as is NaN.
+    as is NaN, and so is a real past the doubles (:func:`real_as_float`).
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    value = real_as_float(value, name, error)
     if math.isnan(value) or value < 0.0 or (math.isinf(value) and not allow_inf):
         upper = "inf]" if allow_inf else "inf)"
         raise error(f"{name} must lie in [0, {upper}, got {value!r}")

@@ -40,6 +40,7 @@ from tabcop.errors import (
     check_nonnegative,
     check_positive,
     check_size,
+    real_as_float,
 )
 from tabcop.pmf_core import JointPmf
 
@@ -74,11 +75,12 @@ class ContinuousCopulaSpec:
             raise ParamError(
                 f"family {self.family!r} takes parameters {expected}, got {given}"
             )
+        p = {}
         for name, value in self.params.items():
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+            p[name] = real_as_float(value, f"parameter {name}", ParamError) if real else math.nan
+            if not math.isfinite(p[name]):
                 raise ParamError(f"parameter {name} must be a finite real, got {value!r}")
-        p = {name: float(value) for name, value in self.params.items()}
         object.__setattr__(self, "params", p)
         if self.family == "fgm" and not -1.0 <= p["theta"] <= 1.0:
             raise ParamError("fgm theta must lie in [-1, 1]")
@@ -791,7 +793,8 @@ def goodman_copula(n_rows: int, n_cols: int, theta: float) -> JointPmf:
         return JointPmf(np.full((n_rows, n_cols), 1.0 / (n_rows * n_cols)))
 
     powers = np.outer(np.arange(1, n_rows), np.arange(1, n_cols))
-    entries = theta ** powers.astype(float)
+    with np.errstate(over="ignore"):
+        entries = theta ** powers.astype(float)
     if not np.isfinite(entries).all() or (entries == 0.0).any():
         raise ParamError(
             f"theta={theta} over- or underflows for shape {(n_rows, n_cols)}"

@@ -7,7 +7,9 @@ N^2, approximate the density of a continuous copula -- the margin-free
 dependence structure of the infinite-support law.  This module builds
 the truncated bivariate Poisson, the resulting Poisson and Geometric
 copula density grids, and couples truncated countable margins with
-arbitrary copula pmfs.
+arbitrary copula pmfs.  The boundary level N-1 absorbs each Poisson tail,
+which is taken directly (scipy's ``pdtrc``), never as a complement, so
+it keeps its relative accuracy however small it is.
 """
 
 from __future__ import annotations
@@ -69,8 +71,28 @@ class DensityGrid:
         return (np.arange(self.n) + 1.0) / (self.n + 1.0)
 
 
-def _poisson_log_pmf(lam: float, count: int) -> float:
-    return count * math.log(lam) - lam - math.lgamma(count + 1)
+def _poisson_log_pmf(lam: float, n_levels: int) -> np.ndarray:
+    """log P(Z = k) for Z ~ Poisson(lam) and k = 0..N-1."""
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n_levels)])
+    return np.arange(n_levels) * math.log(lam) - lam - log_fact
+
+
+def _poisson_log_tails(lam: float, log_pmf: np.ndarray) -> np.ndarray:
+    """log P(Z >= m) for Z ~ Poisson(lam) and m = 0..N-1, given ``log_pmf`` over 0..N-1.
+
+    Each tail is ``pdtrc(m - 1, lam)`` while that is a normal double.  Far
+    past the mean, where pdtrc loses its digits and then returns 0, it is
+    P(Z = m) 1F1(1; m+1; lam), whose log stays accurate at any depth.
+    """
+    from scipy.special import hyp1f1, pdtrc
+
+    m = np.arange(log_pmf.size)
+    tails = pdtrc(m - 1, lam)
+    tails[0] = 1.0  # P(Z >= 0); pdtrc(-1, lam) is NaN
+    deep = tails < np.finfo(float).tiny
+    out = np.log(np.where(deep, 1.0, tails))
+    out[deep] = log_pmf[deep] + np.log(hyp1f1(1.0, m[deep] + 1.0, lam))
+    return out
 
 
 def truncated_poisson_margin(lam: float, n_levels: int) -> np.ndarray:
@@ -84,95 +106,45 @@ def truncated_poisson_margin(lam: float, n_levels: int) -> np.ndarray:
 
     lam = check_positive(lam, "lam", ParamError)
     n_levels = check_size(n_levels, "n_levels", 2, ParamError)
-    pmf = np.array([math.exp(_poisson_log_pmf(lam, k)) for k in range(n_levels)])
+    pmf = np.array([math.exp(v) for v in _poisson_log_pmf(lam, n_levels).tolist()])
     pmf[n_levels - 1] = pdtrc(n_levels - 2, lam)
     return pmf
-
-
-#: Tail sums stop once their last term is this far below their largest,
-#: a relative cutoff of exp(-46) ~ 1e-20.
-_LOG_CUT = 46.0
-#: Most levels past N-1 the tail sums may run over.
-_MAX_TAIL_LEVELS = 2048
-
-
-def _bivariate_poisson_log_grid(lam10, lam01, lam11, size: int) -> np.ndarray:
-    """log P(X = x, Y = y) for x, y < size, summed over the shared count.
-
-    P(x, y) = sum_i Pois(x-i; lam10) Pois(y-i; lam01) Pois(i; lam11); the
-    term of shared count i fills the block [i:, i:], so one pass over i
-    accumulates every cell in log space with (size, size) work arrays.
-    """
-    k = np.arange(size)
-    log_fact = np.array([math.lgamma(j + 1) for j in range(size)])
-    base = -(lam10 + lam01 + lam11)
-    log_x = k * math.log(lam10) - log_fact
-    log_y = k * math.log(lam01) - log_fact
-    out = base + log_x[:, None] + log_y[None, :]
-    if lam11 > 0.0:
-        log_shared = k * math.log(lam11) - log_fact
-        for i in range(1, size):
-            block = out[i:, i:]
-            np.logaddexp(block, base + log_shared[i] + log_x[: size - i, None]
-                         + log_y[None, : size - i], out=block)
-    return out
-
-
-def _tails_converged(log_grid: np.ndarray, start: int) -> bool:
-    """Whether every tail sum of the grid past ``start`` has died out.
-
-    Each of the sums the boundary cells absorb -- over rows >= start for a
-    column below start, over columns >= start for a row below start, and
-    over the corner block -- must end in a term _LOG_CUT below its largest.
-    """
-    row_tails = log_grid[start:, :start]
-    col_tails = log_grid[:start, start:]
-    corner = log_grid[start:, start:]
-    corner_edge = max(corner[-1].max(), corner[:, -1].max())
-    return bool((row_tails[-1] < row_tails.max(axis=0) - _LOG_CUT).all()
-                and (col_tails[:, -1] < col_tails.max(axis=1) - _LOG_CUT).all()
-                and corner_edge < corner.max() - _LOG_CUT)
 
 
 def bivariate_poisson_pmf(lam10: float, lam01: float, lam11: float,
                           n_levels: int) -> JointPmf:
     """Truncated common-shock bivariate Poisson on {0..N-1}^2.
 
-    (X, Y) = (Z10 + Z11, Z01 + Z11) for independent Poisson components;
-    interior cells come from the shared-count series and the last row and
-    column absorb the tail sums.  Everything is evaluated in log space,
-    tails included: the boundary cells shrink super-exponentially with N
-    and would otherwise drown in the rounding noise of a complement
-    subtraction, corrupting any later rescaling of the boundary.  The
-    tails are sums over the same log grid extended past N-1 until their
-    terms die out.  Margins are the truncated Poisson(lam10+lam11) and
-    Poisson(lam01+lam11) laws.
+    (X, Y) = (Z10 + Z11, Z01 + Z11) for independent Poisson components.
+    Given the shared count Z11 = i < N-1, min(X, N-1) - i follows the
+    Poisson(lam10) margin truncated to N-i levels, and likewise for Y, so
+    term i is the outer product of those margins on the block [i:, i:];
+    a shared count of N-1 or more adds P(Z11 >= N-1) to the corner.  The
+    terms are summed in log space and every tail is taken directly
+    (:func:`_poisson_log_tails`), never as a complement: the boundary cells
+    shrink super-exponentially with N and would otherwise drown in rounding
+    noise or underflow, corrupting any later rescaling of the boundary.
+    Margins are the truncated Poisson(lam10+lam11) and Poisson(lam01+lam11)
+    laws.
     """
     lam10 = check_positive(lam10, "lam10", ParamError)
     lam01 = check_positive(lam01, "lam01", ParamError)
     lam11 = check_nonnegative(lam11, "lam11", ParamError, allow_inf=False)
     n = check_size(n_levels, "n_levels", 2, ParamError)
 
-    from scipy.special import logsumexp
-
-    extra = 8
-    while True:
-        if extra > _MAX_TAIL_LEVELS:
-            raise ParamError(
-                f"tail sums of rates ({lam10}, {lam01}, {lam11}) past level {n - 1} "
-                f"need more than {_MAX_TAIL_LEVELS} terms; increase n_levels"
-            )
-        log_grid = _bivariate_poisson_log_grid(lam10, lam01, lam11, n - 1 + extra)
-        if _tails_converged(log_grid, n - 1):
-            break
-        extra *= 2
-
-    out = np.empty((n, n))
-    out[: n - 1, : n - 1] = np.exp(log_grid[: n - 1, : n - 1])
-    out[n - 1, : n - 1] = np.exp(logsumexp(log_grid[n - 1:, : n - 1], axis=0))
-    out[: n - 1, n - 1] = np.exp(logsumexp(log_grid[: n - 1, n - 1:], axis=1))
-    out[n - 1, n - 1] = np.exp(logsumexp(log_grid[n - 1:, n - 1:]))
-    return JointPmf(out)
+    log_x, log_y = _poisson_log_pmf(lam10, n), _poisson_log_pmf(lam01, n)
+    tail_x, tail_y = _poisson_log_tails(lam10, log_x), _poisson_log_tails(lam01, log_y)
+    log_shared = _poisson_log_pmf(lam11, n) if lam11 > 0.0 else np.zeros(1)
+    out = np.full((n, n), -np.inf)
+    for i, log_p in enumerate(log_shared[: n - 1]):
+        last = n - 1 - i  # the boundary level, counted from the block's corner
+        fx = np.append(log_x[:last], tail_x[last])
+        fy = np.append(log_y[:last], tail_y[last])
+        block = out[i:, i:]
+        np.logaddexp(block, log_p + fx[:, np.newaxis] + fy[np.newaxis, :], out=block)
+    if lam11 > 0.0:
+        out[-1, -1] = np.logaddexp(out[-1, -1], _poisson_log_tails(lam11, log_shared)[-1])
+    return JointPmf(np.exp(out))
 
 
 def poisson_copula_grid(omega: float, n_levels: int) -> DensityGrid:

@@ -69,8 +69,9 @@ def _holds_pmf(v: np.ndarray) -> bool:
     four reductions decide what the ordered checks of
     :class:`JointPmf` decide, and where this is False those checks raise.
     """
-    return bool(v.min() >= 0.0 and abs(v.sum() - 1.0) <= SUM_TOL
-                and v.any(axis=1).all() and v.any(axis=0).all())
+    with np.errstate(over="ignore"):  # the ordered checks warn where they sum
+        return bool(v.min() >= 0.0 and abs(v.sum() - 1.0) <= SUM_TOL
+                    and v.any(axis=1).all() and v.any(axis=0).all())
 
 
 def _wrap_fitted(values: np.ndarray, row_sums=None) -> "JointPmf":
@@ -157,7 +158,9 @@ class MarginPair:
             # min > 0 rules out NaN and a sum near 1 rules out inf, so
             # valid margins pass on two reductions; the rest are checked
             # in order, so that the first broken rule is the one named
-            if not (v.min() > 0.0 and abs(v.sum() - 1.0) <= SUM_TOL):
+            with np.errstate(over="ignore"):  # they warn where they sum
+                valid = v.min() > 0.0 and abs(v.sum() - 1.0) <= SUM_TOL
+            if not valid:
                 if not np.isfinite(v).all() or (v <= 0).any():
                     raise ValidationError(f"{name} margins must be strictly positive")
                 if abs(v.sum() - 1.0) > SUM_TOL:
@@ -218,7 +221,8 @@ def from_counts(counts) -> JointPmf:
     # total rules out inf and an empty table, and the lines of c / total,
     # whose sum JointPmf would check, cover those of c
     if c.min() >= 0.0:
-        total = c.sum()
+        with np.errstate(over="ignore"):  # the ordered checks warn where they sum
+            total = c.sum()
         if 0.0 < total < math.inf:
             p = c / total
             if (abs(p.sum() - 1.0) <= SUM_TOL

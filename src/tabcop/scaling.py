@@ -459,7 +459,8 @@ def _sweep(work, rt, ct, tol, max_iter):
     does not grow with the sweeps.  The run stops early, as slow, when a
     full chunk ends above ``tol`` with a rate estimate above
     :data:`NEWTON_SWITCH_RATE` or with a max error no lower than the
-    previous chunk's (the sweeps have stalled).
+    previous chunk's (the sweeps have stalled).  A NaN error, as from a
+    line whose sum underflows, ends the run at once.
 
     Returns ``(sweeps, error, rate, slow, row_sums)``, the rate as in
     :class:`ScalingDiagnostics` and ``row_sums`` those of ``work`` as the
@@ -473,7 +474,7 @@ def _sweep(work, rt, ct, tol, max_iter):
         n = min(chunk, max_iter - done)
         sweeps, err = run(tol, n)
         done += sweeps
-        if sweeps < n or err <= tol:
+        if sweeps < n or not err > tol:  # done, or the error is NaN
             break
         if err >= previous or (n == chunk
                                and _rate_from_ring(err_max, n) > NEWTON_SWITCH_RATE):
@@ -522,7 +523,8 @@ def _newton_finish(work, rt, ct, tol):
     within ``tol``, at the step cap, or when no step length decreases the
     residual or the linear solve fails, as at an unreachable target.
 
-    Returns ``(steps, error)``, error the max margin deviation of ``work``.
+    Returns ``(steps, error)``, error the max margin deviation of ``work``
+    (NaN, which stops the steps, where the residual is NaN).
     """
     n_rows, n_cols = work.shape
     mask = work > 0
@@ -627,7 +629,7 @@ def _run_ipf(values, rt, ct, tol, max_iter, classification):
         rate_estimate=rate,
         newton_steps=newton_steps,
     )
-    if err > tol:
+    if not err <= tol:  # a NaN error fails too
         raise NonConvergenceError(
             f"{'fit stalled: ' if slow else ''}margin error {err:g} above "
             f"tolerance {tol:g} after {iterations} sweeps"

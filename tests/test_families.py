@@ -72,6 +72,10 @@ ANY_FAMILY = st.one_of(
         lambda a: ContinuousCopulaSpec("student", {"rho": a[0], "df": 10.0 ** a[1]})),
 )
 
+#: Reals that no double holds: float() of each raises OverflowError.
+PAST_THE_DOUBLES = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
+                    pytest.param(Fraction(10**400), id="Fraction(10**400)")]
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize("family,params", [
@@ -93,6 +97,11 @@ class TestSpecValidation:
     def test_non_finite_or_non_real_rejected(self, value):
         with pytest.raises(ParamError, match="must be a finite real"):
             ContinuousCopulaSpec("gaussian", {"rho": value})
+
+    @pytest.mark.parametrize("value", PAST_THE_DOUBLES)
+    def test_reals_past_the_doubles_rejected(self, value):
+        with pytest.raises(ParamError, match="parameter theta lies past the range of a double"):
+            ContinuousCopulaSpec("frank", {"theta": value})
 
     def test_real_scalars_stored_as_floats(self):
         spec = ContinuousCopulaSpec("student", {"rho": np.float32(0.5), "df": np.int64(4)})
@@ -1056,6 +1065,12 @@ class TestGoodmanCopula:
             goodman_copula(3, 3, math.inf).values, upper.values
         )
 
+    @pytest.mark.parametrize("theta", [1e300, 1e-300])
+    def test_powers_past_the_doubles_raise_without_warning(self, theta):
+        # theta**4 over- or underflows; the test config makes a RuntimeWarning fail
+        with pytest.raises(ParamError, match="over- or underflows"):
+            goodman_copula(3, 3, theta)
+
     def test_endpoints_rectangular_infeasible(self):
         with pytest.raises(InfeasibleError):
             goodman_copula(2, 3, 0.0)
@@ -1128,7 +1143,8 @@ class TestNonnegativeValidation:
                                       binomial_copula(2, 2.0).values)
 
     @pytest.mark.parametrize("omega", [True, np.bool_(True), "2.0", None, np.array([2.0]),
-                                       complex(2.0), np.float32("nan"), math.nan])
+                                       complex(2.0), np.float32("nan"), math.nan,
+                                       *PAST_THE_DOUBLES])
     def test_rejected(self, omega):
         with pytest.raises(ParamError, match="omega"):
             binomial_copula(2, omega)
@@ -1155,7 +1171,8 @@ POSITIVE_CALLS = {
 
 
 class TestPositiveValidation:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1",
+                                     *PAST_THE_DOUBLES[:2]])
     @pytest.mark.parametrize("name", sorted(POSITIVE_CALLS))
     def test_rejected(self, name, bad):
         call, error = POSITIVE_CALLS[name]
@@ -1168,7 +1185,7 @@ class TestPositiveValidation:
         value = np.float32(0.3)
         np.testing.assert_array_equal(call(value), call(float(value)))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, True, "1"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, True, "1", PAST_THE_DOUBLES[0]])
     def test_lam11_rejected(self, bad):
         with pytest.raises(ParamError, match="lam11"):
             bivariate_poisson_pmf(1.0, 1.0, bad, 4)

@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,35 @@ def _poisson_pmf_oracle(lam10, lam01, lam11, n):
     return out
 
 
+def _mpmath_poisson_pmf(lam10, lam01, lam11, n):
+    """The truncated pmf at 40 digits: per cell, the sum over the shared count.
+
+    Given Z11 = i, a coordinate below level N-1 is i plus a Poisson count
+    and the boundary level takes that count's tail P(Z >= N-1-i), from the
+    regularized incomplete gamma; a shared count of N-1 or more lands in
+    the corner.
+    """
+    last = n - 1
+    with mpmath.workdps(40):
+        def pmfs_and_tails(lam):
+            lam = mpmath.mpf(lam)
+            pmf = [mpmath.exp(-lam) * lam**k / mpmath.factorial(k) for k in range(n)]
+            tail = [mpmath.gammainc(m, 0, lam, regularized=True) for m in range(1, n)]
+            return pmf, [mpmath.mpf(1)] + tail
+
+        (px, tx), (py, ty) = pmfs_and_tails(lam10), pmfs_and_tails(lam01)
+        ps, ts = pmfs_and_tails(lam11) if lam11 > 0 else ([mpmath.mpf(1)], [mpmath.mpf(0)] * n)
+        out = np.empty((n, n))
+        for x in range(n):
+            for y in range(n):
+                cell = ts[last] if x == y == last else mpmath.mpf(0)
+                for i in range(min(x, y, last - 1, len(ps) - 1) + 1):
+                    cell += (ps[i] * (tx[last - i] if x == last else px[x - i])
+                             * (ty[last - i] if y == last else py[y - i]))
+                out[x, y] = float(cell)
+    return out
+
+
 class TestBivariatePoisson:
     @pytest.mark.parametrize("lams, n", [
         ((1.0, 1.0, 0.0), 2), ((1.0, 1.0, 0.0), 30), ((1.0, 1.0, 1.0), 3),
@@ -76,12 +106,42 @@ class TestBivariatePoisson:
         oracle = _poisson_pmf_oracle(lam10, lam01, lam11, n)
         np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
 
-    def test_tail_sums_stop_at_the_cap(self, monkeypatch):
-        # the tails of rates near 100 run about 60 levels past level 3
-        monkeypatch.setattr(infinite, "_MAX_TAIL_LEVELS", 32)
-        with pytest.raises(ParamError, match="increase n_levels"):
-            infinite.bivariate_poisson_pmf(100.0, 100.0, 0.0, 4)
+    @pytest.mark.parametrize("lams, n, rtol", [
+        ((100.0, 100.0, 5.0), 4, 1e-12), ((300.0, 300.0, 1.0), 8, 1e-12),
+        ((1.0, 1.0, 1.0), 64, 1e-13), ((1.0, 1.0, 0.3), 40, 1e-13),
+        ((0.4, 2.7, 1.3), 30, 1e-13), ((1.0, 1.0, 2.5), 24, 1e-13),
+        ((3.0, 0.2, 0.0), 20, 1e-13),
+    ])
+    def test_matches_40_digit_sums(self, lams, n, rtol):
+        # rates far past the tail cut of the per-cell oracle, and long grids
+        got = infinite.bivariate_poisson_pmf(*lams, n).values
+        np.testing.assert_allclose(got, _mpmath_poisson_pmf(*lams, n), rtol=rtol, atol=0)
+        assert got.sum() == pytest.approx(1.0, rel=0, abs=1e-14)
 
+    def test_cells_below_the_normal_doubles_stay_in_the_support(self):
+        # P(Y >= 121) of rate 0.1 is about 1e-322, where pdtrc returns 0:
+        # the boundary column holds subnormals, each within two of their
+        # spacings of the 40-digit value
+        got = infinite.bivariate_poisson_pmf(0.1, 0.1, 0.0, 122).values
+        ref = _mpmath_poisson_pmf(0.1, 0.1, 0.0, 122)
+        assert got[0, -1] > 0.0
+        np.testing.assert_array_equal(got > 0.0, ref > 0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=2 * 5e-324)
+
+    @pytest.mark.parametrize("lam, n", [(0.01, 100), (1.0, 185), (30.0, 460), (300.0, 1240)])
+    def test_log_tails_past_the_pdtrc_cutoff(self, lam, n):
+        # the last tails lie below exp(-745), past the smallest subnormal
+        got = infinite._poisson_log_tails(lam, infinite._poisson_log_pmf(lam, n))
+        with mpmath.workdps(40):
+            ref = [0.0] + [float(mpmath.log(mpmath.gammainc(m, 0, lam, regularized=True)))
+                           for m in range(1, n)]
+        assert ref[-1] < -745.0
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
+
+    def test_rows_that_underflow_are_rejected(self):
+        # Pois(0..2; 3000) underflows, so rows 0-2 are empty in doubles at any N
+        with pytest.raises(ValidationError):
+            infinite.bivariate_poisson_pmf(3000.0, 1.0, 0.0, 4)
 
     def test_no_shock_is_product(self):
         p = bivariate_poisson_pmf(1.3, 0.7, 0.0, 12).values

@@ -189,6 +189,7 @@ class TestIsCopulaPmf:
         (math.inf, "tol must lie in [0, inf), got inf"),
         (True, "tol must be a real number, got True"),
         ("1e-9", "tol must be a real number, got '1e-9'"),
+        pytest.param(10**400, "tol lies past the range of a double", id="10**400"),
     ])
     def test_invalid_tol_raises(self, tol, message):
         # a NaN tol used to read every table as no copula
@@ -498,6 +499,7 @@ class TestFastAcceptance:
     @settings(max_examples=300, deadline=None)
     @example(values=np.array([[0.5, -0.0], [0.25, 0.25]]))
     @example(values=np.array([[5e-324, 0.0], [1e300, 1e300]]))
+    @example(values=np.array([[1e308, 1e308], [INF, 0.1]]))  # a sum past the doubles
     @given(values=tables_with_bad_entries())
     def test_joint_pmf(self, values):
         same_outcome(lambda: JointPmf(values), lambda: ordered_joint_pmf(values))
@@ -505,11 +507,13 @@ class TestFastAcceptance:
     @settings(max_examples=300, deadline=None)
     @example(values=np.array([[5e-324, 0.0], [1e300, 1e300]]))
     @example(values=np.array([[1e308, 1e308], [1.0, 1.0]]))
+    @example(values=np.array([[1e308, 1e308, INF], [0.0165, 0.813, 0.913]]))
     @given(values=tables_with_bad_entries())
     def test_from_counts(self, values):
         same_outcome(lambda: from_counts(values), lambda: ordered_from_counts(values))
 
     @settings(max_examples=300, deadline=None)
+    @example(rows=np.array([1e308, 1e308, INF]), cols=np.array([0.5, 0.5]))
     @given(rows=vectors_with_bad_entries(), cols=vectors_with_bad_entries())
     def test_margin_pair(self, rows, cols):
         same_outcome(lambda: MarginPair(rows, cols), lambda: ordered_margin_pair(rows, cols))

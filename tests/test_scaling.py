@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tabcop import _ipf_py, bernoulli, pmf_core, scaling
+from tabcop import _ipf_py, bernoulli, families, infinite, pmf_core, scaling
 from tabcop.errors import (
     DimensionMismatchError,
     InfeasibleError,
@@ -611,6 +611,24 @@ class TestStall:
         assert diag.iterations < 1000 < scaling.DEFAULT_MAX_ITER
         assert diag.newton_steps < scaling.NEWTON_MAX_STEPS
         assert diag.margin_error > scaling.DEFAULT_TOL
+
+    @pytest.mark.parametrize("kernel", ["loaded", "numpy"])
+    @pytest.mark.parametrize("fit", [
+        lambda: families.truncated_geometric_copula(6, 1e-320),
+        lambda: infinite.geometric_copula_grid(1e-320, 6),
+        lambda: ipf_fit(families.truncated_geometric_pmf(6, families.bernoulli_copula(1e-320)),
+                        uniform_pair(6, 6)),
+    ], ids=["copula", "grid", "ipf_fit"])
+    def test_nan_error_fails_with_diagnostics(self, monkeypatch, kernel, fit):
+        # the subnormal seed's line sums underflow, and the first sweep's
+        # error is NaN; the fit ends there, not in the Newton steps
+        if kernel == "numpy":
+            monkeypatch.setattr(scaling, "_bind", _ipf_py.bind)
+        with pytest.raises(NonConvergenceError) as info:
+            fit()
+        diag = info.value.diagnostics
+        assert np.isnan(diag.margin_error)
+        assert (diag.iterations, diag.newton_steps, diag.rate_estimate) == (16, 0, None)
 
 
 def sweep_reference(values, t, tol=1e-14):
