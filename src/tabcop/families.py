@@ -4,10 +4,13 @@ Two construction routes:
 
 * discretize a continuous copula CDF on a regular R x S mesh (rectangle
   differences keep the margins exactly uniform), or
-* specify the odds-ratio matrix of a model (Binomial, truncated
-  Geometric, Goodman), complete it with a unit first row/column,
-  normalize, and fit to uniform margins by :func:`tabcop.scaling.copula_pmf`
-  at its default tolerance and sweep budget.
+* build a table in the odds-ratio class of a model, normalize it, and
+  fit it to uniform margins by :func:`tabcop.scaling.copula_pmf` at its
+  default tolerance and sweep budget.  The truncated Geometric model
+  gives its own table; the Binomial and Goodman models give a table
+  centred on the middle cell, which has the odds ratios of the matrix
+  anchored at (0, 0) but spans about the square root of its range, so
+  the fit takes about a quarter of the sweeps.
 
 Each continuous family has one array kernel that evaluates C on
 broadcast arrays of arguments: a mesh is one call on its row coordinates
@@ -30,7 +33,7 @@ import numpy as np
 
 from tabcop import scaling
 from tabcop.bernoulli import bernoulli_copula
-from tabcop.dependence import OddsRatioMatrix, completed_odds_matrix, frechet_bounds
+from tabcop.dependence import frechet_bounds
 from tabcop.errors import (
     DegenerateError,
     DomainError,
@@ -42,7 +45,7 @@ from tabcop.errors import (
     check_size,
     real_as_float,
 )
-from tabcop.pmf_core import JointPmf
+from tabcop.pmf_core import JointPmf, _wrap
 
 #: Parameter names of each continuous copula family; the ``family`` CLI verb
 #: takes each as a flag of the same name.
@@ -624,33 +627,87 @@ def bivariate_binomial_pmf(n: int, p2: JointPmf) -> JointPmf:
     return JointPmf(out)
 
 
-def _binomial_odds_entries(n: int, omega: float) -> np.ndarray:
-    """Odds-ratio entries of the common-shock Binomial(n) at odds ratio omega.
+#: Largest n of an interior ``binomial_copula``: every C(n, j) is below
+#: 2^n, so every factor of the table is a finite double up to n = 1023.
+_BINOMIAL_MAX_N = 1023
 
-    entries[x-1, y-1] = E[omega**K] for K ~ Hypergeometric(n, x, y), the
-    shared count of x row successes and y column successes: the z**y
-    coefficient of (1 + omega z)**x (1 + z)**(n-x), divided by C(n, y).
+
+def _binomial_dependence(n: int, omega: float) -> np.ndarray:
+    """D[x, y] = omega^(-(x+y)/2) E[omega^K], K ~ Hypergeometric(n, x, y), for omega > 1.
+
+    E[omega^K] is the odds-ratio entry of cell (x, y) against the anchor
+    (0, 0), so D is in the odds-ratio class of the common-shock Binomial;
+    up to a constant it is the dependence ratio P(x, y) / (P(x) P(y)) of
+    the bivariate binomial with base margins 1/2.  Writing
+    1 + omega z = (1 + z) + (omega - 1) z in the generating function
+    (1 + omega z)^x (1 + z)^(n-x) gives E = sum_j C(x, j) C(y, j)
+    (omega - 1)^j / C(n, j), so with G[j, x] = C(x, j) omega^(-(x-j)/2),
+
+        D[x, y] = sum_j a^j / C(n, j) G[j, x] G[j, y],    a = 1 - 1/omega,
+
+    one product of two matrices of nonnegative terms, each at most
+    C(x, j).  D lies in [omega^(-n/2), 1], and each cell keeps its
+    relative accuracy.  The product goes through ``einsum``, which never
+    calls the threaded BLAS.
     """
-    pascal = [np.ones(1)]
-    for _ in range(n):
-        prev, row = pascal[-1], np.ones(len(pascal[-1]) + 1)
-        row[1:-1] = prev[:-1] + prev[1:]
-        pascal.append(row)
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = omega ** np.arange(n + 1.0)
-        rows = [np.convolve(pascal[x] * powers[: x + 1], pascal[n - x])
-                for x in range(1, n + 1)]
-        return np.array(rows)[:, 1:] / pascal[n][1:]
+    k = np.arange(n + 1.0)
+    half = omega ** (-0.5 * k)  # omega^(-k/2)
+    comb = np.empty((n + 1, n + 1))  # comb[j, x] = C(x, j), 0 for j > x
+    comb[0] = 1.0
+    np.cumprod(np.maximum(k - k[:-1, None], 0.0) / k[1:, None], axis=0, out=comb[1:])
+    # gaps[j, x] = half[x - j], 0 for j > x: a Toeplitz view of the padded powers
+    padded = np.concatenate((np.zeros(n), half))
+    gaps = np.lib.stride_tricks.as_strided(padded[n:], shape=(n + 1, n + 1),
+                                           strides=(-padded.itemsize, padded.itemsize),
+                                           writeable=False)
+    g = comb * gaps
+    weights = ((omega - 1.0) / omega) ** k / comb[:, n]
+    return np.einsum("jx,jy->xy", weights[:, None] * g, g)
+
+
+def _binomial_seed(n: int, omega: float) -> JointPmf:
+    """The normalized :func:`_binomial_dependence` table, for 0 < omega < inf.
+
+    omega < 1 takes the table of 1/omega with its columns reversed: with
+    Y -> n - Y the shared count K becomes x - K, so D(omega) is D(1/omega)
+    reversed up to a constant.  Raises ParamError where n passes
+    ``_BINOMIAL_MAX_N``, before anything is built, and where a cell of the
+    normalized table is not a normal double.
+    """
+    if n > _BINOMIAL_MAX_N:
+        raise ParamError(
+            f"binomial n={n} exceeds {_BINOMIAL_MAX_N}: its binomial coefficients "
+            "pass the doubles"
+        )
+    if omega > 1.0:
+        table = _binomial_dependence(n, omega)
+    else:
+        table = _binomial_dependence(n, 1.0 / omega)[:, ::-1]
+    seed = table / table.sum()
+    if not seed.min() >= sys.float_info.min:  # also NaN, from 1 / omega = inf
+        raise ParamError(
+            f"omega={omega} over- or underflows for n={n}: the binomial table "
+            "spans more than the doubles"
+        )
+    return _wrap(JointPmf, values=seed)
 
 
 def binomial_copula(n: int, omega: float) -> JointPmf:
     """(n+1) x (n+1) copula pmf of the common-shock bivariate Binomial.
 
     One-parameter family: the odds-ratio matrix depends on the base 2x2
-    table only through its odds ratio.  Built by completing the odds-ratio
-    matrix, normalizing, and fitting to uniform margins; the endpoints
-    omega = 0 and omega = inf are the anti-diagonal and diagonal Frechet
-    tables, and omega = 1 the uniform table.
+    table only through its odds ratio.  The table
+    omega^(-(x+y)/2) E[omega^K], K ~ Hypergeometric(n, x, y), built as one
+    matrix product (:func:`_binomial_dependence`), is normalized and fitted
+    to uniform margins.  It differs from the odds-ratio matrix anchored at
+    (0, 0) only by row and column factors, so the fit lands on the same
+    copula; centred, its cells span a factor omega^(n/2) where the
+    anchored ones span omega^n, and the fit takes about a quarter of the
+    sweeps.  The endpoints omega = 0 and omega = inf are the anti-diagonal
+    and diagonal Frechet tables, and omega = 1 the uniform table.
+    Otherwise n may be at most 1023, and every cell of the normalized
+    table must be a normal double (at n = 60, omega from about 1e-10 to
+    1e10); ParamError names the parameters where either fails.
     """
     n = check_size(n, "n", 1, ParamError)
     omega = check_nonnegative(omega, "omega", ParamError)
@@ -660,16 +717,7 @@ def binomial_copula(n: int, omega: float) -> JointPmf:
         return lower if omega == 0.0 else upper
     if omega == 1.0:
         return JointPmf(np.full((size, size), 1.0 / size**2))
-
-    entries = _binomial_odds_entries(n, omega)
-    if not np.isfinite(entries).all():
-        raise ParamError(
-            f"odds-ratio entries overflow for n={n}, omega={omega}; "
-            "reduce omega or n"
-        )
-    completed = completed_odds_matrix(OddsRatioMatrix(entries))
-    seed = JointPmf(completed / completed.sum())
-    result, _diag = scaling.copula_pmf(seed)
+    result, _diag = scaling.copula_pmf(_binomial_seed(n, omega))
     return result
 
 
@@ -766,14 +814,38 @@ def truncated_geometric_copula(n_levels: int, omega: float) -> JointPmf:
     return result
 
 
+def _goodman_seed(n_rows: int, n_cols: int, theta: float) -> JointPmf:
+    """theta^((x - (R-1)/2)(y - (S-1)/2)), normalized, for 0 < theta < inf.
+
+    Centred on the middle of the table, it spans theta^(+-(R-1)(S-1)/4);
+    ParamError names theta and the shape where a normalized cell is not a
+    normal double.
+    """
+    rows = np.arange(n_rows) - 0.5 * (n_rows - 1)
+    cols = np.arange(n_cols) - 0.5 * (n_cols - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf, rejected below
+        table = theta ** np.outer(rows, cols)
+        seed = table / table.sum()
+    if not seed.min() >= sys.float_info.min:
+        raise ParamError(
+            f"theta={theta} over- or underflows for shape {(n_rows, n_cols)}"
+        )
+    return _wrap(JointPmf, values=seed)
+
+
 def goodman_copula(n_rows: int, n_cols: int, theta: float) -> JointPmf:
     """Copula pmf of the constant local-odds-ratio association model.
 
     All 2x2 blocks of adjacent rows/columns share the odds ratio
-    ``theta``, so the matrix anchored at (0, 0) is theta**(x*y).  Endpoint
-    values concentrate the mass on a diagonal, which exists only for
-    square shapes: theta = 0 gives the anti-diagonal table, theta = inf
-    the diagonal one, and both raise InfeasibleError for R != S.
+    ``theta``.  The table theta^((x - (R-1)/2)(y - (S-1)/2)), which has
+    those odds ratios and differs from the matrix theta^(xy) anchored at
+    (0, 0) only by row and column factors, is normalized and fitted to
+    uniform margins; centred, it spans theta^(+-(R-1)(S-1)/4) and its fit
+    takes about a quarter of the sweeps.  Endpoint values concentrate the
+    mass on a diagonal, which exists only for square shapes: theta = 0
+    gives the anti-diagonal table, theta = inf the diagonal one, and both
+    raise InfeasibleError for R != S.  ParamError names theta and the
+    shape where a cell of the normalized table is not a normal double.
     """
     n_rows = check_size(n_rows, "n_rows", 2, ValidationError)
     n_cols = check_size(n_cols, "n_cols", 2, ValidationError)
@@ -791,14 +863,5 @@ def goodman_copula(n_rows: int, n_cols: int, theta: float) -> JointPmf:
         return lower if theta == 0.0 else upper
     if theta == 1.0:
         return JointPmf(np.full((n_rows, n_cols), 1.0 / (n_rows * n_cols)))
-
-    powers = np.outer(np.arange(1, n_rows), np.arange(1, n_cols))
-    with np.errstate(over="ignore"):
-        entries = theta ** powers.astype(float)
-    if not np.isfinite(entries).all() or (entries == 0.0).any():
-        raise ParamError(
-            f"theta={theta} over- or underflows for shape {(n_rows, n_cols)}"
-        )
-    completed = completed_odds_matrix(OddsRatioMatrix(entries))
-    result, _diag = scaling.copula_pmf(JointPmf(completed / completed.sum()))
+    result, _diag = scaling.copula_pmf(_goodman_seed(n_rows, n_cols, theta))
     return result

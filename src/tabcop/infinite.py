@@ -15,6 +15,7 @@ it keeps its relative accuracy however small it is.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,19 +96,49 @@ def _poisson_log_tails(lam: float, log_pmf: np.ndarray) -> np.ndarray:
     return out
 
 
+def _poisson_last_level(lam: float, n_levels: int) -> float:
+    """P(Z >= N-1) for Z ~ Poisson(lam), once no level of the truncated margin rounds to 0.
+
+    The levels 0..N-2 are exp of the log pmf (:func:`_poisson_log_pmf`),
+    which is concave in k, so the least of them is at an end, k = 0 or
+    N-2 (past N = 2**53 the level 2**53, which rounds to 0 at any lam,
+    stands for the far end).  So two values decide in O(1), before
+    anything is built, whether one of them rounds to 0.  The last level is
+    ``pdtrc(N-2, lam)``, or its 1F1 form (:func:`_poisson_log_tails`)
+    where that falls below the normal doubles.  ParamError names lam and
+    N where a level rounds to 0.
+    """
+    from scipy.special import pdtrc
+
+    log_lam = math.log(lam)
+    far = min(n_levels - 2, 2**53)
+    last = 0.0
+    if math.exp(-lam) > 0.0 and math.exp(far * log_lam - lam - math.lgamma(far + 1)) > 0.0:
+        last = float(pdtrc(n_levels - 2, lam))
+        if last < sys.float_info.min:
+            last = math.exp(_poisson_log_tails(lam, _poisson_log_pmf(lam, n_levels))[-1])
+    if last == 0.0:
+        raise ParamError(
+            f"a level of the Poisson(lam={lam}) margin on n_levels={n_levels} levels "
+            "rounds to 0 in doubles"
+        )
+    return last
+
+
 def truncated_poisson_margin(lam: float, n_levels: int) -> np.ndarray:
     """Poisson(lam) pmf over {0..N-1} with the tail absorbed at N-1.
 
     The absorbed tail P(X >= N-1) is evaluated directly rather than as a
-    complement, so it stays positive and relatively accurate however far
-    below rounding noise it falls.
+    complement (:func:`_poisson_last_level`), so it stays positive and
+    relatively accurate however far below rounding noise it falls.  Where
+    a level rounds to 0 in doubles, as every level from k = 177 on does at
+    lam = 1, ParamError names lam and N before anything is built.
     """
-    from scipy.special import pdtrc
-
     lam = check_positive(lam, "lam", ParamError)
     n_levels = check_size(n_levels, "n_levels", 2, ParamError)
+    last = _poisson_last_level(lam, n_levels)
     pmf = np.array([math.exp(v) for v in _poisson_log_pmf(lam, n_levels).tolist()])
-    pmf[n_levels - 1] = pdtrc(n_levels - 2, lam)
+    pmf[n_levels - 1] = last
     return pmf
 
 
@@ -153,15 +184,14 @@ def poisson_copula_grid(omega: float, n_levels: int) -> DensityGrid:
     Only the ratio omega = lam11/(lam10*lam01) matters for the copula, so
     the construction fixes lam10 = lam01 = 1 and lam11 = omega.  The
     marginal mass absorbed into the boundary level N-1 must stay below
-    1e-6, otherwise ParamError asks for a larger N.
+    1e-6, otherwise ParamError asks for a larger N; and no level of the
+    Poisson(1 + omega) margin may round to 0 (:func:`_poisson_last_level`).
     """
-    from scipy import special
-
     omega = check_nonnegative(omega, "omega", ParamError, allow_inf=False)
     n_levels = check_size(n_levels, "n_levels", 2, ParamError)
 
     lam = 1.0 + omega
-    tail = float(special.pdtrc(n_levels - 2, lam))  # mass absorbed at level N-1
+    tail = _poisson_last_level(lam, n_levels)  # mass absorbed at level N-1
     if tail >= _GRID_TAIL_TOL:
         raise ParamError(
             f"marginal tail mass {tail:.3g} beyond level {n_levels - 1} exceeds "

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -10,20 +12,33 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.optimize import linear_sum_assignment
 
-from tabcop import families
+from tabcop import families, scaling
 from tabcop.bernoulli import (
     bernoulli_copula,
     col_perturbation_table,
     odds_ratio,
     row_perturbation_table,
 )
-from tabcop.dependence import frechet_bounds, odds_ratio_matrix, yule_upsilon
-from tabcop.errors import InfeasibleError, ParamError, ValidationError, check_size
+from tabcop.dependence import (
+    OddsRatioMatrix,
+    completed_odds_matrix,
+    frechet_bounds,
+    odds_ratio_matrix,
+    yule_upsilon,
+)
+from tabcop.errors import (
+    InfeasibleError,
+    NonConvergenceError,
+    ParamError,
+    ValidationError,
+    check_size,
+)
 from tabcop.families import (
     ContinuousCopulaSpec,
-    _binomial_odds_entries,
+    _binomial_seed,
     _gaussian_cdf,
     _geometric_limit_seed,
+    _goodman_seed,
     _student_cdf,
     _student_quantile,
     _student_t_cdf,
@@ -825,11 +840,40 @@ def _exact_odds_entries(n, omega):
              for y in range(1, n + 1)] for x in range(1, n + 1)]
 
 
-def _convolved_odds_entries(n, omega):
-    """:func:`_binomial_odds_entries` with each Pascal row convolved from the last."""
+def _exact_log_odds_entries(n, omega):
+    """log E[omega**K] for the double omega, from exact integer sums.
+
+    No double holds some of the sums, so their logs are compared.
+    """
+    num, den = float(omega).as_integer_ratio()
+    out = np.empty((n, n))
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            low, high = max(x + y - n, 0), min(x, y)
+            total = sum(math.comb(x, k) * math.comb(n - x, y - k) * num**k * den**(high - k)
+                        for k in range(low, high + 1))
+            out[x - 1, y - 1] = math.log(total) - math.log(math.comb(n, y) * den**high)
+    return out
+
+
+def _seed_odds_ratios(values):
+    """D[0, 0] D[x, y] / (D[x, 0] D[0, y]) for x, y >= 1."""
+    return values[0, 0] * values[1:, 1:] / (values[1:, :1] * values[:1, 1:])
+
+
+def _log_odds_ratios(values):
+    """The log of :func:`_seed_odds_ratios`, finite where the ratios pass the doubles."""
+    logs = np.log(values)
+    return logs[0, 0] + logs[1:, 1:] - logs[1:, :1] - logs[:1, 1:]
+
+
+def _pascal_odds_entries(n, omega):
+    """E[omega**K] from Pascal rows and n convolutions, as built before the centred tables."""
     pascal = [np.ones(1)]
     for _ in range(n):
-        pascal.append(np.convolve(pascal[-1], [1.0, 1.0]))
+        prev, row = pascal[-1], np.ones(len(pascal[-1]) + 1)
+        row[1:-1] = prev[:-1] + prev[1:]
+        pascal.append(row)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = omega ** np.arange(n + 1.0)
         rows = [np.convolve(pascal[x] * powers[: x + 1], pascal[n - x])
@@ -837,38 +881,130 @@ def _convolved_odds_entries(n, omega):
         return np.array(rows)[:, 1:] / pascal[n][1:]
 
 
-#: The largest omega whose n = 120 entries are all finite, and the next double.
-_LAST_FINITE_OMEGA_120 = 370.50092478473675
-_FIRST_OVERFLOW_OMEGA_120 = 370.5009247847368
+def _anchored_copula(entries):
+    """The copula fitted from the odds-ratio matrix completed at (0, 0), the replaced route.
+
+    Fitted to tol 1e-14, where the copula it determines is pinned to
+    rounding: at the default 1e-12 on the margins, the replaced route's
+    cells missed that copula by up to 2.5e-12 (Goodman 7x2 at theta =
+    1e-3 gave 1/14 + 2.6e-12 for a cell of exactly 1/14).  None where the
+    route returns no full-support table: entries past the doubles, a
+    normalized cell that rounds to 0 (the fit keeps it at 0), or a fit
+    that stalls.
+    """
+    if not np.isfinite(entries).all():
+        return None
+    completed = completed_odds_matrix(OddsRatioMatrix(entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed = completed / completed.sum()
+    if not (seed > 0.0).all():
+        return None
+    try:
+        result, _diag = scaling.copula_pmf(JointPmf(seed), tol=1e-14)
+    except NonConvergenceError:
+        return None
+    return result.values if (result.values > 0.0).all() else None
+
+
+#: Mirrored pairs omega, 1/omega, log-spaced over 1e-6..1e6.
+_REPLAY_OMEGAS = [w for k in (0.3, 1.5, 3.0, 4.5, 6.0) for w in (10.0**k, 10.0**-k)]
+
+
+class TestCentredTables:
+    @pytest.mark.parametrize("n", [*range(1, 61), 80, 120])
+    def test_binomial_matches_anchored_route(self, n):
+        for omega in _REPLAY_OMEGAS:
+            want = _anchored_copula(_pascal_odds_entries(n, omega))
+            if want is not None:
+                assert (binomial_copula(n, omega).values > 0.0).all()
+                got, _diag = scaling.copula_pmf(_binomial_seed(n, omega), tol=1e-14)
+                np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_rows", range(2, 13))
+    def test_goodman_matches_anchored_route(self, n_rows):
+        for n_cols in range(2, 13):
+            for theta in (1e-3, 0.1, 0.6, 1.8, 10.0, 1e3):
+                powers = np.outer(np.arange(1, n_rows), np.arange(1, n_cols)).astype(float)
+                with np.errstate(over="ignore"):
+                    want = _anchored_copula(theta ** powers)
+                if want is not None:
+                    assert (goodman_copula(n_rows, n_cols, theta).values > 0.0).all()
+                    got, _diag = scaling.copula_pmf(_goodman_seed(n_rows, n_cols, theta),
+                                                    tol=1e-14)
+                    np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, omega", [(60, 1e-6), (40, 1e-12), (60, 1e6)])
+    def test_past_the_anchored_route(self, n, omega):
+        # the anchored route left 28 zero cells, stalled after 100 Newton
+        # steps and overflowed, in turn
+        cop = binomial_copula(n, omega)
+        assert (cop.values >= sys.float_info.min).all()
+        assert is_copula_pmf(cop, tol=1e-10)
+        np.testing.assert_allclose(_log_odds_ratios(cop.values),
+                                   _exact_log_odds_entries(n, omega), rtol=0, atol=1e-12)
+
+    def test_past_the_anchored_overflow_boundary(self):
+        # the first omega whose n = 120 anchored entries overflowed
+        cop = binomial_copula(120, 370.5009247847368)
+        assert (cop.values > 0.0).all() and is_copula_pmf(cop, tol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 60, 120])
+    @pytest.mark.parametrize("omega", [2.0, 8.0, 2.0**10, 2.0**20])
+    def test_reciprocal_reverses_the_columns(self, n, omega):
+        try:
+            cop = binomial_copula(n, omega).values
+        except ParamError:
+            with pytest.raises(ParamError):
+                binomial_copula(n, 1.0 / omega)
+            return
+        np.testing.assert_allclose(binomial_copula(n, 1.0 / omega).values[:, ::-1], cop,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("omega", [1e300, 1e-300, 5e-324])
+    def test_tables_past_the_doubles_raise_without_warning(self, omega):
+        # the test config makes a RuntimeWarning fail; at 1e-300 the anchored
+        # route returned 3 zero cells
+        with pytest.raises(ParamError, match="over- or underflows"):
+            binomial_copula(3, omega)
+
+    @pytest.mark.parametrize("n", [1024, 10**8, 10**400])
+    def test_sizes_past_the_factors_raise_at_once(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ParamError, match="exceeds 1023"):
+            binomial_copula(n, 2.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_size(self):
+        seed = _binomial_seed(1023, 1.01).values
+        assert (seed >= sys.float_info.min).all()
+
+    def test_binomial_sweeps(self):
+        # the anchored table took 109 sweeps
+        _cop, diag = scaling.copula_pmf(_binomial_seed(60, 2.0))
+        assert diag.iterations <= 32
+
+    def test_goodman_sweeps(self):
+        # the anchored table took 73 sweeps
+        _cop, diag = scaling.copula_pmf(_goodman_seed(6, 8, 1.8))
+        assert diag.iterations <= 22
 
 
 class TestBinomialOddsEntries:
-    def test_bit_identical_to_convolved_pascal_rows(self):
-        for n in range(1, 121):
-            for omega in (0.3, 2.0, 37.0):
-                np.testing.assert_array_equal(_binomial_odds_entries(n, omega),
-                                              _convolved_odds_entries(n, omega))
-        for omega in (_LAST_FINITE_OMEGA_120, _FIRST_OVERFLOW_OMEGA_120):
-            got = _binomial_odds_entries(120, omega)
-            np.testing.assert_array_equal(got, _convolved_odds_entries(120, omega))
-            assert np.isfinite(got).all() == (omega == _LAST_FINITE_OMEGA_120)
-        with pytest.raises(ParamError, match="overflow"):
-            binomial_copula(120, _FIRST_OVERFLOW_OMEGA_120)
-
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 30), num=st.integers(1, 40), den=st.integers(1, 40))
     def test_match_exact_sums(self, n, num, den):
         omega = Fraction(num, den)
-        got = _binomial_odds_entries(n, float(omega))
+        got = _seed_odds_ratios(_binomial_seed(n, float(omega)).values)
         want = np.array(_exact_odds_entries(n, omega), dtype=float)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_past_exact_float_coefficients(self):
         # binomial coefficients of n = 60 exceed 2**53, so the float
-        # Pascal rows round
+        # factors round
         omega = Fraction(2)
         want = np.array(_exact_odds_entries(60, omega), dtype=float)
-        np.testing.assert_allclose(_binomial_odds_entries(60, 2.0), want, rtol=1e-13, atol=0)
+        got = _seed_odds_ratios(_binomial_seed(60, 2.0).values)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 class TestTruncatedGeometricPmf:

@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -193,6 +194,40 @@ class TestTruncatedPoissonMargin:
         m = truncated_poisson_margin(lam, n)
         assert m[-1] == pytest.approx(special.pdtrc(n - 2, lam), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("lam, n", [(0.1, 121), (0.1, 122), (1.0, 178)])
+    def test_tail_below_the_normal_doubles_stays_positive(self, lam, n):
+        # pdtrc returns 0 here; the tail is within one subnormal step of the
+        # 40-digit value
+        m = truncated_poisson_margin(lam, n)
+        with mpmath.workdps(40):
+            tail = mpmath.gammainc(n - 1, 0, lam, regularized=True)
+        assert m[-1] > 0.0 and abs(m[-1] - float(tail)) <= 5e-324
+
+    def test_bit_identical_where_pdtrc_is_normal(self):
+        for lam in np.logspace(-3, 2.5, 23).tolist():
+            for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
+                last = special.pdtrc(n - 2, lam)
+                log_pmf = infinite._poisson_log_pmf(lam, n).tolist()
+                want = np.array([math.exp(v) for v in log_pmf])
+                want[-1] = last
+                if last < np.finfo(float).tiny or (want == 0.0).any():
+                    continue
+                np.testing.assert_array_equal(truncated_poisson_margin(lam, n), want)
+
+    @pytest.mark.parametrize("lam, n", [(0.1, 123), (1.0, 179), (1.0, 300), (800.0, 4)])
+    def test_levels_that_round_to_zero_raise(self, lam, n):
+        with pytest.raises(ParamError, match=f"lam={lam}.*n_levels={n} "):
+            truncated_poisson_margin(lam, n)
+
+    @pytest.mark.parametrize("n", [10**8, 10**400])
+    def test_huge_n_levels_raise_at_once(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ParamError, match="rounds to 0"):
+            truncated_poisson_margin(1.0, n)
+        with pytest.raises(ParamError, match="rounds to 0"):
+            poisson_copula_grid(1.0, n)
+        assert time.perf_counter() - start < 1.0
+
     def test_coupling_with_far_tail(self):
         n = 30
         mx = truncated_poisson_margin(2.0, n)
@@ -216,6 +251,11 @@ class TestPoissonCopulaGrid:
     def test_truncation_guard(self):
         with pytest.raises(ParamError):
             poisson_copula_grid(0.2, 4)
+
+    def test_margin_levels_that_round_to_zero_raise(self):
+        # the fit used to end in ZeroMarginError on an all-zero row
+        with pytest.raises(ParamError, match=r"lam=2\.0.*n_levels=300 "):
+            poisson_copula_grid(1.0, 300)
 
     def test_mass_one(self):
         g = poisson_copula_grid(0.5, 24)
