@@ -25,7 +25,7 @@ from tabcop.errors import (
     check_nonnegative,
     check_positive,
 )
-from tabcop.pmf_core import JointPmf
+from tabcop.pmf_core import JointPmf, _wrap
 
 
 def _require_2x2(p: JointPmf, name: str = "table"):
@@ -73,7 +73,8 @@ def bernoulli_copula(omega: float) -> JointPmf:
     s = math.sqrt(omega)
     diag = s / (2.0 * (1.0 + s))
     off = 1.0 / (2.0 * (1.0 + s))
-    return JointPmf([[diag, off], [off, diag]])
+    # off > 0 puts mass on every line, and the four cells sum to 1 up to rounding
+    return _wrap(JointPmf, values=np.array([[diag, off], [off, diag]]))
 
 
 def reconstruct(omega: float, pi_x: float, pi_y: float) -> JointPmf:

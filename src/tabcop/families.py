@@ -45,7 +45,7 @@ from tabcop.errors import (
     check_size,
     real_as_float,
 )
-from tabcop.pmf_core import JointPmf, _wrap
+from tabcop.pmf_core import SUM_TOL, JointPmf, _wrap
 
 #: Parameter names of each continuous copula family; the ``family`` CLI verb
 #: takes each as a flag of the same name.
@@ -580,10 +580,16 @@ def discretize_copula(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> J
     """
     n_rows = check_size(n_rows, "n_rows", 2, ValidationError)
     n_cols = check_size(n_cols, "n_cols", 2, ValidationError)
-    cells = np.diff(np.diff(_cdf_mesh(spec, n_rows, n_cols), axis=0), axis=1)
-    # 2-increasingness can be lost to the Student CDF's quadrature noise
-    # at ~1e-12, and to rounding elsewhere; clip
-    return JointPmf(np.clip(cells, 0.0, None))
+    nodes = _cdf_mesh(spec, n_rows, n_cols)
+    strips = nodes[1:] - nodes[:-1]
+    cells = strips[:, 1:] - strips[:, :-1]
+    # clip what the Student CDF's quadrature noise (~1e-12) and rounding take
+    # below 0; rows and columns telescope to 1/R and 1/S, so a unit total
+    # (which shows every cell finite) is every check
+    np.maximum(cells, 0.0, out=cells)
+    if abs(cells.sum() - 1.0) <= SUM_TOL:
+        return _wrap(JointPmf, values=cells)
+    return JointPmf(cells)
 
 
 def fgm_pmf(theta: float, n_rows: int, n_cols: int) -> JointPmf:
@@ -650,17 +656,14 @@ def _binomial_dependence(n: int, omega: float) -> np.ndarray:
     relative accuracy.  The product goes through ``einsum``, which never
     calls the threaded BLAS.
     """
-    k = np.arange(n + 1.0)
+    i, k = np.arange(n + 1), np.arange(n + 1.0)
     half = omega ** (-0.5 * k)  # omega^(-k/2)
+    gap = i - i[:, None]  # gap[j, x] = x - j
     comb = np.empty((n + 1, n + 1))  # comb[j, x] = C(x, j), 0 for j > x
     comb[0] = 1.0
-    np.cumprod(np.maximum(k - k[:-1, None], 0.0) / k[1:, None], axis=0, out=comb[1:])
-    # gaps[j, x] = half[x - j], 0 for j > x: a Toeplitz view of the padded powers
-    padded = np.concatenate((np.zeros(n), half))
-    gaps = np.lib.stride_tricks.as_strided(padded[n:], shape=(n + 1, n + 1),
-                                           strides=(-padded.itemsize, padded.itemsize),
-                                           writeable=False)
-    g = comb * gaps
+    np.cumprod(np.maximum(gap[:-1], 0) / k[1:, None], axis=0, out=comb[1:])
+    # half[|x - j|] is finite, so where j > x the product is comb's 0
+    g = comb * half[np.abs(gap)]
     weights = ((omega - 1.0) / omega) ** k / comb[:, n]
     return np.einsum("jx,jy->xy", weights[:, None] * g, g)
 
@@ -716,9 +719,8 @@ def binomial_copula(n: int, omega: float) -> JointPmf:
         upper, lower = frechet_bounds(size)
         return lower if omega == 0.0 else upper
     if omega == 1.0:
-        return JointPmf(np.full((size, size), 1.0 / size**2))
-    result, _diag = scaling.copula_pmf(_binomial_seed(n, omega))
-    return result
+        return _wrap(JointPmf, values=np.full((size, size), 1.0 / size**2))
+    return scaling._fit(_binomial_seed(n, omega).values)[0]
 
 
 def truncated_geometric_pmf(n_levels: int, p2: JointPmf) -> JointPmf:
@@ -739,10 +741,14 @@ def truncated_geometric_pmf(n_levels: int, p2: JointPmf) -> JointPmf:
     n = check_size(n_levels, "n_levels", 2, ParamError)
     if p2.shape != (2, 2):
         raise ValidationError(f"base table must be 2x2, got {p2.shape}")
-    v = p2.values
-    p00, p01, p10, p11 = v[0, 0], v[0, 1], v[1, 0], v[1, 1]
-    if p00 >= 1.0:
+    if p2.values[0, 0] >= 1.0:
         raise DegenerateError("base table is concentrated at (0, 0)")
+    return JointPmf(_geometric_table(n, p2.values))
+
+
+def _geometric_table(n: int, base: np.ndarray) -> np.ndarray:
+    """The cells of :func:`truncated_geometric_pmf`: products, 0 where they underflow."""
+    p00, p01, p10, p11 = base[0, 0], base[0, 1], base[1, 0], base[1, 1]
     row0, col0 = p00 + p01, p00 + p10
     row1, col1 = p10 + p11, p01 + p11
 
@@ -763,7 +769,7 @@ def truncated_geometric_pmf(n_levels: int, p2: JointPmf) -> JointPmf:
     below = lead * p01 * powers(row0)[gap] * before_last(row1)[:, None]
     out = np.where(k[:, None] < k, above, below)
     out[k, k] = lead * before_last(p11)
-    return JointPmf(out)
+    return out
 
 
 def _geometric_limit_seed(n: int) -> np.ndarray:
@@ -807,11 +813,12 @@ def truncated_geometric_copula(n_levels: int, omega: float) -> JointPmf:
     omega = check_nonnegative(omega, "omega", ParamError)
     if omega == 0.0:
         seed = _geometric_limit_seed(n_levels)
-        result, _diag = scaling.copula_pmf(JointPmf(seed / seed.sum()))
-        return result
-    base = bernoulli_copula(omega)
-    result, _diag = scaling.copula_pmf(truncated_geometric_pmf(n_levels, base))
-    return result
+        return scaling._fit(seed / seed.sum())[0]
+    table = _geometric_table(n_levels, bernoulli_copula(omega).values)
+    if np.count_nonzero(table) < table.size:
+        # cells underflowed: check the lines as the public table does
+        table = JointPmf(table).values
+    return scaling._fit(table)[0]
 
 
 def _goodman_seed(n_rows: int, n_cols: int, theta: float) -> JointPmf:
@@ -862,6 +869,5 @@ def goodman_copula(n_rows: int, n_cols: int, theta: float) -> JointPmf:
         upper, lower = frechet_bounds(n_rows)
         return lower if theta == 0.0 else upper
     if theta == 1.0:
-        return JointPmf(np.full((n_rows, n_cols), 1.0 / (n_rows * n_cols)))
-    result, _diag = scaling.copula_pmf(_goodman_seed(n_rows, n_cols, theta))
-    return result
+        return _wrap(JointPmf, values=np.full((n_rows, n_cols), 1.0 / (n_rows * n_cols)))
+    return scaling._fit(_goodman_seed(n_rows, n_cols, theta).values)[0]

@@ -74,8 +74,8 @@ class DensityGrid:
 
 def _poisson_log_pmf(lam: float, n_levels: int) -> np.ndarray:
     """log P(Z = k) for Z ~ Poisson(lam) and k = 0..N-1."""
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n_levels)])
-    return np.arange(n_levels) * math.log(lam) - lam - log_fact
+    log_lam = math.log(lam)
+    return np.array([k * log_lam - lam - math.lgamma(k + 1) for k in range(n_levels)])
 
 
 def _poisson_log_tails(lam: float, log_pmf: np.ndarray) -> np.ndarray:
@@ -197,8 +197,7 @@ def poisson_copula_grid(omega: float, n_levels: int) -> DensityGrid:
             f"marginal tail mass {tail:.3g} beyond level {n_levels - 1} exceeds "
             f"{_GRID_TAIL_TOL:g}; increase n_levels"
         )
-    pmf = bivariate_poisson_pmf(1.0, 1.0, omega, n_levels)
-    cop, _diag = scaling.copula_pmf(pmf)
+    cop, _diag = scaling._fit(bivariate_poisson_pmf(1.0, 1.0, omega, n_levels).values)
     # N^2 times a fitted copula pmf: the grid's invariants hold by construction
     return _wrap(DensityGrid, heights=n_levels**2 * cop.values)
 

@@ -74,23 +74,20 @@ def _holds_pmf(v: np.ndarray) -> bool:
                     and v.any(axis=1).all() and v.any(axis=0).all())
 
 
-def _wrap_fitted(values: np.ndarray, row_sums=None) -> "JointPmf":
+def _wrap_fitted(values: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray) -> "JointPmf":
     """A :class:`JointPmf` around a table that a fit built from a valid pmf.
 
-    A fit keeps the table's shape and its entries nonnegative, but unit
-    mass and a positive entry on every line are not guaranteed, and a
-    non-finite cell shows in the sum.  ``row_sums``, where the fit has
-    them, are the row sums of ``values`` in any summation order: once
-    the sum shows every entry finite, a positive row sum means a nonzero
-    entry, so they stand in for the row check.  Where the checks hold the
-    table is wrapped as by :func:`_wrap`; where one fails, the public
-    constructor raises as it does for any input.
+    A fit keeps the table's shape and its entries nonnegative, but not
+    unit mass or a positive entry on every line.  ``row_sums`` and
+    ``col_sums`` are the line sums of ``values`` in any summation order, as
+    the fit formed them: a finite total shows every entry finite, and then
+    a positive line sum a nonzero entry.  Where the checks hold the table
+    is wrapped as by :func:`_wrap`; where one fails, the public constructor
+    raises as it does for any input.
     """
-    if abs(values.sum() - 1.0) <= SUM_TOL:
-        rows = (min(row_sums.tolist()) > 0.0 if row_sums is not None
-                else values.any(axis=1).all())
-        if rows and values.any(axis=0).all():
-            return _wrap(JointPmf, values=values)
+    cols = col_sums.tolist()
+    if abs(sum(cols) - 1.0) <= SUM_TOL and min(cols) > 0.0 and min(row_sums.tolist()) > 0.0:
+        return _wrap(JointPmf, values=values)
     return JointPmf(values)
 
 

@@ -18,22 +18,16 @@ loaded from there afterwards.  It is built with ``-O3
 -ffp-contract=off``: the compiler vectorises and interleaves its loops
 but neither reassociates nor fuses a sum, so its tables, sweep counts and
 errors equal those of plain in-order loops over doubles bit for bit.
-Where no C compiler, writable cache or
-loadable library is at hand, the NumPy kernel (``_ipf_py``) runs instead.
-:data:`IPF_BACKEND` reads ``"c"`` or ``"python"``.  Either kernel is bound
-once per fit, to the table and to one buffer that holds the targets, the
-error ring and the kernel's scratch; binding checks the two and takes
-their addresses, and the bound kernel runs every chunk of sweeps of that
-fit.
+Where no C compiler, writable cache or loadable library is at hand, the
+NumPy kernel (``_ipf_py``) runs instead.  :data:`IPF_BACKEND` reads
+``"c"`` or ``"python"``.
 
-The fits take validated :class:`~tabcop.pmf_core.JointPmf` and
-:class:`~tabcop.pmf_core.MarginPair` inputs and do not validate what they
-build from them again: the uniform targets of :func:`copula_pmf` and the
-fitted table are wrapped read-only as they are, the table by
-:func:`~tabcop.pmf_core._wrap_fitted` after a check of the mass and line
-sums that a fit does not guarantee, which takes the row sums the fit
-already has.  The fitted table owns its memory, apart from any buffer
-of the fit.
+Every fit, the family constructors' too, runs through :func:`_fit` in
+one float64 buffer of the table, its targets, the error ring and the line
+sums, with the kernel bound to it once and one kernel call per chunk of
+sweeps.  The first call also measures whether the table already fits,
+and :func:`~tabcop.pmf_core._wrap_fitted` checks the kernel's line sums
+before it wraps a copy of the fitted table, which owns its memory.
 """
 
 from __future__ import annotations
@@ -121,30 +115,30 @@ def _load_kernel(cache_dir):
         c_sweeps = ctypes.CDLL(lib_path).ipf_sweeps
     except OSError:
         return _ipf_py.bind, "python"
-    c_long, c_ptr = ctypes.c_long, ctypes.c_void_p
-    c_sweeps.argtypes = (c_ptr, c_long, c_long, c_ptr, c_long, ctypes.c_double, c_long)
+    c_long = ctypes.c_long
+    c_sweeps.argtypes = (ctypes.c_void_p, c_long, c_long, c_long, ctypes.c_double, c_long)
     c_sweeps.restype = c_long
 
-    def bind(table, aux):
+    def bind(buf, n_rows, n_cols):
         """:func:`tabcop._ipf_py.bind`, run by the C kernel.
 
-        The two buffers are checked and their addresses taken here, once;
-        each call of the returned function is one call into the library.
+        The buffer is checked and its address taken here, once; each call
+        of the returned function is one call into the library.
         """
-        n_rows, n_cols = table.shape
-        err_ring = _ipf_py.split_aux(aux, n_rows, n_cols)[2]
+        err_ring = _ipf_py.split(buf, n_rows, n_cols)[3]
         n_ring = err_ring.size
-        if (aux.ndim != 1 or n_ring < 1 or table.dtype != np.float64
-                or aux.dtype != np.float64 or not (table.flags.carray and aux.flags.carray)):
-            raise ValueError("the C kernel takes a writable C-contiguous float64 table and "
-                             "a float64 vector of its targets, a nonempty ring and scratch")
-        head = (table.ctypes.data, n_rows, n_cols, aux.ctypes.data, n_ring)
+        try:  # from_buffer raises TypeError unless the buffer is writable and C-contiguous
+            if buf.ndim != 1 or n_ring < 1 or buf.dtype != np.float64:
+                raise TypeError
+            address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        except TypeError:
+            raise ValueError("the C kernel takes a writable C-contiguous float64 vector "
+                             "of a table, its targets, a nonempty ring and its sums") from None
 
         def sweeps(tol, max_iter):
-            done = c_sweeps(*head, tol, max_iter)
-            return done, float(err_ring[(done - 1) % n_ring]) if done else np.inf
+            done = c_sweeps(address, n_rows, n_cols, n_ring, tol, max_iter)
+            return done, float(err_ring[(done - 1) % n_ring])
 
-        sweeps.buffers = (table, aux)  # keeps the addresses above valid
         return sweeps
 
     return bind, "c"
@@ -220,6 +214,10 @@ class FeasibilityClass:
             raise ValidationError(f"{self.tag} classification cannot carry forced zeros")
 
 
+#: The class of every full support of at least 2 x 2 cells.
+_FULL = FeasibilityClass("A")
+
+
 @dataclass(frozen=True)
 class ScalingDiagnostics:
     """Fitting run report.
@@ -288,30 +286,23 @@ def _cut_rectangle(net, source, mask):
 
 
 def _support_components(mask):
-    """Connected components of the bipartite support graph."""
-    n_rows, n_cols = mask.shape
-    row_comp = [-1] * n_rows
-    col_comp = [-1] * n_cols
-    n_comp = 0
-    for start in range(n_rows):
-        if row_comp[start] >= 0:
-            continue
-        row_comp[start] = n_comp
-        stack = [("r", start)]
-        while stack:
-            kind, idx = stack.pop()
-            if kind == "r":
-                for y in range(n_cols):
-                    if mask[idx, y] and col_comp[y] < 0:
-                        col_comp[y] = n_comp
-                        stack.append(("c", y))
-            else:
-                for x in range(n_rows):
-                    if mask[x, idx] and row_comp[x] < 0:
-                        row_comp[x] = n_comp
-                        stack.append(("r", x))
-        n_comp += 1
-    return n_comp, row_comp, col_comp
+    """Connected components of the bipartite support graph: ``(n_comp, row_comp, col_comp)``.
+
+    The components are numbered in the order of their first rows.  Every
+    line is labelled with the least row of its component by propagating
+    least labels from the rows through the columns and back until none
+    falls: two passes on a full support, and on any support no more than
+    its components' diameter.  Every line of ``mask`` has a True.
+    """
+    row_label = np.arange(mask.shape[0])
+    while True:
+        col_label = np.where(mask, row_label[:, np.newaxis], mask.shape[0]).min(axis=0)
+        lower = np.where(mask, col_label, mask.shape[0]).min(axis=1)
+        if (lower == row_label).all():
+            break
+        row_label = lower
+    firsts, row_comp = np.unique(row_label, return_inverse=True)
+    return firsts.size, row_comp.tolist(), np.searchsorted(firsts, col_label).tolist()
 
 
 def classify_existence(s: SupportPattern, t: MarginPair) -> FeasibilityClass:
@@ -326,7 +317,7 @@ def classify_existence(s: SupportPattern, t: MarginPair) -> FeasibilityClass:
     rt, ct = t.row_margins, t.col_margins
 
     if mask.all():
-        return FeasibilityClass("A")
+        return _FULL
 
     flow, net, source, _sink = max_transport_flow(mask, rt, ct)
     if flow < 1.0 - FEASIBILITY_TOL:
@@ -408,10 +399,6 @@ def _margin_residual(values, rt, ct):
     return np.concatenate((values.sum(axis=1) - rt, values.sum(axis=0) - ct))
 
 
-def _margin_error(values, rt, ct):
-    return np.abs(_margin_residual(values, rt, ct)).max()
-
-
 def _peel_forest(values, rt, ct):
     """The table on the support of ``values`` with margins (rt, ct), by peeling.
 
@@ -448,27 +435,21 @@ def _peel_forest(values, rt, ct):
     return peeled if n_open == 0 else None
 
 
-def _sweep(work, rt, ct, tol, max_iter):
-    """Run the kernel on ``work`` in doubling chunks of 16, 32, 64, ... sweeps.
+def _sweep(run, err_ring, tol, max_iter):
+    """Run the bound kernel ``run`` in doubling chunks of 16, 32, 64, ... sweeps.
 
-    The kernel is bound once, to ``work`` and to one buffer holding the
-    targets, a 16-slot ring of max errors and its scratch, and each chunk
-    is one call of the bound kernel.  Sweeping is stateless apart from
-    ``work`` and every chunk starts at a multiple of the ring length, so
-    the table and the ring are those of one uninterrupted run, and memory
-    does not grow with the sweeps.  The run stops early, as slow, when a
-    full chunk ends above ``tol`` with a rate estimate above
-    :data:`NEWTON_SWITCH_RATE` or with a max error no lower than the
-    previous chunk's (the sweeps have stalled).  A NaN error, as from a
-    line whose sum underflows, ends the run at once.
+    Each chunk is one kernel call; the first returns at once where the
+    table already fits.  Every chunk starts at a multiple of the length of
+    the 16-slot ``err_ring``, so the table and the ring are those of one
+    uninterrupted run, and memory does not grow with the sweeps.  The run
+    stops early, as slow, when a full chunk ends above ``tol`` with a rate
+    estimate above :data:`NEWTON_SWITCH_RATE` or with a max error no lower
+    than the previous chunk's (the sweeps have stalled).  A NaN error, as
+    from a line whose sum underflows, ends the run at once.
 
-    Returns ``(sweeps, error, rate, slow, row_sums)``, the rate as in
-    :class:`ScalingDiagnostics` and ``row_sums`` those of ``work`` as the
-    kernel left them.
+    Returns ``(sweeps, error, rate, slow)``, the rate as in
+    :class:`ScalingDiagnostics`.
     """
-    aux = _ipf_py.aux_buffer(rt, ct, _RING_LEN)
-    _rt, _ct, err_max, row_sums = _ipf_py.split_aux(aux, *work.shape)
-    run = _bind(work, aux)
     done, err, previous, chunk, slow = 0, np.inf, np.inf, _RING_LEN, False
     while done < max_iter:
         n = min(chunk, max_iter - done)
@@ -477,11 +458,11 @@ def _sweep(work, rt, ct, tol, max_iter):
         if sweeps < n or not err > tol:  # done, or the error is NaN
             break
         if err >= previous or (n == chunk
-                               and _rate_from_ring(err_max, n) > NEWTON_SWITCH_RATE):
+                               and _rate_from_ring(err_ring, n) > NEWTON_SWITCH_RATE):
             slow = True
             break
         previous, chunk = err, 2 * chunk
-    return done, err, _rate_from_ring(err_max, done), slow, row_sums
+    return done, err, _rate_from_ring(err_ring, done), slow
 
 
 def _newton_direction(x, f_long, f_short, free):
@@ -576,7 +557,8 @@ def _solve_exact(values, rt, ct, tol, classification):
     peeled = _peel_forest(values, rt, ct)
     if peeled is None:
         return None
-    err = float(_margin_error(peeled, rt, ct))
+    row_sums, col_sums = peeled.sum(axis=1), peeled.sum(axis=0)
+    err = float(np.abs(np.concatenate((row_sums - rt, col_sums - ct))).max())
     diag = ScalingDiagnostics(0, err, classification, method="exact")
     if err > tol:
         raise NonConvergenceError(
@@ -590,41 +572,55 @@ def _solve_exact(values, rt, ct, tol, classification):
             f"(class {classification.tag})",
             diagnostics=diag,
         )
-    return peeled, diag
+    return pmf_core._wrap_fitted(peeled, row_sums, col_sums), diag
 
 
-def _run_ipf(values, rt, ct, tol, max_iter, classification):
-    """Fit ``values``, which the caller owns, to (rt, ct) and wrap the result.
+def _fit(values, t=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Fit ``values`` to the margins ``t``, uniform where ``t`` is None, as :func:`ipf_fit`.
 
-    Returns ``(fitted, diagnostics)``, ``fitted`` a :class:`JointPmf` from
-    :func:`~tabcop.pmf_core._wrap_fitted`, which is handed the row sums
-    where the fit has those of the fitted table: the first margin check's
-    when the table already fits, the kernel's after sweeps alone.
+    The callers have checked the arguments: ``values`` has finite
+    nonnegative entries and a positive entry in every line (its sum is
+    not used), ``t`` its shape.  A full support of at least 2 x 2 cells is
+    class A and has a cycle, so it is neither classified nor peeled.  Any
+    other support is classified, its forced cells zeroed and the table
+    measured; where it fits after a zeroing, its columns are rescaled to
+    their targets, as a sweep ends, to restore the mass zeroed.
     """
-    # the rows and columns are checked apart, and the columns only when
-    # the rows already fit: a table that starts at its margins is rare
-    row_sums = values.sum(axis=1)
-    row_dev = np.abs(row_sums - rt).max()
-    if row_dev <= tol:
-        init_dev = np.maximum(row_dev, np.abs(values.sum(axis=0) - ct).max())
-        if init_dev <= tol:
-            diag = ScalingDiagnostics(0, float(init_dev), classification)
-            return pmf_core._wrap_fitted(values, row_sums), diag
+    n_rows, n_cols = values.shape
+    buf = _ipf_py.fit_buffer(n_rows, n_cols, _RING_LEN)
+    table, rt, ct, err_ring, row_sums, col_sums = _ipf_py.split(buf, n_rows, n_cols)
+    table[...] = values
+    rt[:], ct[:] = (1.0 / n_rows, 1.0 / n_cols) if t is None else (t.row_margins, t.col_margins)
+    run = _bind(buf, n_rows, n_cols)
+    if np.count_nonzero(table) == table.size:
+        classification = _FULL
+    else:
+        if t is None:
+            t = pmf_core._wrap(MarginPair, row_margins=rt, col_margins=ct)
+        classification = classify_existence(pmf_core._wrap(SupportPattern, mask=table > 0), t)
+        if classification.tag == "C":
+            raise InfeasibleError(
+                "no table with this support pattern achieves the requested "
+                f"margins (witness rectangles: {classification.tight_rectangles})",
+                classification=classification,
+            )
+        for x, y in classification.forced_zero_cells:
+            table[x, y] = 0.0
+        if run(tol, 0)[1] <= tol:
+            if classification.forced_zero_cells:
+                table *= ct / col_sums
+        else:
+            solved = _solve_exact(table, rt, ct, tol, classification)
+            if solved is not None:
+                return solved
 
-    solved = _solve_exact(values, rt, ct, tol, classification)
-    if solved is not None:
-        peeled, diag = solved
-        return pmf_core._wrap_fitted(peeled), diag
-
-    work = np.ascontiguousarray(values)
-    iterations, err, rate, slow, row_sums = _sweep(work, rt, ct, tol, max_iter)
+    iterations, err, rate, slow = _sweep(run, err_ring, tol, max_iter)
     newton_steps = 0
     if slow:
-        newton_steps, err = _newton_finish(work, rt, ct, tol)
-        row_sums = None  # the steps rescaled the table after the sweeps
+        newton_steps, err = _newton_finish(table, rt, ct, tol)
     diag = ScalingDiagnostics(
-        iterations=int(iterations),
-        margin_error=float(err),
+        iterations=iterations,
+        margin_error=err,
         classification=classification,
         rate_estimate=rate,
         newton_steps=newton_steps,
@@ -637,7 +633,9 @@ def _run_ipf(values, rt, ct, tol, max_iter, classification):
             f"(class {classification.tag})",
             diagnostics=diag,
         )
-    return pmf_core._wrap_fitted(work, row_sums), diag
+    if slow:
+        run(tol, 0)  # the steps rescaled the table: measure its line sums again
+    return pmf_core._wrap_fitted(table.copy(), row_sums, col_sums), diag
 
 
 def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
@@ -676,19 +674,8 @@ def ipf_fit(p: JointPmf, t: MarginPair, tol: float = DEFAULT_TOL,
     """
     tol = check_positive(tol, "tol", ValidationError)
     max_iter = check_size(max_iter, "max_iter", 1, ValidationError)
-    classification = classify_existence(pmf_core.support(p), t)
-    if classification.tag == "C":
-        raise InfeasibleError(
-            "no table with this support pattern achieves the requested "
-            f"margins (witness rectangles: {classification.tight_rectangles})",
-            classification=classification,
-        )
-
-    values = p.values.copy()
-    if classification.tag == "B2":
-        for x, y in classification.forced_zero_cells:
-            values[x, y] = 0.0
-    return _run_ipf(values, t.row_margins, t.col_margins, tol, max_iter, classification)
+    _check_pair_shapes(p.shape, t)
+    return _fit(p.values, t, tol, max_iter)
 
 
 def copula_pmf(p: JointPmf, tol: float = DEFAULT_TOL,
@@ -700,10 +687,9 @@ def copula_pmf(p: JointPmf, tol: float = DEFAULT_TOL,
     the closure of the class for B2).  Returns ``(copula, diagnostics)``
     and raises as :func:`ipf_fit`.
     """
-    n_rows, n_cols = p.shape
-    uniform = pmf_core._wrap(MarginPair, row_margins=np.full(n_rows, 1.0 / n_rows),
-                             col_margins=np.full(n_cols, 1.0 / n_cols))
-    return ipf_fit(p, uniform, tol=tol, max_iter=max_iter)
+    tol = check_positive(tol, "tol", ValidationError)
+    max_iter = check_size(max_iter, "max_iter", 1, ValidationError)
+    return _fit(p.values, None, tol, max_iter)
 
 
 def apply_marginal_distortion(p: JointPmf, row_factors, col_factors) -> JointPmf:

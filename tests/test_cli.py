@@ -105,7 +105,8 @@ class TestAnalyze:
         path.write_text(table)
         assert run(["analyze", "--input", str(path)]) == code
         assert json.loads(capsys.readouterr().out)["classification"]["class"] == tag
-        assert len(calls) == 1
+        # a full support is class A by its shape alone, so it is not classified
+        assert len(calls) == (0 if tag == "A" else 1)
 
 
 class TestCopulaAndCouple:

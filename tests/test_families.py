@@ -56,6 +56,7 @@ from tabcop.families import (
 from tabcop.infinite import (
     DensityGrid,
     bivariate_poisson_pmf,
+    geometric_copula_grid,
     poisson_copula_grid,
     truncated_poisson_margin,
 )
@@ -1329,6 +1330,58 @@ class TestPositiveValidation:
     def test_lam11_zero_accepted(self):
         np.testing.assert_array_equal(bivariate_poisson_pmf(1.0, 1.0, np.int64(0), 4).values,
                                       bivariate_poisson_pmf(1.0, 1.0, 0.0, 4).values)
+
+
+#: Degenerate and extreme inputs of the constructors whose tables are
+#: wrapped rather than checked again, with the error each raises.
+EXTREME_CALLS = {
+    "binomial n=60 omega=1e-12": (lambda: binomial_copula(60, 1e-12), ParamError, "underflows"),
+    "binomial n=5 omega=1e308": (lambda: binomial_copula(5, 1e308), ParamError, "underflows"),
+    "binomial n=1024": (lambda: binomial_copula(1024, 2.0), ParamError, "exceeds 1023"),
+    "goodman theta=1e20": (lambda: goodman_copula(30, 30, 1e20), ParamError, "underflows"),
+    "goodman theta=1e308": (lambda: goodman_copula(3, 3, 1e308), ParamError, "underflows"),
+    "goodman theta=0 on 3x4": (lambda: goodman_copula(3, 4, 0.0), InfeasibleError, "diagonal"),
+    # subnormal base cells: the table's line sums underflow in the first sweep
+    "geometric omega=1e-320": (lambda: truncated_geometric_copula(6, 1e-320),
+                               NonConvergenceError, "nan"),
+    "geometric grid omega=1e-320": (lambda: geometric_copula_grid(1e-320, 6),
+                                    NonConvergenceError, "nan"),
+    # cells that underflow to 0 leave a support no uniform margins fit
+    "geometric omega=1e-300": (lambda: truncated_geometric_copula(8, 1e-300),
+                               InfeasibleError, "support pattern"),
+    "poisson level rounds to 0": (lambda: poisson_copula_grid(1.0, 400), ParamError,
+                                  "rounds to 0"),
+    "poisson margin level rounds to 0": (lambda: truncated_poisson_margin(800.0, 3),
+                                         ParamError, "rounds to 0"),
+    "student mesh df=0.002": (lambda: discretize_copula(
+        ContinuousCopulaSpec("student", {"rho": 0.3, "df": 0.002}), 15, 15), ParamError,
+        "too small"),
+}
+
+
+class TestWrappedTables:
+    """Tables built from validated inputs are wrapped, not checked again."""
+
+    @pytest.mark.parametrize("name", sorted(EXTREME_CALLS))
+    def test_extreme_inputs_raise_as_before(self, name):
+        call, error, message = EXTREME_CALLS[name]
+        with pytest.raises(error, match=message) as info:
+            call()
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("build", [
+        lambda: bernoulli_copula(1e-320), lambda: bernoulli_copula(1e308),
+        lambda: truncated_geometric_copula(6, 1e308), lambda: binomial_copula(60, 1e-10),
+        lambda: goodman_copula(12, 12, 1e-3),
+        lambda: discretize_copula(ContinuousCopulaSpec("frank", {"theta": 1e4}), 9, 9),
+        lambda: discretize_copula(ContinuousCopulaSpec("clayton", {"theta": -1.0}), 9, 9),
+        lambda: discretize_copula(ContinuousCopulaSpec("student", {"rho": 0.5, "df": 4.0}),
+                                  6, 6),
+    ])
+    def test_wrapped_tables_pass_the_public_checks(self, build):
+        p = build()
+        assert not p.values.flags.writeable
+        np.testing.assert_array_equal(JointPmf(p.values).values, p.values)
 
 
 class TestFamilyInvariants:

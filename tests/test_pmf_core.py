@@ -89,10 +89,15 @@ class TestFromCounts:
         assert not np.shares_memory(p.values, counts)
 
 
+def line_sums(values):
+    """The row and the column sums of ``values``, as a fit hands them over."""
+    return values.sum(axis=1), values.sum(axis=0)
+
+
 class TestWrapFitted:
     def test_valid_table_wrapped_read_only(self):
         values = np.array([[0.25, 0.25], [0.5, 0.0]])
-        p = pmf_core._wrap_fitted(values)
+        p = pmf_core._wrap_fitted(values, *line_sums(values))
         assert type(p) is JointPmf and p.values is values
         assert not values.flags.writeable
 
@@ -107,7 +112,9 @@ class TestWrapFitted:
         with pytest.raises(error, match=match) as by_constructor:
             JointPmf(np.array(bad))
         with pytest.raises(error, match=match) as by_wrap:
-            pmf_core._wrap_fitted(np.array(bad))
+            with np.errstate(invalid="ignore"):
+                sums = line_sums(np.array(bad))
+            pmf_core._wrap_fitted(np.array(bad), *sums)
         assert str(by_wrap.value) == str(by_constructor.value)
 
 

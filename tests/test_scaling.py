@@ -1,12 +1,11 @@
-import functools
-import operator
+import math
 import subprocess
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tabcop import _ipf_py, bernoulli, families, infinite, pmf_core, scaling
@@ -39,14 +38,20 @@ from conftest import (
 )
 
 
-def bind_with_ring(bind, table, row_targets, col_targets, n_ring):
-    """Bind the kernel ``bind`` to ``table`` and a new buffer with an ``n_ring``-slot ring.
+def bind_buffer(bind, table, row_targets, col_targets, n_ring):
+    """Bind ``bind`` to a new buffer of ``table``, its targets and an ``n_ring``-slot ring.
 
-    Returns ``(sweeps, ring)``, ``ring`` the view of the buffer the
-    kernel records its max errors in.
+    Returns ``(sweeps, parts)``, ``parts`` the views of the buffer that
+    :func:`tabcop._ipf_py.split` gives: the table the kernel fits, the
+    targets, the ring it records its max errors in and the line sums.
     """
-    aux = _ipf_py.aux_buffer(row_targets, col_targets, n_ring)
-    return bind(table, aux), _ipf_py.split_aux(aux, *table.shape)[2]
+    n_rows, n_cols = table.shape
+    buf = _ipf_py.fit_buffer(n_rows, n_cols, n_ring)
+    parts = _ipf_py.split(buf, n_rows, n_cols)
+    parts[0][...] = table
+    parts[1][:] = row_targets
+    parts[2][:] = col_targets
+    return bind(buf, n_rows, n_cols), parts
 
 
 def uniform_pair(n_rows, n_cols):
@@ -131,7 +136,6 @@ class TestIpfFit:
     @pytest.mark.parametrize("fit_rows, fit_cols", [(True, False), (False, True),
                                                     (True, True)])
     def test_start_at_the_margins_needs_rows_and_columns(self, rng, fit_rows, fit_cols):
-        # the first check sums the columns only when the rows already fit;
         # only a table at both margins skips the fit, and its margin error
         # is the larger deviation of the two
         p = JointPmf(random_positive_pmf(rng, 3, 4))
@@ -189,9 +193,9 @@ class TestIpfFit:
             n_rows, n_cols = rng.integers(2, 7, size=2)
             p = JointPmf(random_positive_pmf(rng, n_rows, n_cols))
             t = MarginPair(random_margins(rng, n_rows), random_margins(rng, n_cols))
-            work, l1 = p.values.copy(), []
-            sweeps, _ring = bind_with_ring(scaling._bind, work, t.row_margins,
-                                           t.col_margins, 1)
+            l1 = []
+            sweeps, (work, *_rest) = bind_buffer(scaling._bind, p.values, t.row_margins,
+                                                 t.col_margins, 1)
             for _sweep in range(10**4):
                 _, err = sweeps(scaling.DEFAULT_TOL, 1)
                 l1.append(np.abs(work.sum(axis=1) - t.row_margins).sum())
@@ -380,6 +384,28 @@ def fit_inputs(rng):
     yield "newton", lambda: ipf_fit(CYCLE, cycle_targets(1e-4)), (CYCLE.values,)
 
 
+@st.composite
+def count_tables_and_margins(draw):
+    """A 2x2..6x6 count table with cells over 26 orders of magnitude and
+    zeros, every line positive, and positive margins for it."""
+    n_rows, n_cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cells = st.one_of(st.just(0.0), st.floats(-30.0, 30.0).map(np.exp))
+    values = np.reshape(draw(st.lists(cells, min_size=n_rows * n_cols,
+                                      max_size=n_rows * n_cols)), (n_rows, n_cols))
+    values[np.arange(n_rows), np.arange(n_rows) % n_cols] += 1.0
+    values[np.arange(n_cols) % n_rows, np.arange(n_cols)] += 1.0
+    logs = st.floats(-5.0, 5.0)
+    rt = np.exp(draw(st.lists(logs, min_size=n_rows, max_size=n_rows)))
+    ct = np.exp(draw(st.lists(logs, min_size=n_cols, max_size=n_cols)))
+    return values, rt / rt.sum(), ct / ct.sum()
+
+
+#: A B2 table whose forced cell (1, 0) holds about 1.3e-12 of the mass:
+#: once it is zeroed, every line is within 1e-12 of the uniform margins,
+#: but the total is 1.3e-12 short of 1.
+B2_WITHIN_TOL = [[2 + math.exp(-26), 0.0], [math.exp(-26), 2 + math.exp(-26)]]
+
+
 class TestFitOutputs:
     """Fitted tables skip the public checks, so check what they promise."""
 
@@ -399,25 +425,23 @@ class TestFitOutputs:
         monkeypatch.setattr(scaling, "classify_existence",
                             lambda s, t: seen.append((s, t)) or scaling.FeasibilityClass("A"))
         copula_pmf(from_counts(LIN_COUNTS))
+        assert not seen  # a full support is class A by its shape alone
+        mask = np.array([[0, 1, 1], [1, 1, 1], [1, 1, 1]])
+        copula_pmf(JointPmf(mask / 8.0))
         (support, uniform), = seen
         for a in (support.mask, uniform.row_margins, uniform.col_margins):
             assert not a.flags.writeable
-        assert support.mask.dtype == bool and support.mask.all()
-        np.testing.assert_array_equal(uniform.row_margins, [0.5, 0.5])
+        assert support.mask.dtype == bool
+        np.testing.assert_array_equal(support.mask, mask > 0)
+        np.testing.assert_array_equal(uniform.row_margins, [1 / 3] * 3)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(2, 6), st.integers(2, 6), st.data())
-    def test_outputs_pass_the_public_checks(self, n_rows, n_cols, data):
-        cells = st.one_of(st.just(0.0), st.floats(-30.0, 30.0).map(np.exp))
-        values = np.reshape(data.draw(st.lists(cells, min_size=n_rows * n_cols,
-                                               max_size=n_rows * n_cols)), (n_rows, n_cols))
-        values[np.arange(n_rows), np.arange(n_rows) % n_cols] += 1.0
-        values[np.arange(n_cols) % n_rows, np.arange(n_cols)] += 1.0
+    @given(count_tables_and_margins())
+    @example((np.array(B2_WITHIN_TOL), np.array([0.5, 0.5]), np.array([0.5, 0.5])))
+    def test_outputs_pass_the_public_checks(self, problem):
+        values, rt, ct = problem
         p = from_counts(values)
-        logs = st.floats(-5.0, 5.0)
-        rt = np.exp(data.draw(st.lists(logs, min_size=n_rows, max_size=n_rows)))
-        ct = np.exp(data.draw(st.lists(logs, min_size=n_cols, max_size=n_cols)))
-        t = MarginPair(rt / rt.sum(), ct / ct.sum())
+        t = MarginPair(rt, ct)
         outputs = [pmf_core.support(p)]
         for fit in (lambda: copula_pmf(p), lambda: ipf_fit(p, t),
                     lambda: couple(copula_pmf(p)[0], t)):
@@ -434,9 +458,9 @@ class TestFitOutputs:
                                               SupportPattern(out.values > 0).mask)
 
     @pytest.mark.parametrize("p, t, tol, error, message", [
-        # a B2 fixed point within a loose tol: zeroing the forced cell loses mass
-        ([[0.0, 0.3], [0.3, 0.4]], ([0.5, 0.5], [0.5, 0.5]), 0.5,
-         ValidationError, r"must sum to 1 \(got np.float64\(0.6\)\)"),
+        # as below, at a tol so loose that only the first row misses
+        ([[0.4, 0.4], [0.1, 0.1]], ([5e-324, 1.0], [0.5, 0.5]), 0.5,
+         ZeroMarginError, "all-zero row"),
         # the smallest positive row target rounds a row to zeros
         (np.full((2, 2), 0.25), ([5e-324, 1.0], [0.5, 0.5]), 1e-12,
          ZeroMarginError, "all-zero row"),
@@ -448,16 +472,30 @@ class TestFitOutputs:
         with pytest.raises(error, match=message):
             ipf_fit(JointPmf(p), MarginPair(*t), tol=tol)
 
+    @pytest.mark.parametrize("p, tol, copula", [
+        ([[0.0, 0.3], [0.3, 0.4]], 0.5, [[0.0, 0.5], [0.5, 0.0]]),
+        (B2_WITHIN_TOL, scaling.DEFAULT_TOL, [[0.5, 0.0], [0.0, 0.5]]),
+    ])
+    def test_zeroed_cells_keep_unit_mass(self, p, tol, copula):
+        # zeroing the forced cell leaves every line within tol but the
+        # mass short of 1; the columns are rescaled as a sweep ends
+        fitted, diag = copula_pmf(from_counts(p), tol=tol)
+        assert diag.classification.tag == "B2" and diag.margin_error <= tol
+        assert abs(fitted.values.sum() - 1.0) <= pmf_core.SUM_TOL
+        np.testing.assert_allclose(fitted.values, copula, rtol=0.0, atol=1e-15)
+
 
 class TestBind:
     """The bind contract of both kernels: one bind per fit, buffers kept alive."""
 
-    def test_one_bind_per_fit(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, bind):
+        """Make the fits bind ``bind``, and record its binds and the budget of each call."""
         binds, calls = [], []
 
-        def counting_bind(*buffers):
-            sweeps = bind(*buffers)
-            binds.append(buffers)
+        def counting_bind(*args):
+            sweeps = bind(*args)
+            binds.append(args)
 
             def counted(tol, max_iter):
                 calls.append(max_iter)
@@ -465,33 +503,47 @@ class TestBind:
 
             return counted
 
-        bind = scaling._bind
         monkeypatch.setattr(scaling, "_bind", counting_bind)
+        return binds, calls
+
+    def test_one_bind_per_fit(self, monkeypatch):
+        binds, calls = self.count_calls(monkeypatch, scaling._bind)
         fitted, diag = ipf_fit(CYCLE, cycle_targets(1e-1))
-        # the fit ends part-way through its third chunk
-        assert len(binds) == 1 and calls == [16, 32, 64]
+        # the support is not full: one call measures the table, and the fit
+        # ends part-way through its third chunk
+        assert len(binds) == 1 and calls == [0, 16, 32, 64]
         assert 48 < diag.iterations < 112
-        # two buffers: the table, and the targets, a 16-slot ring and the
-        # scratch in one vector, which the fitted table does not keep alive
-        ((table, aux),) = binds
-        assert table.shape == (3, 3) and aux.shape == (2 * (3 + 3) + scaling._RING_LEN,)
-        assert fitted.values is table and fitted.values.base is None
+        # one buffer of the table, its targets, a 16-slot ring and the line
+        # sums, which the fitted table, a copy, does not keep alive
+        ((buf, n_rows, n_cols),) = binds
+        assert (n_rows, n_cols) == (3, 3)
+        assert buf.shape == (9 + 2 * (3 + 3) + scaling._RING_LEN,)
+        assert fitted.values.base is None and not np.shares_memory(fitted.values, buf)
+        np.testing.assert_array_equal(fitted.values, buf[:9].reshape(3, 3))
+
+    @pytest.mark.parametrize("backend", ["loaded", "numpy"])
+    def test_full_support_fit_in_one_kernel_call(self, monkeypatch, backend):
+        # an independence table fits in one sweep, in the first chunk
+        binds, calls = self.count_calls(monkeypatch, scaling._bind if backend == "loaded"
+                                        else _ipf_py.bind)
+        fitted, diag = copula_pmf(from_counts(np.outer([1, 2, 3], [4, 5, 6, 7])))
+        assert len(binds) == 1 and calls == [16]
+        assert diag.iterations == 1 and diag.classification is scaling._FULL
+        np.testing.assert_allclose(fitted.values, 1 / 12, rtol=1e-15)
 
     @pytest.mark.parametrize("backend", ["loaded", "numpy"])
     def test_bound_buffers_outlive_the_caller(self, rng, backend):
         bind = scaling._bind if backend == "loaded" else _ipf_py.bind
         p = random_positive_pmf(rng, 4, 5)
         rt, ct = random_margins(rng, 4), random_margins(rng, 5)
-        expected = _ipf_py.bind(p.copy(), _ipf_py.aux_buffer(rt, ct, 16))(1e-12, 10**4)
-        work = p.copy()
-        sweeps = bind(work, _ipf_py.aux_buffer(rt, ct, 16))  # temporaries
-        del work
-        # take back freed memory of the same sizes (the table's 20 and the
-        # buffer's 2 * (4 + 5) + 16 doubles), were any freed
-        junk = [np.full(n, np.nan) for n in (20, 34) for _ in range(50)]
+        expected = bind_buffer(_ipf_py.bind, p, rt, ct, 16)[0](1e-12, 10**4)
+        sweeps = bind_buffer(bind, p, rt, ct, 16)[0]  # drops its buffer and views
+        # take back freed memory of the buffer's size (20 + 2 * (4 + 5) + 16
+        # doubles), were it freed
+        junk = [np.full(54, np.nan) for _ in range(50)]
         got = sweeps(1e-12, 10**4)
         assert np.isnan(junk[-1]).all()
-        assert got[0] == pytest.approx(expected[0], abs=2) and got[1] <= 1e-12
+        assert got == expected and got[1] <= 1e-12
 
 
 class TestFittedTableOwnsItsMemory:
@@ -536,8 +588,8 @@ def one_kernel_run(p, t, max_iter):
     Returns ``(table, sweeps, error, max errors)``, the errors cut to the
     sweeps run.
     """
-    work = p.values.copy()
-    run, err_max = bind_with_ring(scaling._bind, work, t.row_margins, t.col_margins, max_iter)
+    run, (work, _rt, _ct, err_max, *_sums) = bind_buffer(scaling._bind, p.values, t.row_margins,
+                                                         t.col_margins, max_iter)
     sweeps, err = run(scaling.DEFAULT_TOL, max_iter)
     return work, sweeps, err, err_max[:sweeps]
 
@@ -633,9 +685,9 @@ class TestStall:
 
 def sweep_reference(values, t, tol=1e-14):
     """The sweep fit of ``values`` to a tighter tolerance; None if it misses."""
-    work = values.copy()
-    aux = _ipf_py.aux_buffer(t.row_margins, t.col_margins, scaling._RING_LEN)
-    _sweeps, err = _ipf_py.bind(work, aux)(tol, 10**5)
+    run, (work, *_rest) = bind_buffer(_ipf_py.bind, values, t.row_margins, t.col_margins,
+                                      scaling._RING_LEN)
+    _sweeps, err = run(tol, 10**5)
     return work if err <= tol else None
 
 
@@ -657,6 +709,33 @@ def scaling_problems(draw):
     t = MarginPair(rt / rt.sum(), ct / ct.sum())
     assume(classify_existence(SupportPattern(mask), t).tag == "A")
     return values / values.sum(), t
+
+
+def support_components_by_search(mask):
+    """Connected components of the support, by a depth-first search over its cells."""
+    n_rows, n_cols = mask.shape
+    row_comp = [-1] * n_rows
+    col_comp = [-1] * n_cols
+    n_comp = 0
+    for start in range(n_rows):
+        if row_comp[start] >= 0:
+            continue
+        row_comp[start] = n_comp
+        stack = [("r", start)]
+        while stack:
+            kind, idx = stack.pop()
+            if kind == "r":
+                for y in range(n_cols):
+                    if mask[idx, y] and col_comp[y] < 0:
+                        col_comp[y] = n_comp
+                        stack.append(("c", y))
+            else:
+                for x in range(n_rows):
+                    if mask[x, idx] and row_comp[x] < 0:
+                        row_comp[x] = n_comp
+                        stack.append(("r", x))
+        n_comp += 1
+    return n_comp, row_comp, col_comp
 
 
 class TestNewtonFinish:
@@ -712,6 +791,18 @@ class TestNewtonFinish:
         np.testing.assert_allclose(work, sweep_reference(values, MarginPair(rt, ct)),
                                    rtol=0.0, atol=5e-13)
 
+    @pytest.mark.parametrize("density", [1.0, 0.6, 0.3, 0.1])
+    def test_components_match_the_cell_by_cell_search(self, rng, density):
+        # the pinned lines of the Newton steps and the B1 separators come
+        # from these labels; random full and partial supports, every line
+        # covered
+        for _ in range(60):
+            n_rows, n_cols = rng.integers(1, 13, size=2)
+            mask = rng.random((n_rows, n_cols)) < density
+            mask[np.arange(n_rows), np.arange(n_rows) % n_cols] = True
+            mask[np.arange(n_cols) % n_rows, np.arange(n_cols)] = True
+            assert scaling._support_components(mask) == support_components_by_search(mask)
+
     def test_unreachable_target_stops(self):
         # block masses 0.6 and 0.4 against targets of 0.5 each
         values = np.array([[0.3, 0.0], [0.0, 0.7]])
@@ -765,8 +856,8 @@ class TestExactForest:
         mask, q = problem
         start = JointPmf(mask / mask.sum())
         t = MarginPair(q.sum(axis=1), q.sum(axis=0))
-        assume(scaling._margin_error(start.values, t.row_margins, t.col_margins)
-               > scaling.DEFAULT_TOL)  # else the start is returned as it is
+        residual = scaling._margin_residual(start.values, t.row_margins, t.col_margins)
+        assume(np.abs(residual).max() > scaling.DEFAULT_TOL)  # else the start is returned
         fitted, diag = ipf_fit(start, t)
         v = fitted.values
         assert (diag.method, diag.iterations, diag.rate_estimate) == ("exact", 0, None)
@@ -809,8 +900,8 @@ class TestExactForest:
         # margins met exactly only with a negative cell: no fall back to sweeps
         values = np.array([[0.4, 0.3], [0.3, 0.0]])
         with pytest.raises(NonConvergenceError, match="mass <= 0") as info:
-            scaling._run_ipf(values, np.array([0.3, 0.7]), np.array([0.5, 0.5]),
-                             scaling.DEFAULT_TOL, 10, scaling.FeasibilityClass("A"))
+            scaling._solve_exact(values, np.array([0.3, 0.7]), np.array([0.5, 0.5]),
+                                 scaling.DEFAULT_TOL, scaling.FeasibilityClass("A"))
         assert info.value.diagnostics.method == "exact"
 
 
@@ -922,15 +1013,33 @@ def in_order_sweeps(table, row_targets, col_targets, tol, max_iter, ring):
     """The C kernel's loops over plain Python floats, one operation at a time.
 
     Sweeps the nested list ``table`` and fills the list ``ring`` in place;
-    returns the number of sweeps run.
+    returns ``(sweeps, row_sums, col_sums)``, the line sums those of the
+    final table.
     """
     n_rows, n_cols, n_ring = len(table), len(table[0]), len(ring)
-    row_sums = []
-    for row in table:
-        s = 0.0
-        for cell in row:
-            s += cell
-        row_sums.append(s)
+
+    def line_sums():
+        row_sums, col_sums = [], [0.0] * n_cols
+        for row in table:
+            s = 0.0
+            for y, cell in enumerate(row):
+                s += cell
+                col_sums[y] += cell
+            row_sums.append(s)
+        return row_sums, col_sums
+
+    def fold(err, sums, targets):
+        for s, target in zip(sums, targets):
+            dev = abs(s - target)
+            if dev > err or dev != dev:
+                err = dev
+        return err
+
+    row_sums, col_sums = line_sums()
+    err = fold(fold(0.0, row_sums, row_targets), col_sums, col_targets)
+    if err <= tol or max_iter < 1:
+        ring[-1] = err
+        return 0, row_sums, col_sums
     for k in range(max_iter):
         err = 0.0
         col_sums = [0.0] * n_cols
@@ -946,134 +1055,132 @@ def in_order_sweeps(table, row_targets, col_targets, tol, max_iter, ring):
                 table[x][y] *= col_factors[y]
                 s += table[x][y]
             row_sums[x] = s
-            dev = abs(s - row_targets[x])
-            if dev > err or dev != dev:
-                err = dev
+        err = fold(0.0, row_sums, row_targets)
         ring[k % n_ring] = err
         if err <= tol:
-            return k + 1
-    return max_iter
+            return (k + 1, *line_sums())
+    return (max_iter, *line_sums())
+
+
+def random_fit_input(rng, n_rows, n_cols):
+    """A table with zero cells (none in a whole line) and targets for it."""
+    table = rng.random((n_rows, n_cols)) ** 3
+    table[rng.random((n_rows, n_cols)) < 0.2] = 0.0
+    table[np.arange(n_rows), np.arange(n_rows) % n_cols] += 0.1
+    table[np.arange(n_cols) % n_rows, np.arange(n_cols)] += 0.1
+    return table / table.sum(), random_margins(rng, n_rows), random_margins(rng, n_cols)
+
+
+#: Table shapes with row counts on and off multiples of 4 and rows of
+#: fewer and more than 8 cells, where NumPy's own sums change order.
+KERNEL_SHAPES = [(2, 2), (3, 40), (4, 4), (5, 7), (7, 3), (9, 16), (13, 13), (40, 40), (37, 21)]
 
 
 class TestKernels:
     @pytest.mark.skipif(scaling.IPF_BACKEND == "python", reason="C kernel not built")
     def test_c_kernel_is_bit_identical_to_in_order_loops(self, rng):
-        # tables with zero cells (none in a whole line) and row counts on
-        # and off multiples of 4; budgets and tolerances stop runs both
-        # part-way through a ring and at convergence
-        shapes = [(2, 2), (3, 40), (4, 4), (5, 7), (7, 3), (9, 16), (13, 13), (40, 40),
-                  (37, 21)] + [tuple(rng.integers(2, 41, size=2)) for _ in range(40)]
+        # budgets and tolerances stop runs at once (a table within tol, or
+        # no sweep asked for), part-way through a ring and at convergence
+        shapes = KERNEL_SHAPES + [tuple(rng.integers(2, 41, size=2)) for _ in range(40)]
         for n_rows, n_cols in shapes:
-            table = rng.random((n_rows, n_cols)) ** 3
-            table[rng.random((n_rows, n_cols)) < 0.2] = 0.0
-            table[np.arange(n_rows), np.arange(n_rows) % n_cols] += 0.1
-            table[np.arange(n_cols) % n_rows, np.arange(n_cols)] += 0.1
-            table /= table.sum()
-            rt, ct = random_margins(rng, n_rows), random_margins(rng, n_cols)
-            tol = float(rng.choice([0.0, 1e-12, 1e-6]))
-            max_iter = int(rng.integers(1, 70))
+            table, rt, ct = random_fit_input(rng, n_rows, n_cols)
+            tol = float(rng.choice([0.0, 1e-12, 1e-6, 1.0]))
+            max_iter = int(rng.integers(0, 70))
             n_ring = int(rng.choice([1, 5, 16]))
-            work, aux = table.copy(), _ipf_py.aux_buffer(rt, ct, n_ring)
-            ring, row_sums = _ipf_py.split_aux(aux, n_rows, n_cols)[2:]
+            run, (work, row_t, col_t, ring, row_sums, col_sums) = bind_buffer(
+                scaling._bind, table, rt, ct, n_ring)
             ring[:] = -1.0
-            done, err = scaling._bind(work, aux)(tol, max_iter)
+            done, err = run(tol, max_iter)
             ref_table, ref_ring = table.tolist(), [-1.0] * n_ring
-            ref_done = in_order_sweeps(ref_table, rt.tolist(), ct.tolist(), tol, max_iter,
-                                       ref_ring)
+            ref_done, ref_rows, ref_cols = in_order_sweeps(ref_table, rt.tolist(), ct.tolist(),
+                                                           tol, max_iter, ref_ring)
             assert done == ref_done
             assert work.tobytes() == np.array(ref_table).tobytes()
             assert ring.tobytes() == np.array(ref_ring).tobytes()
             assert err == ref_ring[(done - 1) % n_ring]
-            # the scratch keeps the row sums of the final table, in order
-            assert row_sums.tobytes() == np.array(
-                [functools.reduce(operator.add, row, 0.0) for row in ref_table]).tobytes()
-            assert (aux[:n_rows] == rt).all() and (aux[n_rows:n_rows + n_cols] == ct).all()
+            assert row_sums.tobytes() == np.array(ref_rows).tobytes()
+            assert col_sums.tobytes() == np.array(ref_cols).tobytes()
+            assert (row_t == rt).all() and (col_t == ct).all()
 
     def test_python_kernel_contract(self, rng):
         p = random_positive_pmf(rng, 4, 5)
         rt, ct = random_margins(rng, 4), random_margins(rng, 5)
-        work, aux = p.copy(), _ipf_py.aux_buffer(rt, ct, 16)
-        sweeps, err = _ipf_py.bind(work, aux)(1e-12, 10000)
-        _rt, _ct, hist, row_sums = _ipf_py.split_aux(aux, 4, 5)
+        run, (work, _rt, _ct, ring, row_sums, col_sums) = bind_buffer(_ipf_py.bind, p, rt, ct, 16)
+        sweeps, err = run(1e-12, 10000)
         assert err <= 1e-12
-        assert hist[(sweeps - 1) % 16] == err
+        assert ring[(sweeps - 1) % 16] == err
         assert np.abs(work.sum(axis=1) - rt).max() <= 1e-12
         assert (row_sums == work.sum(axis=1)).all()
+        assert (col_sums == work.sum(axis=0)).all()
+        # the fitted table is within tol: the next call measures it and stops
+        assert run(1e-12, 10000) == (0, max(np.abs(row_sums - rt).max(),
+                                            np.abs(col_sums - ct).max()))
+        assert ring[-1] == run(1e-12, 10000)[1]
 
     @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
     def test_kernels_agree(self, rng):
-        # up to 11 columns: NumPy sums rows of 8 or more in a different order
-        for _ in range(20):
-            n_rows, n_cols = rng.integers(2, 12, size=2)
+        # NumPy sums rows of 8 or more cells in an order of its own, which
+        # shifts the stop by a hair
+        for n_rows, n_cols in KERNEL_SHAPES + [tuple(rng.integers(2, 41, size=2))
+                                               for _ in range(20)]:
             p = random_positive_pmf(rng, n_rows, n_cols)
-            rt = random_margins(rng, n_rows)
-            ct = random_margins(rng, n_cols)
-            w1, w2 = p.copy(), p.copy()
-            run1, _h1 = bind_with_ring(_ipf_py.bind, w1, rt, ct, 16)
-            run2, h2 = bind_with_ring(scaling._bind, w2, rt, ct, 16)
+            rt, ct = random_margins(rng, n_rows), random_margins(rng, n_cols)
+            run1, parts1 = bind_buffer(_ipf_py.bind, p, rt, ct, 16)
+            run2, parts2 = bind_buffer(scaling._bind, p, rt, ct, 16)
             s1, e1 = run1(1e-12, 10**5)
             s2, e2 = run2(1e-12, 10**5)
-            assert abs(s1 - s2) <= 2  # summation order shifts the stop by a hair
-            assert np.abs(w1 - w2).max() <= 1e-12
-            assert e2 <= 1e-12 and h2[(s2 - 1) % 16] == e2
+            assert abs(s1 - s2) <= 2
+            assert np.abs(parts1[0] - parts2[0]).max() <= 1e-12
+            assert e1 <= 1e-12 and e2 <= 1e-12 and parts2[3][(s2 - 1) % 16] == e2
+            for sums1, sums2 in zip(parts1[4:], parts2[4:]):
+                assert np.abs(sums1 - sums2).max() <= 1e-15
 
     @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
     def test_kernels_agree_bit_for_bit_below_8_columns(self, rng):
-        # NumPy sums rows of fewer than 8 cells in order, as the C kernel
-        # does, so there the two kernels leave the same bits everywhere
+        # there NumPy sums in index order too, so the two kernels leave the
+        # same bits in the whole buffer (the table, the targets, the ring
+        # and the line sums) after every call: one that only measures, and
+        # budgets that stop runs part-way, at two tolerances
         for _ in range(30):
             n_rows, n_cols = int(rng.integers(2, 13)), int(rng.integers(2, 8))
-            table = random_positive_pmf(rng, n_rows, n_cols)
-            table[rng.random(table.shape) < 0.2] = 0.0
-            table[np.arange(n_rows), np.arange(n_rows) % n_cols] += 0.05
-            table /= table.sum()
-            rt, ct = random_margins(rng, n_rows), random_margins(rng, n_cols)
+            table, rt, ct = random_fit_input(rng, n_rows, n_cols)
             max_iter, tol = int(rng.integers(1, 200)), float(rng.choice([1e-6, 1e-12]))
             results = []
             for bind in (_ipf_py.bind, scaling._bind):
-                work, aux = table.copy(), _ipf_py.aux_buffer(rt, ct, 16)
-                aux[n_rows + n_cols:] = -1.0
-                done, err = bind(work, aux)(tol, max_iter)
-                results.append((done, err, work.tobytes(), aux.tobytes()))
+                run, parts = bind_buffer(bind, table, rt, ct, 16)
+                parts[3][:] = -1.0
+                calls = [(run(tol, n), parts[0].base.tobytes()) for n in (0, max_iter, 16)]
+                results.append(calls)
             numpy_run, c_run = results
-            # the scratch past the row sums is the C kernel's own
-            assert numpy_run[:3] == c_run[:3]
-            end = len(aux) - n_cols
-            assert numpy_run[3][:8 * end] == c_run[3][:8 * end]
+            assert numpy_run == c_run
 
     @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
     def test_c_kernel_keeps_nan_error(self):
         # a zero row with a zero target sums to 0/0: neither kernel converges
-        table = np.array([[0.0, 0.0], [0.5, 0.5]])
+        table = np.array([[0.0, 0.0], [0.3, 0.7]])
         rt, ct = np.array([0.0, 1.0]), np.array([0.5, 0.5])
         for bind in (_ipf_py.bind, scaling._bind):
             with np.errstate(invalid="ignore"):
-                sweeps, err = bind(table.copy(), _ipf_py.aux_buffer(rt, ct, 16))(1e-12, 5)
+                sweeps, err = bind_buffer(bind, table, rt, ct, 16)[0](1e-12, 5)
             assert sweeps == 5 and np.isnan(err)
 
     @pytest.mark.skipif(scaling.IPF_BACKEND != "c", reason="C kernel not built")
     def test_c_kernel_checks_its_buffers(self):
-        table = np.full((2, 3), 1 / 6)
-        aux = _ipf_py.aux_buffer(np.full(2, 0.5), np.full(3, 1 / 3), 16)  # 2 * 5 + 16
-        scaling._bind(table, aux)
-        scaling._bind(table, aux[:11])  # one ring slot
-        read_only_table, read_only_aux = table.copy(), aux.copy()
-        read_only_table.flags.writeable = False
-        read_only_aux.flags.writeable = False
-        for args in [
-            (np.full((2, 4), 1 / 8)[:, :3], aux),               # table not contiguous
-            (np.asfortranarray(np.full((3, 3), 1 / 9)), aux),   # Fortran order
-            (read_only_table, aux),
-            (table.astype(np.float32), aux),
-            (table, aux[:10]),                                  # no ring slot
-            (table, np.empty(0)),
-            (table, aux[::2]),                                  # buffer not contiguous
-            (table, aux.reshape(2, 13)),
-            (table, aux.astype(np.float32)),
-            (table, read_only_aux),
+        buf = _ipf_py.fit_buffer(2, 3, 16)  # 6 + 2 * (2 + 3) + 16
+        scaling._bind(buf, 2, 3)
+        scaling._bind(buf[:17], 2, 3)  # one ring slot
+        read_only = buf.copy()
+        read_only.flags.writeable = False
+        for bad in [
+            buf[:16],                            # no ring slot
+            np.empty(0),
+            np.empty(64)[::2],                   # not contiguous
+            buf.reshape(2, 16),
+            buf.astype(np.float32),
+            read_only,
         ]:
             with pytest.raises(ValueError):
-                scaling._bind(*args)
+                scaling._bind(bad, 2, 3)
 
 
 class TestKernelBuild:
