@@ -6,12 +6,19 @@ row x -> col y with unbounded capacity on every support cell, col y ->
 sink with capacity colTarget[y].  The margins are achievable exactly when
 the maximum flow saturates the source edges.
 
+:func:`max_transport_flow` returns the flow's value, the rows on the
+source side of the minimal min cut and, on request, the flow on every
+cell; the network's nodes and edges stay inside this module.
+
 A hand-rolled Dinic keeps each call in the tens of microseconds for the
 small dense networks this package sees; the exhaustive classification
 tests run hundreds of thousands of them.
 """
 
 from collections import deque
+from typing import NamedTuple
+
+import numpy as np
 
 INF = float("inf")
 
@@ -41,7 +48,7 @@ class DinicFlow:
                 if cap > _CAP_EPS and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        self._level = level
+        self.level = level
         return level[t] >= 0
 
     def _push(self, u, t, limit, alive):
@@ -50,7 +57,7 @@ class DinicFlow:
         while alive[u] < len(self.adj[u]):
             edge = self.adj[u][alive[u]]
             v = edge[0]
-            if edge[1] > _CAP_EPS and self._level[v] == self._level[u] + 1:
+            if edge[1] > _CAP_EPS and self.level[v] == self.level[u] + 1:
                 pushed = self._push(v, t, min(limit, edge[1]), alive)
                 if pushed > 0.0:
                     edge[1] -= pushed
@@ -60,6 +67,12 @@ class DinicFlow:
         return 0.0
 
     def max_flow(self, s, t):
+        """The maximum flow from s to t.
+
+        The last level search fails; the nodes it leaves at ``level >= 0``
+        are those reachable from s in the residual graph, the source side
+        of the minimal min cut.
+        """
         total = 0.0
         while self._bfs_levels(s, t):
             alive = [0] * self.n
@@ -70,31 +83,23 @@ class DinicFlow:
                 total += pushed
         return total
 
-    def source_side(self, s):
-        """Nodes reachable from s in the residual graph (min-cut S-side)."""
-        seen = [False] * self.n
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _ in self.adj[u]:
-                if cap > _CAP_EPS and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+
+class _TransportFlow(NamedTuple):
+    """A max flow's value, its source-side cut rows (ascending) and its R x S cell flows."""
+
+    value: float
+    cut_rows: list
+    cell_flows: np.ndarray | None
 
 
-def transport_network(mask, row_caps, col_caps):
-    """Build the feasibility network for a support mask and margin caps.
-
-    Node layout: 0 = source, 1..R = rows, R+1..R+S = columns,
-    R+S+1 = sink.  Returns the DinicFlow plus (source, sink) indices.
-    """
+def max_transport_flow(mask, row_caps, col_caps, cell_flows=False):
+    """Maximum mass routable through ``mask``; the cell flows only if ``cell_flows``."""
     n_rows, n_cols = mask.shape
+    # nodes: 0 = source, 1..R = rows, R+1..R+S = columns, R+S+1 = sink
     net = DinicFlow(n_rows + n_cols + 2)
-    source, sink = 0, n_rows + n_cols + 1
+    sink = n_rows + n_cols + 1
     for x in range(n_rows):
-        net.add_edge(source, 1 + x, float(row_caps[x]))
+        net.add_edge(0, 1 + x, float(row_caps[x]))
     for y in range(n_cols):
         net.add_edge(1 + n_rows + y, sink, float(col_caps[y]))
     for x in range(n_rows):
@@ -102,10 +107,12 @@ def transport_network(mask, row_caps, col_caps):
         for y in range(n_cols):
             if row[y]:
                 net.add_edge(1 + x, 1 + n_rows + y, INF)
-    return net, source, sink
-
-
-def max_transport_flow(mask, row_caps, col_caps):
-    """Maximum mass routable through the support. Returns (flow, net, s, t)."""
-    net, s, t = transport_network(mask, row_caps, col_caps)
-    return net.max_flow(s, t), net, s, t
+    value = net.max_flow(0, sink)
+    cut_rows = [x for x in range(n_rows) if net.level[1 + x] >= 0]
+    flows = None
+    if cell_flows:
+        flows = np.zeros(mask.shape)
+        for x in range(n_rows):  # after the source edge's reverse, the row's cell edges
+            for v, _cap, rev in net.adj[1 + x][1:]:  # a cell's flow is its reverse's residual
+                flows[x, v - 1 - n_rows] = net.adj[v][rev][1]
+    return _TransportFlow(value, cut_rows, flows)

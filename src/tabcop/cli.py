@@ -57,17 +57,10 @@ def _emit(payload, out_path: str | None):
             sys.stdout.write(payload)
 
 
-def _csv(matrix: np.ndarray, pretty: bool) -> str:
+def _csv(matrix: np.ndarray, pretty: bool, sep: str = ",") -> str:
     fmt = "{:.6g}" if pretty else "{:.17g}"
     return "\n".join(
-        ",".join(fmt.format(v) for v in row) for row in np.asarray(matrix)
-    ) + "\n"
-
-
-def _grid_text(matrix: np.ndarray, pretty: bool) -> str:
-    fmt = "{:.6g}" if pretty else "{:.17g}"
-    return "\n".join(
-        " ".join(fmt.format(v) for v in row) for row in np.asarray(matrix)
+        sep.join(fmt.format(v) for v in row) for row in np.asarray(matrix)
     ) + "\n"
 
 
@@ -214,7 +207,7 @@ def _cmd_grid(args) -> int:
         grid = infinite.poisson_copula_grid(omega, n)
     else:
         grid = infinite.geometric_copula_grid(omega, n)
-    _emit(_grid_text(grid.heights, args.pretty), args.out)
+    _emit(_csv(grid.heights, args.pretty, sep=" "), args.out)
     return 0
 
 

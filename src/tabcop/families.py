@@ -38,6 +38,7 @@ from tabcop.errors import (
     DegenerateError,
     DomainError,
     InfeasibleError,
+    NonConvergenceError,
     ParamError,
     ValidationError,
     check_nonnegative,
@@ -668,6 +669,19 @@ def _binomial_dependence(n: int, omega: float) -> np.ndarray:
     return np.einsum("jx,jy->xy", weights[:, None] * g, g)
 
 
+def _normal_seed(table, message):
+    """``table`` normalized and wrapped as a seed to fit.
+
+    Raises ParamError with ``message`` where a cell of the normalized
+    table is not a normal double (also NaN, as from inf / inf).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf, rejected below
+        seed = table / table.sum()
+    if not seed.min() >= sys.float_info.min:
+        raise ParamError(message)
+    return _wrap(JointPmf, values=seed)
+
+
 def _binomial_seed(n: int, omega: float) -> JointPmf:
     """The normalized :func:`_binomial_dependence` table, for 0 < omega < inf.
 
@@ -686,13 +700,8 @@ def _binomial_seed(n: int, omega: float) -> JointPmf:
         table = _binomial_dependence(n, omega)
     else:
         table = _binomial_dependence(n, 1.0 / omega)[:, ::-1]
-    seed = table / table.sum()
-    if not seed.min() >= sys.float_info.min:  # also NaN, from 1 / omega = inf
-        raise ParamError(
-            f"omega={omega} over- or underflows for n={n}: the binomial table "
-            "spans more than the doubles"
-        )
-    return _wrap(JointPmf, values=seed)
+    return _normal_seed(table, f"omega={omega} over- or underflows for n={n}: "
+                               "the binomial table spans more than the doubles")
 
 
 def binomial_copula(n: int, omega: float) -> JointPmf:
@@ -808,6 +817,9 @@ def truncated_geometric_copula(n_levels: int, omega: float) -> JointPmf:
     margins, so the copula is the omega -> 0 limit instead: mass settles
     on the support of minimal vanishing order and the leading coefficients
     are fitted there (for N = 3 this is the uniform off-diagonal table).
+    Where cells of the table underflow to 0, the support left is fitted;
+    ParamError names omega and N where that fit fails (as at N = 8,
+    omega = 1e-300, where no table on it has uniform margins).
     """
     n_levels = check_size(n_levels, "n_levels", 2, ParamError)
     omega = check_nonnegative(omega, "omega", ParamError)
@@ -815,10 +827,17 @@ def truncated_geometric_copula(n_levels: int, omega: float) -> JointPmf:
         seed = _geometric_limit_seed(n_levels)
         return scaling._fit(seed / seed.sum())[0]
     table = _geometric_table(n_levels, bernoulli_copula(omega).values)
-    if np.count_nonzero(table) < table.size:
-        # cells underflowed: check the lines as the public table does
-        table = JointPmf(table).values
-    return scaling._fit(table)[0]
+    if np.count_nonzero(table) == table.size:
+        return scaling._fit(table)[0]
+    # cells underflowed: check the lines as the public table does, and fit
+    # the support that is left where it still reaches uniform margins
+    try:
+        return scaling._fit(JointPmf(table).values)[0]
+    except (InfeasibleError, NonConvergenceError) as exc:
+        raise ParamError(
+            f"omega={omega} underflows cells for N={n_levels}: the geometric "
+            "table spans more than the doubles"
+        ) from exc
 
 
 def _goodman_seed(n_rows: int, n_cols: int, theta: float) -> JointPmf:
@@ -830,14 +849,10 @@ def _goodman_seed(n_rows: int, n_cols: int, theta: float) -> JointPmf:
     """
     rows = np.arange(n_rows) - 0.5 * (n_rows - 1)
     cols = np.arange(n_cols) - 0.5 * (n_cols - 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf, rejected below
+    with np.errstate(over="ignore"):  # _normal_seed rejects an infinite cell
         table = theta ** np.outer(rows, cols)
-        seed = table / table.sum()
-    if not seed.min() >= sys.float_info.min:
-        raise ParamError(
-            f"theta={theta} over- or underflows for shape {(n_rows, n_cols)}"
-        )
-    return _wrap(JointPmf, values=seed)
+    return _normal_seed(table, f"theta={theta} over- or underflows for shape "
+                               f"{(n_rows, n_cols)}")
 
 
 def goodman_copula(n_rows: int, n_cols: int, theta: float) -> JointPmf:
@@ -868,6 +883,4 @@ def goodman_copula(n_rows: int, n_cols: int, theta: float) -> JointPmf:
             )
         upper, lower = frechet_bounds(n_rows)
         return lower if theta == 0.0 else upper
-    if theta == 1.0:
-        return _wrap(JointPmf, values=np.full((n_rows, n_cols), 1.0 / (n_rows * n_cols)))
     return scaling._fit(_goodman_seed(n_rows, n_cols, theta).values)[0]

@@ -6,7 +6,11 @@ point is the unique member of the input's dependence class carrying the
 requested margins (when one exists).  Whether one exists is decided here
 without enumerating null rectangles: a maximum-flow feasibility check on
 the bipartite transportation network, plus per-cell lower-bound probes to
-find cells that every feasible table must set to zero.
+find cells that every feasible table must set to zero.  Each flow comes
+from :func:`tabcop._flow.max_transport_flow` as its value and the rows on
+the source side of its min cut, which give the witness rectangles; the
+first also gives the flow on every cell, which settles the cells carrying
+mass without a probe.
 
 A forest support (no cycle, hence no odds ratio) is fitted exactly by
 leaf peeling instead of sweeping.  Other supports are swept; a fit whose
@@ -264,25 +268,19 @@ def _check_pair_shapes(shape, t: MarginPair):
         )
 
 
-def _cut_rectangle(net, source, mask):
+def _cut_rectangle(rows, mask):
     """Null rectangle witnessed by the min cut of a saturated-flow run.
 
-    Rows on the source side of the cut can only reach their adjacent
-    columns, so (source-side rows) x (non-adjacent columns) carries no
+    The rows on the source side of the cut, the list ``rows``, reach only
+    their adjacent columns, so rows x (non-adjacent columns) carries no
     support and its combined target mass is what made the cut short.
     """
-    n_rows, n_cols = mask.shape
-    side = net.source_side(source)
-    rows = tuple(x for x in range(n_rows) if side[1 + x])
     if not rows:
         return None
-    adjacent = np.zeros(n_cols, dtype=bool)
-    for x in rows:
-        adjacent |= mask[x]
-    cols = tuple(y for y in range(n_cols) if not adjacent[y])
-    if not cols:
+    cols = np.flatnonzero(~mask[rows].any(axis=0))
+    if not cols.size:
         return None
-    return rows, cols
+    return tuple(rows), tuple(cols.tolist())
 
 
 def _support_components(mask):
@@ -319,9 +317,9 @@ def classify_existence(s: SupportPattern, t: MarginPair) -> FeasibilityClass:
     if mask.all():
         return _FULL
 
-    flow, net, source, _sink = max_transport_flow(mask, rt, ct)
-    if flow < 1.0 - FEASIBILITY_TOL:
-        rect = _cut_rectangle(net, source, mask)
+    flow = max_transport_flow(mask, rt, ct, cell_flows=True)
+    if flow.value < 1.0 - FEASIBILITY_TOL:
+        rect = _cut_rectangle(flow.cut_rows, mask)
         return FeasibilityClass("C", tight_rectangles=(rect,) if rect else ())
 
     # Cell (x, y) is forced to zero iff no feasible table puts mass >= delta
@@ -330,42 +328,31 @@ def classify_existence(s: SupportPattern, t: MarginPair) -> FeasibilityClass:
     # are settled without a probe, and each failed probe's min cut yields a
     # tight rectangle that settles its whole complement block at once.
     forced = np.zeros_like(mask)
-    decided = ~mask
-    for x in range(n_rows):
-        for edge in net.adj[1 + x]:
-            target, _cap, rev = edge
-            if n_rows + 1 <= target <= n_rows + n_cols:
-                y = target - n_rows - 1
-                if net.adj[target][rev][1] > FORCED_ZERO_DELTA:
-                    decided[x, y] = True  # carries mass in one feasible table
-
+    decided = ~mask | (flow.cell_flows > FORCED_ZERO_DELTA)
     tight = []
-    for x in range(n_rows):
-        for y in range(n_cols):
-            if decided[x, y]:
-                continue
-            delta = min(FORCED_ZERO_DELTA, 0.5 * rt[x], 0.5 * ct[y])
-            rt2 = rt.copy()
-            ct2 = ct.copy()
-            rt2[x] -= delta
-            ct2[y] -= delta
-            probe_flow, probe_net, probe_source, _ = max_transport_flow(mask, rt2, ct2)
-            if probe_flow >= (1.0 - delta) - FEASIBILITY_TOL:
-                decided[x, y] = True
-                continue
-            rect = _cut_rectangle(probe_net, probe_source, mask)
-            if rect is not None:
-                rect_rows, rect_cols = rect
-                if rect not in tight:
-                    tight.append(rect)
-                out_rows = [i for i in range(n_rows) if i not in rect_rows]
-                out_cols = [j for j in range(n_cols) if j not in rect_cols]
-                block = np.ix_(out_rows, out_cols)
-                forced[block] |= mask[block]
-                decided[block] = True
-            else:
-                forced[x, y] = True
-                decided[x, y] = True
+    for x, y in zip(*np.nonzero(~decided)):
+        if decided[x, y]:
+            continue
+        delta = min(FORCED_ZERO_DELTA, 0.5 * rt[x], 0.5 * ct[y])
+        rt2 = rt.copy()
+        ct2 = ct.copy()
+        rt2[x] -= delta
+        ct2[y] -= delta
+        probe = max_transport_flow(mask, rt2, ct2)
+        if probe.value >= (1.0 - delta) - FEASIBILITY_TOL:
+            decided[x, y] = True
+            continue
+        rect = _cut_rectangle(probe.cut_rows, mask)
+        if rect is None:
+            forced[x, y] = decided[x, y] = True
+            continue
+        if rect not in tight:
+            tight.append(rect)
+        block = np.ones_like(mask)  # the cells outside the rectangle's rows and columns
+        block[probe.cut_rows] = False
+        block[:, list(rect[1])] = False
+        forced |= block & mask
+        decided |= block
 
     if forced.any():
         cells = tuple((int(x), int(y)) for x, y in np.argwhere(forced))

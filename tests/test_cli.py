@@ -173,6 +173,11 @@ class TestFamilyVerb:
         out = read_matrix(capsys.readouterr().out)
         np.testing.assert_allclose(out, np.eye(3) / 3, atol=1e-12)
 
+    def test_geometric_past_the_doubles_is_a_parameter_error(self, capsys):
+        assert run(["family", "--name", "geometric", "--N", "8",
+                    "--omega", "1e-300"]) == 1
+        assert "spans more than the doubles" in capsys.readouterr().err
+
     def test_gaussian_family(self, capsys):
         assert run(["family", "--name", "gaussian", "--rho", "-0.5",
                     "--shape", "3x3"]) == 0

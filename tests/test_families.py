@@ -1184,6 +1184,14 @@ class TestTruncatedGeometricCopula:
         ups = [yule_upsilon(truncated_geometric_copula(3, float(w))) for w in grid]
         assert all(a <= b + 1e-12 for a, b in zip(ups, ups[1:]))
 
+    def test_underflowed_cells_that_fit_keep_the_fit(self):
+        # cells past the doubles raise only where the support left cannot be
+        # fitted (see EXTREME_CALLS); here it can, and the fit is kept
+        table = families._geometric_table(40, bernoulli_copula(1e-20).values)
+        assert np.count_nonzero(table == 0.0) == 65
+        want = scaling._fit(JointPmf(table).values)[0]
+        assert truncated_geometric_copula(40, 1e-20).values.tobytes() == want.values.tobytes()
+
 
 class TestGoodmanCopula:
     def test_matches_printed_closed_form(self):
@@ -1192,8 +1200,12 @@ class TestGoodmanCopula:
             assert np.abs(got.values - goodman33_copula_closed_form(th)).max() <= 1e-8
 
     def test_independence(self):
-        np.testing.assert_array_equal(goodman_copula(3, 3, 1.0).values,
-                                      np.full((3, 3), 1.0 / 9.0))
+        # the all-ones seed already fits: every shape keeps the uniform bytes
+        for n_rows in range(2, 30):
+            for n_cols in range(2, 30):
+                got = goodman_copula(n_rows, n_cols, 1.0).values
+                want = np.full((n_rows, n_cols), 1.0 / (n_rows * n_cols))
+                assert got.tobytes() == want.tobytes(), (n_rows, n_cols)
 
     def test_endpoints_square(self):
         upper, lower = frechet_bounds(3)
@@ -1341,14 +1353,17 @@ EXTREME_CALLS = {
     "goodman theta=1e20": (lambda: goodman_copula(30, 30, 1e20), ParamError, "underflows"),
     "goodman theta=1e308": (lambda: goodman_copula(3, 3, 1e308), ParamError, "underflows"),
     "goodman theta=0 on 3x4": (lambda: goodman_copula(3, 4, 0.0), InfeasibleError, "diagonal"),
-    # subnormal base cells: the table's line sums underflow in the first sweep
+    # geometric cells that underflow to 0 leave a table no fit can finish:
+    # its line sums underflow in the first sweep (1e-320), no uniform
+    # margins fit its support (1e-300) or its fit stalls (1e-100)
     "geometric omega=1e-320": (lambda: truncated_geometric_copula(6, 1e-320),
-                               NonConvergenceError, "nan"),
+                               ParamError, "omega=1e-320 .*N=6: .*spans more than the doubles"),
     "geometric grid omega=1e-320": (lambda: geometric_copula_grid(1e-320, 6),
-                                    NonConvergenceError, "nan"),
-    # cells that underflow to 0 leave a support no uniform margins fit
+                                    ParamError, "spans more than the doubles"),
     "geometric omega=1e-300": (lambda: truncated_geometric_copula(8, 1e-300),
-                               InfeasibleError, "support pattern"),
+                               ParamError, "omega=1e-300 .*N=8: .*spans more than the doubles"),
+    "geometric omega=1e-100": (lambda: truncated_geometric_copula(12, 1e-100),
+                               ParamError, "omega=1e-100 .*N=12: .*spans more than the doubles"),
     "poisson level rounds to 0": (lambda: poisson_copula_grid(1.0, 400), ParamError,
                                   "rounds to 0"),
     "poisson margin level rounds to 0": (lambda: truncated_poisson_margin(800.0, 3),

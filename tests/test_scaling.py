@@ -14,6 +14,7 @@ from tabcop.errors import (
     InfeasibleError,
     NonConvergenceError,
     NotACopulaError,
+    ParamError,
     ValidationError,
     ZeroMarginError,
 )
@@ -82,6 +83,45 @@ class TestClassifyExistence:
         cls = classify_existence(SupportPattern(mask), uniform_pair(3, 3))
         assert cls.tag == "C"
         assert cls.tight_rectangles  # witness reported
+
+    @pytest.mark.parametrize("margins", ["uniform", "sub_support"])
+    def test_witness_rectangles(self, rng, margins):
+        # every reported rectangle is null, tight (B1, B2) or overfull (C),
+        # and the B2 rectangles' complement blocks hold exactly the forced cells
+        tol = 1e-12
+        for _ in range(1500):
+            n_rows, n_cols = rng.integers(2, 7, size=2)
+            mask = rng.random((n_rows, n_cols)) < rng.uniform(0.2, 0.9)
+            if not (mask.any(axis=1).all() and mask.any(axis=0).all()):
+                continue
+            if margins == "uniform":
+                t = uniform_pair(n_rows, n_cols)
+            else:
+                sub = mask & (rng.random(mask.shape) < 0.6)
+                for x, y in np.argwhere(mask):  # keep one cell of every line
+                    if not sub[x].any() or not sub[:, y].any():
+                        sub[x, y] = True
+                table = np.where(sub, rng.random(mask.shape) + 0.05, 0.0)
+                table /= table.sum()
+                t = MarginPair(table.sum(axis=1), table.sum(axis=0))
+            got = classify_existence(SupportPattern(mask), t)
+            complements = np.zeros_like(mask)
+            for rows, cols in got.tight_rectangles:
+                assert rows and cols and not mask[np.ix_(rows, cols)].any(), (mask, rows, cols)
+                mass = t.row_margins[list(rows)].sum() + t.col_margins[list(cols)].sum()
+                if got.tag == "C":
+                    assert mass > 1.0, (mask, rows, cols)
+                else:
+                    assert abs(mass - 1.0) <= tol, (mask, rows, cols)
+                outside = np.ones_like(mask)
+                outside[list(rows)] = False
+                outside[:, list(cols)] = False
+                complements |= outside & mask
+            if got.tag == "C":
+                assert got.tight_rectangles, mask
+            if got.tag == "B2":
+                assert {tuple(c) for c in np.argwhere(complements).tolist()} == set(
+                    got.forced_zero_cells), mask
 
     def test_target_dependence(self):
         # same support walks through A, B2, C as the row targets shift
@@ -665,20 +705,23 @@ class TestStall:
         assert diag.margin_error > scaling.DEFAULT_TOL
 
     @pytest.mark.parametrize("kernel", ["loaded", "numpy"])
-    @pytest.mark.parametrize("fit", [
-        lambda: families.truncated_geometric_copula(6, 1e-320),
-        lambda: infinite.geometric_copula_grid(1e-320, 6),
-        lambda: ipf_fit(families.truncated_geometric_pmf(6, families.bernoulli_copula(1e-320)),
-                        uniform_pair(6, 6)),
+    @pytest.mark.parametrize("fit,error", [
+        (lambda: families.truncated_geometric_copula(6, 1e-320), ParamError),
+        (lambda: infinite.geometric_copula_grid(1e-320, 6), ParamError),
+        (lambda: ipf_fit(families.truncated_geometric_pmf(6, families.bernoulli_copula(1e-320)),
+                         uniform_pair(6, 6)), NonConvergenceError),
     ], ids=["copula", "grid", "ipf_fit"])
-    def test_nan_error_fails_with_diagnostics(self, monkeypatch, kernel, fit):
+    def test_nan_error_fails_with_diagnostics(self, monkeypatch, kernel, fit, error):
         # the subnormal seed's line sums underflow, and the first sweep's
-        # error is NaN; the fit ends there, not in the Newton steps
+        # error is NaN; the fit ends there, not in the Newton steps.  The
+        # geometric constructors raise ParamError from the failed fit.
         if kernel == "numpy":
             monkeypatch.setattr(scaling, "_bind", _ipf_py.bind)
-        with pytest.raises(NonConvergenceError) as info:
+        with pytest.raises(error) as info:
             fit()
-        diag = info.value.diagnostics
+        failed = info.value if error is NonConvergenceError else info.value.__cause__
+        assert type(failed) is NonConvergenceError
+        diag = failed.diagnostics
         assert np.isnan(diag.margin_error)
         assert (diag.iterations, diag.newton_steps, diag.rate_estimate) == (16, 0, None)
 
