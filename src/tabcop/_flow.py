@@ -48,7 +48,7 @@ class DinicFlow:
                 if cap > _CAP_EPS and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        self.level = level
+        self._level = level
         return level[t] >= 0
 
     def _push(self, u, t, limit, alive):
@@ -57,7 +57,7 @@ class DinicFlow:
         while alive[u] < len(self.adj[u]):
             edge = self.adj[u][alive[u]]
             v = edge[0]
-            if edge[1] > _CAP_EPS and self.level[v] == self.level[u] + 1:
+            if edge[1] > _CAP_EPS and self._level[v] == self._level[u] + 1:
                 pushed = self._push(v, t, min(limit, edge[1]), alive)
                 if pushed > 0.0:
                     edge[1] -= pushed
@@ -69,7 +69,7 @@ class DinicFlow:
     def max_flow(self, s, t):
         """The maximum flow from s to t.
 
-        The last level search fails; the nodes it leaves at ``level >= 0``
+        The last level search fails; the nodes it leaves at ``_level >= 0``
         are those reachable from s in the residual graph, the source side
         of the minimal min cut.
         """
@@ -108,7 +108,7 @@ def max_transport_flow(mask, row_caps, col_caps, cell_flows=False):
             if row[y]:
                 net.add_edge(1 + x, 1 + n_rows + y, INF)
     value = net.max_flow(0, sink)
-    cut_rows = [x for x in range(n_rows) if net.level[1 + x] >= 0]
+    cut_rows = [x for x in range(n_rows) if net._level[1 + x] >= 0]
     flows = None
     if cell_flows:
         flows = np.zeros(mask.shape)
