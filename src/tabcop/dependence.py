@@ -63,7 +63,7 @@ def odds_ratio_matrix(p: JointPmf) -> OddsRatioMatrix:
     """
     v = p.values
     num = v[0, 0] * v[1:, 1:]
-    den = np.outer(v[1:, 0], v[0, 1:])
+    den = np.multiply.outer(v[1:, 0], v[0, 1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         entries = num / den
     # a quotient of nonnegative products: entries in [0, inf] or NaN
@@ -128,17 +128,19 @@ def yule_upsilon(cop: JointPmf) -> float:
     table exists); the attainable maximum is not computed here.
     """
     values = cop.values
-    # the line sums serve both the copula check and the variances
-    row_sums, col_sums = values.sum(axis=1), values.sum(axis=0)
+    # the line sums serve both the copula check and the variances; the
+    # labels and the variance terms are formed on Python floats, which
+    # round each product as NumPy's elementwise loops do
+    row_sums, col_sums = values.sum(axis=1).tolist(), values.sum(axis=0).tolist()
     if not pmf_core._has_uniform_lines(row_sums, col_sums, pmf_core.COPULA_TOL):
         raise NotACopulaError("Yule's coefficient is defined on copula pmfs; margins deviate "
                               f"from uniform by more than {pmf_core.COPULA_TOL:g}")
     n_rows, n_cols = cop.shape
-    a = np.arange(n_rows) - (n_rows - 1) / 2.0
-    b = np.arange(n_cols) - (n_cols - 1) / 2.0
-    cov = math.fsum((np.outer(a, b) * values).ravel().tolist())
-    var_u = math.fsum(((a * a) * row_sums).tolist())
-    var_v = math.fsum(((b * b) * col_sums).tolist())
+    a = [x - (n_rows - 1) / 2.0 for x in range(n_rows)]
+    b = [y - (n_cols - 1) / 2.0 for y in range(n_cols)]
+    cov = math.fsum((np.multiply.outer(a, b) * values).ravel().tolist())
+    var_u = math.fsum([x * x * s for x, s in zip(a, row_sums)])
+    var_v = math.fsum([y * y * s for y, s in zip(b, col_sums)])
     if cov == 0.0:
         return 0.0
     ratio = min((cov * cov) / (var_u * var_v), 1.0)

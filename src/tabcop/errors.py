@@ -8,6 +8,10 @@ support/margins exists) to exit code 2.
 
 import math
 import numbers
+import sys
+
+#: The largest finite double.
+_MAX_FLOAT = sys.float_info.max
 
 
 class TabcopError(Exception):
@@ -82,6 +86,8 @@ def real_as_float(value, name: str, error: type) -> float:
 
     A real that no float holds, such as the int 10**400, is rejected too.
     """
+    if type(value) is float:  # the common case, without the ABC dispatch
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
     try:
@@ -98,7 +104,12 @@ def check_nonnegative(value, name: str, error: type, allow_inf: bool = True) -> 
     raises.  Any real number is accepted, NumPy scalars included;
     booleans (``np.bool_`` is not a real) and other types are rejected,
     as is NaN, and so is a real past the doubles (:func:`real_as_float`).
+    A plain float inside the domain is returned at once: these checks run
+    on every default argument, where the type and range tests cost more
+    than the answer on a small table.
     """
+    if type(value) is float and 0.0 <= value <= (math.inf if allow_inf else _MAX_FLOAT):
+        return value
     value = real_as_float(value, name, error)
     if math.isnan(value) or value < 0.0 or (math.isinf(value) and not allow_inf):
         upper = "inf]" if allow_inf else "inf)"
@@ -108,6 +119,8 @@ def check_nonnegative(value, name: str, error: type, allow_inf: bool = True) -> 
 
 def check_positive(value, name: str, error: type) -> float:
     """``value`` as a float in (0, inf): :func:`check_nonnegative` without inf, then not 0."""
+    if type(value) is float and 0.0 < value <= _MAX_FLOAT:
+        return value
     value = check_nonnegative(value, name, error, allow_inf=False)
     if value == 0.0:
         raise error(f"{name} must be positive")
@@ -120,8 +133,11 @@ def check_size(value, name: str, minimum: int, error: type) -> int:
     Table sides, level counts and trial counts share this check; each
     caller names the size and the :class:`ValidationError` subclass it
     raises.  Booleans and non-integers (``3.0`` included) are rejected;
-    NumPy integers are accepted.
+    NumPy integers are accepted, and a plain int of at least ``minimum``
+    is returned at once.
     """
+    if type(value) is int and value >= minimum:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

@@ -328,7 +328,11 @@ def _student_t_cdf(df: float, x) -> np.ndarray:
     the probability of |T| <= |x| halved, which keeps the digits of the
     offset from 1/2: for df from 0.5 to 30 it is within 1.1e-16 of a
     40-digit reference at u within 1e-6 of 1/2, and within 4.4e-16
-    anywhere in that range.  Elsewhere ``stdtr`` is kept.
+    anywhere in that range.  Elsewhere ``stdtr`` is kept, except below
+    -sqrt(DBL_MAX), where x^2 overflows and ``stdtr`` reads F as 0: there
+    F is the leading term of the tail series of
+    :func:`_student_tail_quantile`, c (sqrt(df) / -x)^df, which is exact
+    to rounding that far out.
     """
     special = _special()
     x = np.asarray(x, dtype=float)
@@ -337,6 +341,10 @@ def _student_t_cdf(df: float, x) -> np.ndarray:
     xc = x[centre]
     z = xc * xc / (df + xc * xc)
     cdf[centre] = 0.5 + np.sign(xc) * special.betainc(0.5, 0.5 * df, z) / 2.0
+    far = x < -_SQRT_DBL_MAX
+    if far.any():
+        log_c = -math.log(df) - float(special.betaln(0.5 * df, 0.5))
+        cdf[far] = np.exp(log_c + df * (0.5 * math.log(df) - np.log(-x[far])))
     return cdf
 
 
@@ -344,9 +352,20 @@ def _student_kernel(theta, rho_sign, d2, xy2, df):
     """The correlation-integral kernel of :func:`_student_cdf` at r = sin(theta)."""
     s, c = math.sin(theta), math.cos(theta)
     q = d2 / (c * c) + xy2 / (1.0 + rho_sign * s)
-    # q is nan (inf - inf) only when both quantiles pass 1e154, where
-    # the kernel is below (1e308 / df)^(-df/2)
+    # quantiles past 1e154 go to _student_far_kernel, so q is nan only
+    # where a quantile is; the kernel then reads 0
     return math.exp(-0.5 * df * math.log1p(q / df)) if q == q else 0.0
+
+
+def _student_far_kernel(theta, rho_sign, d2, xy2, df):
+    """:func:`_student_kernel` over m^-df, for quantiles scaled by m past 1e154.
+
+    The scaled Q is at least 1/2, and Q m^2 / df is so large that
+    1 + Q m^2 / df rounds to Q m^2 / df.
+    """
+    s, c = math.sin(theta), math.cos(theta)
+    q = d2 / (c * c) + xy2 / (1.0 + rho_sign * s)
+    return math.exp(-0.5 * df * math.log(q / df))
 
 
 def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
@@ -375,6 +394,15 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     5e-8 off).  The quantiles are taken once per entry of ``u`` and of
     ``v``; the integral is one ``quad`` per point, and T is
     :func:`_student_t_cdf`.
+
+    Where a quantile passes ``_STUDENT_MESH_QUANTILE_MAX`` (about 6.7e153;
+    no mesh node does), (x -+ y)^2 or 2xy would overflow.  There both are
+    scaled by m = max(|x|, |y|), which multiplies Q by m^-2, and the
+    kernel, (Q m^2 / df)^(-df/2), is integrated without its factor m^-df,
+    which multiplies the integral afterwards; the integral keeps its
+    relative digits even where the copula is far below 1e-13.  Where
+    m^-df is below the normal doubles the term is dropped, as a value
+    that small keeps too few bits to add.
     """
     integrate, _ = _quadrature()
     x, y = np.broadcast_arrays(_student_quantile(df, u), _student_quantile(df, v))
@@ -384,6 +412,14 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     value = np.empty(x.shape)
     for idx in np.ndindex(x.shape):
         xi, yi = float(x[idx]), float(y[idx])
+        kernel, factor = _student_kernel, 1.0
+        m = max(abs(xi), abs(yi))
+        if m >= _STUDENT_MESH_QUANTILE_MAX:
+            factor = math.exp(-df * math.log(m))  # 0 where m is inf
+            if factor < sys.float_info.min:
+                value[idx] = 0.0
+                continue
+            kernel, xi, yi = _student_far_kernel, xi / m, yi / m
         d2 = (xi - sign * yi) * (xi - sign * yi)
         width, points = math.sqrt(d2), None
         if 0.0 < width < 1e-2 * length:
@@ -392,9 +428,9 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
             # from there resolves it
             points = [stop - sign * width * 10.0 ** k
                       for k in range(-2, int(math.log10(length / width)) + 1)]
-        value[idx] = integrate.quad(_student_kernel, start, stop,
-                                    args=(sign, d2, sign * 2.0 * xi * yi, df),
-                                    points=points, epsabs=1e-13, epsrel=1e-12)[0]
+        value[idx] = factor * integrate.quad(kernel, start, stop,
+                                             args=(sign, d2, sign * 2.0 * xi * yi, df),
+                                             points=points, epsabs=1e-13, epsrel=1e-12)[0]
     if sign > 0.0:
         base = _student_t_cdf(df, np.minimum(x, y))
     else:
@@ -539,10 +575,13 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
     return float(_interior_cdf(spec, np.array([float(u)]), np.array([float(v)]))[0])
 
 
+#: sqrt(DBL_MAX): past it x^2 overflows.
+_SQRT_DBL_MAX = math.sqrt(sys.float_info.max)
+
 #: Largest |t quantile| of a Student mesh node: below it (x - y)^2 is a
 #: finite double.  At 15 x 15 the quantile of 1/15 passes it below df of
 #: about 0.0055 (it is about -7.6e435 at df = 0.002).
-_STUDENT_MESH_QUANTILE_MAX = 0.5 * math.sqrt(sys.float_info.max)
+_STUDENT_MESH_QUANTILE_MAX = 0.5 * _SQRT_DBL_MAX
 
 
 def _cdf_mesh(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> np.ndarray:

@@ -152,12 +152,14 @@ class MarginPair:
             v = np.asarray(m, dtype=float)
             if v.ndim != 1 or v.size < 2:
                 raise ValidationError(f"{name} margins must be a vector of length >= 2")
-            # min > 0 rules out NaN and a sum near 1 rules out inf, so
-            # valid margins pass on two reductions; the rest are checked
-            # in order, so that the first broken rule is the one named
-            with np.errstate(over="ignore"):  # they warn where they sum
-                valid = v.min() > 0.0 and abs(v.sum() - 1.0) <= SUM_TOL
-            if not valid:
+            # entries in (0, 1] cannot overflow the sum, and a NaN, which
+            # Python's min and max may step over, makes it NaN; so valid
+            # margins pass on one reduction and two passes over a short
+            # list, and the rest are checked in order, so that the first
+            # broken rule is the one named
+            entries = v.tolist()
+            if not (min(entries) > 0.0 and max(entries) <= 1.0
+                    and abs(v.sum() - 1.0) <= SUM_TOL):
                 if not np.isfinite(v).all() or (v <= 0).any():
                     raise ValidationError(f"{name} margins must be strictly positive")
                 if abs(v.sum() - 1.0) > SUM_TOL:
@@ -216,14 +218,16 @@ def from_counts(counts) -> JointPmf:
     # valid counts: min >= 0 rules out NaN and negative counts (taken on
     # the counts, as a count of -5e-324 divides to -0.0), a finite positive
     # total rules out inf and an empty table, and the lines of c / total,
-    # whose sum JointPmf would check, cover those of c
+    # whose sum JointPmf would check, cover those of c; where no entry of
+    # c / total is 0, as in a dense table, every line is covered at once
     if c.min() >= 0.0:
         with np.errstate(over="ignore"):  # the ordered checks warn where they sum
             total = c.sum()
         if 0.0 < total < math.inf:
             p = c / total
-            if (abs(p.sum() - 1.0) <= SUM_TOL
-                    and p.any(axis=1).all() and p.any(axis=0).all()):
+            if abs(p.sum() - 1.0) <= SUM_TOL and (
+                    np.count_nonzero(p) == p.size
+                    or p.any(axis=1).all() and p.any(axis=0).all()):
                 return _wrap(JointPmf, values=p)
     # otherwise the ordered checks name what is wrong
     if not np.isfinite(c).all() or (c < 0).any():
@@ -258,13 +262,24 @@ def is_copula_pmf(p: JointPmf, tol: float = COPULA_TOL) -> bool:
     ``tol`` must be a finite real above 0; ValidationError says otherwise.
     """
     tol = check_positive(tol, "tol", ValidationError)
-    return _has_uniform_lines(p.values.sum(axis=1), p.values.sum(axis=0), tol)
+    v = p.values
+    return _has_uniform_lines(v.sum(axis=1).tolist(), v.sum(axis=0).tolist(), tol)
 
 
-def _has_uniform_lines(row_sums: np.ndarray, col_sums: np.ndarray, tol: float) -> bool:
-    """:func:`is_copula_pmf` on a table's row and column sums, ``tol`` taken as valid."""
-    return bool(np.abs(row_sums - 1.0 / row_sums.size).max() <= tol
-                and np.abs(col_sums - 1.0 / col_sums.size).max() <= tol)
+def _has_uniform_lines(row_sums: list, col_sums: list, tol: float) -> bool:
+    """:func:`is_copula_pmf` on a table's row and column sums, ``tol`` taken as valid.
+
+    The sums come as lists of floats: on lines this short a loop over
+    Python floats costs less than the NumPy calls it replaces, and each
+    deviation ``abs(s - 1/n)`` is the double NumPy would form.  A NaN sum
+    fails, as it fails NumPy's max.
+    """
+    for sums in (row_sums, col_sums):
+        uniform = 1.0 / len(sums)
+        for s in sums:
+            if not abs(s - uniform) <= tol:
+                return False
+    return True
 
 
 def parse_table(text, fmt: str = "csv_counts") -> np.ndarray:

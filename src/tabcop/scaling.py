@@ -102,12 +102,28 @@ def _build(source, lib_path):
             os.remove(tmp)
 
 
+def _remove_stale(lib_path):
+    """Delete the kernel libraries of this platform in ``lib_path``'s directory but it.
+
+    Each source or flag set builds a library under its own name, and none
+    is loaded again once another replaces it.  A file that cannot be
+    removed, as one another process removed first, is left.
+    """
+    cache_dir, name = os.path.split(lib_path)
+    prefix = f"_ipf.{sysconfig.get_platform()}."
+    for other in os.listdir(cache_dir):
+        if other != name and other.startswith(prefix) and other.endswith(".so"):
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(cache_dir, other))
+
+
 def _load_kernel(cache_dir):
     """The sweep kernel's bind function and its backend, ``"c"`` or ``"python"``.
 
     The C kernel is built once into ``cache_dir``, under the name
-    :func:`_lib_path` gives it, and loaded from there afterwards.  When it
-    cannot be built or loaded the NumPy kernel's
+    :func:`_lib_path` gives it, and loaded from there afterwards; a build
+    removes the libraries that earlier sources or flags left there.  When
+    it cannot be built or loaded the NumPy kernel's
     :func:`tabcop._ipf_py.bind`, which has the same contract, is returned.
     """
     source = os.path.join(os.path.dirname(__file__), "_ipf.c")
@@ -116,6 +132,7 @@ def _load_kernel(cache_dir):
             lib_path = _lib_path(cache_dir, fh.read(), _CFLAGS)
         if not os.path.exists(lib_path):
             _build(source, lib_path)
+            _remove_stale(lib_path)
         c_sweeps = ctypes.CDLL(lib_path).ipf_sweeps
     except OSError:
         return _ipf_py.bind, "python"
@@ -126,18 +143,20 @@ def _load_kernel(cache_dir):
     def bind(buf, n_rows, n_cols):
         """:func:`tabcop._ipf_py.bind`, run by the C kernel.
 
-        The buffer is checked and its address taken here, once; each call
-        of the returned function is one call into the library.
+        The buffer is checked and its address taken here, once, and the
+        ring is sliced from it where :func:`tabcop._ipf_py.split` puts it;
+        each call of the returned function is one call into the library.
         """
-        err_ring = _ipf_py.split(buf, n_rows, n_cols)[3]
-        n_ring = err_ring.size
+        ring_start = n_rows * n_cols + n_rows + n_cols
+        n_ring = buf.shape[0] - ring_start - n_rows - n_cols if buf.ndim == 1 else 0
         try:  # from_buffer raises TypeError unless the buffer is writable and C-contiguous
-            if buf.ndim != 1 or n_ring < 1 or buf.dtype != np.float64:
+            if n_ring < 1 or buf.dtype != np.float64:
                 raise TypeError
             address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
         except TypeError:
             raise ValueError("the C kernel takes a writable C-contiguous float64 vector "
                              "of a table, its targets, a nonempty ring and its sums") from None
+        err_ring = buf[ring_start:ring_start + n_ring]
 
         def sweeps(tol, max_iter):
             done = c_sweeps(address, n_rows, n_cols, n_ring, tol, max_iter)
@@ -247,6 +266,21 @@ class ScalingDiagnostics:
     method: str = "sweeps"
     newton_steps: int = 0
 
+    @classmethod
+    def _of(cls, iterations, margin_error, classification, rate_estimate=None,
+            method="sweeps", newton_steps=0):
+        """An instance with these fields, which the fit has formed with their types.
+
+        The generated ``__init__`` of a frozen dataclass sets each field
+        through ``object.__setattr__``, which costs as much as a small
+        fit's bookkeeping; this fills the instance dict in one update.
+        """
+        diag = object.__new__(cls)
+        diag.__dict__.update(iterations=iterations, margin_error=margin_error,
+                             classification=classification, rate_estimate=rate_estimate,
+                             method=method, newton_steps=newton_steps)
+        return diag
+
     def to_wire(self) -> dict:
         """JSON-ready dict in the documented diagnostics schema."""
         return {
@@ -314,10 +348,10 @@ def classify_existence(s: SupportPattern, t: MarginPair) -> FeasibilityClass:
     n_rows, n_cols = mask.shape
     rt, ct = t.row_margins, t.col_margins
 
-    if mask.all():
+    if np.count_nonzero(mask) == mask.size:
         return _FULL
 
-    flow = max_transport_flow(mask, rt, ct, cell_flows=True)
+    flow = max_transport_flow(mask, rt, ct)
     if flow.value < 1.0 - FEASIBILITY_TOL:
         rect = _cut_rectangle(flow.cut_rows, mask)
         return FeasibilityClass("C", tight_rectangles=(rect,) if rect else ())
@@ -328,7 +362,7 @@ def classify_existence(s: SupportPattern, t: MarginPair) -> FeasibilityClass:
     # are settled without a probe, and each failed probe's min cut yields a
     # tight rectangle that settles its whole complement block at once.
     forced = np.zeros_like(mask)
-    decided = ~mask | (flow.cell_flows > FORCED_ZERO_DELTA)
+    decided = ~mask | (flow.cell_flows() > FORCED_ZERO_DELTA)
     tight = []
     for x, y in zip(*np.nonzero(~decided)):
         if decided[x, y]:
@@ -375,11 +409,11 @@ def _rate_from_ring(err_ring, iterations):
     if iterations < 11:
         return None
     n_hist = err_ring.shape[0]
-    last = err_ring[(iterations - 1) % n_hist]
-    base = err_ring[(iterations - 11) % n_hist]
+    last = float(err_ring[(iterations - 1) % n_hist])
+    base = float(err_ring[(iterations - 11) % n_hist])
     if not (last > 0.0 and base > 0.0):
         return None
-    return float(min((last / base) ** 0.1, 1.0))
+    return min((last / base) ** 0.1, 1.0)
 
 
 def _margin_residual(values, rt, ct):
@@ -546,7 +580,7 @@ def _solve_exact(values, rt, ct, tol, classification):
         return None
     row_sums, col_sums = peeled.sum(axis=1), peeled.sum(axis=0)
     err = float(np.abs(np.concatenate((row_sums - rt, col_sums - ct))).max())
-    diag = ScalingDiagnostics(0, err, classification, method="exact")
+    diag = ScalingDiagnostics._of(0, err, classification, method="exact")
     if err > tol:
         raise NonConvergenceError(
             f"margin error {err:g} above tolerance {tol:g} after the exact "
@@ -577,7 +611,11 @@ def _fit(values, t=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     buf = _ipf_py.fit_buffer(n_rows, n_cols, _RING_LEN)
     table, rt, ct, err_ring, row_sums, col_sums = _ipf_py.split(buf, n_rows, n_cols)
     table[...] = values
-    rt[:], ct[:] = (1.0 / n_rows, 1.0 / n_cols) if t is None else (t.row_margins, t.col_margins)
+    if t is None:
+        rt.fill(1.0 / n_rows)
+        ct.fill(1.0 / n_cols)
+    else:
+        rt[:], ct[:] = t.row_margins, t.col_margins
     run = _bind(buf, n_rows, n_cols)
     if np.count_nonzero(table) == table.size:
         classification = _FULL
@@ -605,13 +643,7 @@ def _fit(values, t=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     newton_steps = 0
     if slow:
         newton_steps, err = _newton_finish(table, rt, ct, tol)
-    diag = ScalingDiagnostics(
-        iterations=iterations,
-        margin_error=err,
-        classification=classification,
-        rate_estimate=rate,
-        newton_steps=newton_steps,
-    )
+    diag = ScalingDiagnostics._of(iterations, err, classification, rate, newton_steps=newton_steps)
     if not err <= tol:  # a NaN error fails too
         raise NonConvergenceError(
             f"{'fit stalled: ' if slow else ''}margin error {err:g} above "

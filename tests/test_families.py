@@ -417,6 +417,39 @@ def _student_t_cdf_by_mpmath(df, x, minus=0.0):
                      - mpmath.mpf(minus))
 
 
+def _student_copula_cdf_by_mpmath(u, v, rho, df):
+    """The Student copula C(u, v) at 40 digits, by the conditional t law of Y given X.
+
+    Given X = s, (Y - rho s) / sqrt((df + s^2)(1 - rho^2) / (df + 1)) is a
+    t with df + 1 degrees of freedom, so C is the integral over s < x of
+    the t density times that CDF; the quantiles x, y < 0 are solved at 40
+    digits in log(-x).  The integral runs in t = log(s / x), divided by u
+    to order 1, since mpmath's rule stops on an absolute error.
+    """
+    with mpmath.workdps(40):
+        u, v, rho, df = (mpmath.mpf(a) for a in (u, v, rho, df))
+
+        def t_cdf(nu, s):
+            half = mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + s * s), regularized=True) / 2
+            return half if s < 0 else 1 - half
+
+        def quantile(p):
+            start = mpmath.log(-float(special.stdtrit(float(df), float(p))))
+            return -mpmath.exp(mpmath.findroot(
+                lambda w: mpmath.log(t_cdf(df, -mpmath.exp(w)) / p), start))
+
+        x, y = quantile(u), quantile(v)
+        norm = mpmath.gamma((df + 1) / 2) / (mpmath.sqrt(df * mpmath.pi) * mpmath.gamma(df / 2))
+        scale = mpmath.sqrt((1 - rho * rho) / (df + 1))
+
+        def integrand(t):
+            s = x * mpmath.exp(t)
+            density = norm * (1 + s * s / df) ** (-(df + 1) / 2)
+            return -s * density * t_cdf(df + 1, (y - rho * s) / (scale * mpmath.sqrt(df + s * s))) / u
+
+        return float(u * mpmath.quad(integrand, [0, 1, 10, 100, 1000, mpmath.inf]))
+
+
 class TestStudentCdf:
     @pytest.mark.parametrize("df", [0.5, 1.0, 4.0, 30.0])
     def test_base_term_near_the_median(self, df):
@@ -464,6 +497,14 @@ class TestStudentCdf:
         # at df = 2 the quantile of 1e-320 is about -7e159, so that
         # (x + y)^2 and -2xy overflow to inf and -inf
         assert _student_cdf(1e-320, 1e-320, -0.5, 2.0) == 0.0
+
+    def test_quantile_past_sqrt_dbl_max(self):
+        # the quantile of 3.29e-77 at df = 0.4665 is about -8e162: (x - y)^2
+        # overflows and stdtr reads F(x) as 0, which read the copula as 0;
+        # the lower tail dependence keeps C(u, v) / u near 0.59
+        spec = ContinuousCopulaSpec("student", {"rho": 0.212, "df": 0.4665})
+        assert copula_cdf(spec, 3.29e-77, 5.59e-5) == pytest.approx(
+            _student_copula_cdf_by_mpmath(3.29e-77, 5.59e-5, 0.212, 0.4665), rel=1e-12, abs=0.0)
 
     @settings(max_examples=60, deadline=None)
     @example(u=1e-300, v=0.5, rho=0.3, df=3.0)

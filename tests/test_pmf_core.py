@@ -208,6 +208,50 @@ class TestIsCopulaPmf:
         assert is_copula_pmf(JointPmf(np.full((2, 2), 0.25)), tol=np.float64(1e-12))
 
 
+def numpy_uniform_lines(row_sums, col_sums, tol):
+    """The NumPy form of the uniform-lines test, the reference for the list loop."""
+    row_sums, col_sums = np.asarray(row_sums), np.asarray(col_sums)
+    return bool(np.abs(row_sums - 1.0 / row_sums.size).max() <= tol
+                and np.abs(col_sums - 1.0 / col_sums.size).max() <= tol)
+
+
+@st.composite
+def drawn_line_sums(draw, tol):
+    """Sums of 2 to 10 lines: uniform, off by about ``tol`` either way, or not finite."""
+    n = draw(st.integers(2, 10))
+    uniform = 1.0 / n
+    offsets = st.one_of(
+        st.sampled_from([0.0, tol, -tol, math.nextafter(tol, 0.0), math.nextafter(tol, 1.0),
+                         -math.nextafter(tol, 0.0), -math.nextafter(tol, 1.0)]),
+        st.floats(-10.0 * tol, 10.0 * tol),
+    )
+    sums = [uniform + draw(offsets) for _ in range(n)]
+    if draw(st.integers(0, 9)) == 0:
+        sums[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return sums
+
+
+@st.composite
+def uniform_lines_case(draw):
+    tol = draw(st.floats(1e-15, 1e-3))
+    rows, cols = draw(drawn_line_sums(tol)), draw(drawn_line_sums(tol))
+    if draw(st.booleans()):
+        # a tol equal to one line's deviation, as NumPy forms it, puts that
+        # line exactly on the bound
+        line = draw(st.sampled_from([rows, cols]))
+        deviation = abs(line[draw(st.integers(0, len(line) - 1))] - 1.0 / len(line))
+        if 0.0 < deviation < math.inf:
+            tol = deviation
+    return rows, cols, tol
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=uniform_lines_case())
+def test_uniform_lines_agree_with_numpy(case):
+    rows, cols, tol = case
+    assert pmf_core._has_uniform_lines(rows, cols, tol) == numpy_uniform_lines(rows, cols, tol)
+
+
 class TestParseTable:
     def test_counts(self):
         m = pmf_core.parse_table("26,1\n5,18", "csv_counts")

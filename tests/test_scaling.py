@@ -1,7 +1,9 @@
 import math
 import subprocess
+import sysconfig
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1248,6 +1250,19 @@ class TestKernelBuild:
         assert len(built) == 1 and built[0].suffix == ".so"  # no temp file left
         self.fail_run(monkeypatch, AssertionError("a warm cache must not build"))
         assert scaling._load_kernel(str(tmp_path))[1] == "c"
+
+    def test_build_removes_superseded_libraries(self, tmp_path):
+        platform = sysconfig.get_platform()
+        stale = tmp_path / f"_ipf.{platform}.00000000.so"
+        kept = [tmp_path / f"_ipf.not-{platform}.00000000.so",  # another platform's
+                tmp_path / f"_ipf.{platform}.00000000.so.123.tmp",  # a build in flight
+                tmp_path / "notes.txt"]
+        for path in [stale, *kept]:
+            path.write_bytes(b"")
+        self.build_or_skip(tmp_path)
+        built = scaling._lib_path(str(tmp_path), (Path(scaling.__file__).parent / "_ipf.c")
+                                  .read_bytes(), scaling._CFLAGS)
+        assert sorted(tmp_path.iterdir()) == sorted([Path(built), *kept])
 
     def test_cache_name_keys_the_flags(self, tmp_path):
         source = b"long f(void) { return 0; }"

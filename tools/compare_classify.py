@@ -1,29 +1,46 @@
-"""Compare the feasibility classifier of two source trees, case by case.
+"""Compare the classifications and the outputs of two source trees, call by call.
 
 Usage::
 
     python tools/compare_classify.py OLD_SRC NEW_SRC [--random N] [--seeds 1 2 3]
 
-``OLD_SRC`` and ``NEW_SRC`` are the ``src`` directories of two checkouts.
-Each tree runs in its own process and records every
-``classify_existence`` call: its support and margins, the class it
-returned (tag, forced cells and tight rectangles, in order) and the
-number of max flows it ran.  The calls are those of
+``OLD_SRC`` and ``NEW_SRC`` are the ``src`` directories of two checkouts
+(or the same one twice, which catches nondeterminism).  Each tree runs
+in its own process and records
+
+* every ``classify_existence`` call: its support and margins, the class
+  it returned (tag, forced cells and tight rectangles, in order) and the
+  number of max flows it ran;
+* every fit through ``scaling._fit``: the fitted table's bytes and every
+  diagnostics field, or the error it raised;
+* the output of every operation: table bytes, ``upsilon`` floats,
+  odds-ratio entries, SVG and PPM bytes, CLI exit codes and output bytes,
+  or the type and message of the error it raised.
+
+The calls are those of
 
 * ``N`` random supports of 2 x 2 to 8 x 8 cells (default 2,000), each
   at uniform margins and at the margins of a random table on a random
-  sub-support that still meets every row and column;
-* one pass over every case of the ``small_tables``, ``sparse_large``
-  and ``family_grids`` benchmark workloads at each seed.
+  sub-support that still meets every row and column; each pair is
+  classified, and a random count table on the support goes through the
+  ``small_tables`` answer (``from_counts``, ``classify_existence``,
+  ``copula_pmf``, ``odds_ratio_matrix``, ``yule_upsilon``, ``couple`` to
+  the sub-support's margins);
+* one pass over every case of the ``small_tables``, ``sparse_large`` and
+  ``family_grids`` benchmark workloads, and the in-process form of every
+  ``cli_verbs`` case, at each seed.
 
-The script prints the counts and exits with 1 unless both trees made the
-same calls with the same results.
+Floats are compared by their bits.  The script prints the counts and
+exits with 1 unless both trees made the same calls with the same results
+and outputs.  Run it once with a C compiler on PATH and once without, to
+compare both sweep kernels.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -31,7 +48,7 @@ import sys
 import tempfile
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
-WORKLOADS = ("small_tables", "sparse_large", "family_grids")
+WORKLOADS = ("small_tables", "sparse_large", "family_grids", "cli_verbs")
 
 
 def random_problems(n_problems, seed=0):
@@ -56,9 +73,52 @@ def random_problems(n_problems, seed=0):
     return problems
 
 
+def canonical(value):
+    """A picklable form of ``value`` that two equal outputs share, floats by their bits."""
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return type(value).__name__, float(value).hex()
+    if isinstance(value, (np.integer, np.bool_)):
+        return type(value).__name__, value.item()
+    if value is None or isinstance(value, (bool, int, str, bytes)):
+        return value
+    if isinstance(value, BaseException):
+        return ("raised", type(value).__name__, str(value),
+                canonical(getattr(value, "diagnostics", None)),
+                canonical(getattr(value, "classification", None)))
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(canonical(v) for v in value)
+    if isinstance(value, dict):
+        return "dict", tuple((k, canonical(v)) for k, v in value.items())
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            (f.name, canonical(getattr(value, f.name))) for f in dataclasses.fields(value))
+    return "repr", type(value).__name__, repr(value)
+
+
+def answer(tabcop, counts, target):
+    """The ``small_tables`` answer for ``counts``, coupled to ``target``."""
+    import numpy as np
+
+    n_rows, n_cols = counts.shape
+    p = tabcop.from_counts(counts)
+    uniform = tabcop.MarginPair(np.full(n_rows, 1.0 / n_rows), np.full(n_cols, 1.0 / n_cols))
+    cls = tabcop.classify_existence(tabcop.support(p), uniform)
+    if cls.tag == "C":
+        return p, cls
+    cop, diag = tabcop.copula_pmf(p)
+    return (p, cls, cop, diag, tabcop.odds_ratio_matrix(p), tabcop.yule_upsilon(cop),
+            tabcop.couple(cop, target))
+
+
 def record(n_random, seeds):
-    """Every classification this tree makes, with its count of max flows."""
+    """Every classification this tree makes, with its count of max flows; every fit and output."""
     sys.path.insert(0, PERFBENCH)
+    import numpy as np
+
     import tabcop
     import tabcop.errors
     import tabcop.scaling
@@ -66,7 +126,8 @@ def record(n_random, seeds):
 
     original_classify = tabcop.scaling.classify_existence
     original_flow = tabcop.scaling.max_transport_flow
-    calls, flows = [], [0]
+    original_fit = tabcop.scaling._fit
+    calls, fits, outputs, flows = [], [], [], [0]
 
     def counting_flow(*args, **kwargs):
         flows[0] += 1
@@ -80,21 +141,40 @@ def record(n_random, seeds):
                       got.tight_rectangles, flows[0]))
         return got
 
+    def recording_fit(*args, **kwargs):
+        try:
+            got = original_fit(*args, **kwargs)
+        except tabcop.errors.TabcopError as exc:
+            fits.append(canonical(exc))
+            raise
+        fits.append(canonical(got))
+        return got
+
+    def run(label, op):
+        try:
+            got = op()
+        except tabcop.errors.TabcopError as exc:
+            got = exc
+        outputs.append((label, canonical(got)))
+
     tabcop.scaling.max_transport_flow = counting_flow
+    tabcop.scaling._fit = recording_fit
     for module in [m for name, m in sys.modules.items() if name.startswith("tabcop")]:
         if getattr(module, "classify_existence", None) is original_classify:
             module.classify_existence = recording_classify
 
-    for mask, rt, ct in random_problems(n_random):
+    rng = np.random.default_rng(1)
+    for i, (mask, rt, ct) in enumerate(random_problems(n_random)):
         tabcop.classify_existence(tabcop.SupportPattern(mask), tabcop.MarginPair(rt, ct))
+        counts = np.where(mask, rng.integers(1, 60, mask.shape), 0).astype(float)
+        run(f"random/{i}", lambda: answer(tabcop, counts, tabcop.MarginPair(rt, ct)))
     for name in WORKLOADS:
         for seed in seeds:
-            for case in workloads.WORKLOADS[name](seed).cases:
-                try:
-                    case.op()
-                except tabcop.errors.TabcopError:  # compared through its calls
-                    pass
-    return calls
+            workload = workloads.WORKLOADS[name](seed)
+            cases = workload.traced_cases() if name == "cli_verbs" else workload.cases
+            for case in cases:
+                run(f"{name}/{seed}/{case.case_id}", case.op)
+    return calls, fits, outputs
 
 
 def run_tree(src, n_random, seeds):
@@ -106,6 +186,11 @@ def run_tree(src, n_random, seeds):
                        env=env, check=True)
         with open(out, "rb") as fh:
             return pickle.load(fh)
+
+
+def differing(old, new):
+    """Indices where the records differ, and whether the counts match."""
+    return [i for i, (a, b) in enumerate(zip(old, new)) if a != b], len(old) == len(new)
 
 
 def main(argv=None):
@@ -121,15 +206,23 @@ def main(argv=None):
             pickle.dump(record(args.random, args.seeds), fh)
         return 0
 
-    old = run_tree(args.old_src, args.random, args.seeds)
-    new = run_tree(args.new_src, args.random, args.seeds)
-    differ = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
-    tags = collections.Counter(call[4] for call in old)
-    print(f"calls: {len(old)} old, {len(new)} new; max flows: "
-          f"{sum(c[-1] for c in old)} old, {sum(c[-1] for c in new)} new")
+    old_calls, old_fits, old_outputs = run_tree(args.old_src, args.random, args.seeds)
+    new_calls, new_fits, new_outputs = run_tree(args.new_src, args.random, args.seeds)
+    same = True
+    tags = collections.Counter(call[4] for call in old_calls)
+    print(f"calls: {len(old_calls)} old, {len(new_calls)} new; max flows: "
+          f"{sum(c[-1] for c in old_calls)} old, {sum(c[-1] for c in new_calls)} new")
     print("classes: " + ", ".join(f"{tag} {n}" for tag, n in sorted(tags.items())))
-    print(f"differing calls: {len(differ)}" + (f" (first at {differ[0]})" if differ else ""))
-    return 0 if len(old) == len(new) and not differ else 1
+    for what, old, new in (("calls", old_calls, new_calls), ("fits", old_fits, new_fits),
+                           ("outputs", old_outputs, new_outputs)):
+        differ, counts_match = differing(old, new)
+        first = ""
+        if differ:
+            first = f" (first at {differ[0]}" + (
+                f", {old[differ[0]][0]})" if what == "outputs" else ")")
+        print(f"{what}: {len(old)} old, {len(new)} new; differing {what}: {len(differ)}{first}")
+        same = same and counts_match and not differ
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
