@@ -40,7 +40,7 @@ COPULA_TOL = 1e-9
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
@@ -55,7 +55,7 @@ def _wrap(cls, **arrays):
     """
     obj = object.__new__(cls)
     for name, a in arrays.items():
-        a.flags.writeable = False
+        a.setflags(write=False)
         object.__setattr__(obj, name, a)
     return obj
 

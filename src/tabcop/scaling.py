@@ -157,9 +157,11 @@ def _load_kernel(cache_dir):
             raise ValueError("the C kernel takes a writable C-contiguous float64 vector "
                              "of a table, its targets, a nonempty ring and its sums") from None
         err_ring = buf[ring_start:ring_start + n_ring]
+        # converted once here, not on every call
+        args = (ctypes.c_void_p(address), c_long(n_rows), c_long(n_cols), c_long(n_ring))
 
         def sweeps(tol, max_iter):
-            done = c_sweeps(address, n_rows, n_cols, n_ring, tol, max_iter)
+            done = c_sweeps(*args, tol, max_iter)
             return done, float(err_ring[(done - 1) % n_ring])
 
         return sweeps
