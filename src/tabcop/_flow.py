@@ -7,8 +7,9 @@ sink with capacity colTarget[y].  The margins are achievable exactly when
 the maximum flow saturates the source edges.
 
 :func:`max_transport_flow` returns the flow's value, the rows on the
-source side of the minimal min cut and a reader of the flow on every
-cell; the network's nodes and edges stay inside this module.
+source side of the minimal min cut and, on request, the flow on every
+cell of a flow that reaches a given value; the network's nodes and edges
+stay inside this module and are freed when it returns.
 
 A hand-rolled Dinic keeps each call in the tens of microseconds for the
 small dense networks this package sees; the exhaustive classification
@@ -16,7 +17,7 @@ tests run hundreds of thousands of them.
 """
 
 from collections import deque
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,19 +86,20 @@ class DinicFlow:
 
 
 class _TransportFlow(NamedTuple):
-    """A max flow's value, its source-side cut rows (ascending) and a reader of its cell flows.
-
-    ``cell_flows()`` builds the R x S array of the flow on every cell from
-    the finished network, so a caller that stops at the value builds none.
-    """
+    """A max flow's value, its source-side cut rows (ascending) and its R x S cell flows, or None."""
 
     value: float
     cut_rows: list
-    cell_flows: Callable[[], np.ndarray]
+    cell_flows: np.ndarray | None
 
 
-def max_transport_flow(mask, row_caps, col_caps):
-    """Maximum mass routable through ``mask``."""
+def max_transport_flow(mask, row_caps, col_caps, cell_flows_from=None):
+    """Maximum mass routable through ``mask``.
+
+    The cell flows are built only where the value reaches
+    ``cell_flows_from`` (never when it is None), so a caller that stops at
+    a short flow builds no R x S array.
+    """
     n_rows, n_cols = mask.shape
     # nodes: 0 = source, 1..R = rows, R+1..R+S = columns, R+S+1 = sink
     net = DinicFlow(n_rows + n_cols + 2)
@@ -113,12 +115,10 @@ def max_transport_flow(mask, row_caps, col_caps):
                 net.add_edge(1 + x, 1 + n_rows + y, INF)
     value = net.max_flow(0, sink)
     cut_rows = [x for x in range(n_rows) if net._level[1 + x] >= 0]
-
-    def cell_flows():
+    flows = None
+    if cell_flows_from is not None and value >= cell_flows_from:
         flows = np.zeros(mask.shape)
         for x in range(n_rows):  # after the source edge's reverse, the row's cell edges
             for v, _cap, rev in net.adj[1 + x][1:]:  # a cell's flow is its reverse's residual
                 flows[x, v - 1 - n_rows] = net.adj[v][rev][1]
-        return flows
-
-    return _TransportFlow(value, cut_rows, cell_flows)
+    return _TransportFlow(value, cut_rows, flows)

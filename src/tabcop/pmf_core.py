@@ -14,6 +14,12 @@ builds from inputs it has already validated are not validated again:
 they go through the private :func:`_wrap`, which only makes them
 read-only.  A fitted table goes through :func:`_wrap_fitted`, which
 first checks what a fit does not guarantee.
+
+On short vectors (margins, the line sums of a small table) the checks
+read Python floats from ``tolist()``: a loop over a few floats costs
+less than the microsecond of fixed cost of each NumPy call, and its
+elementwise operations round as NumPy's do.  Every NumPy sum whose bits
+reach an output or an accept/reject decision is kept.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ the bipartite transportation network, plus per-cell lower-bound probes to
 find cells that every feasible table must set to zero.  Each flow comes
 from :func:`tabcop._flow.max_transport_flow` as its value and the rows on
 the source side of its min cut, which give the witness rectangles; the
-first also gives the flow on every cell, which settles the cells carrying
-mass without a probe.
+first, where it saturates, also gives the flow on every cell, which
+settles the cells carrying mass without a probe.
 
 A forest support (no cycle, hence no odds ratio) is fitted exactly by
 leaf peeling instead of sweeping.  Other supports are swept; a fit whose
@@ -31,7 +31,11 @@ one float64 buffer of the table, its targets, the error ring and the line
 sums, with the kernel bound to it once and one kernel call per chunk of
 sweeps.  The first call also measures whether the table already fits,
 and :func:`~tabcop.pmf_core._wrap_fitted` checks the kernel's line sums
-before it wraps a copy of the fitted table, which owns its memory.
+before it wraps a copy of the fitted table, which owns its memory.  On a
+small table this bookkeeping, not the sweeps, is most of a fit, so it is
+kept to one split of the buffer, one bind that slices the ring and
+converts the kernel's fixed arguments once, the rate read from Python
+floats, and diagnostics filled in one update.
 """
 
 from __future__ import annotations
@@ -353,7 +357,7 @@ def classify_existence(s: SupportPattern, t: MarginPair) -> FeasibilityClass:
     if np.count_nonzero(mask) == mask.size:
         return _FULL
 
-    flow = max_transport_flow(mask, rt, ct)
+    flow = max_transport_flow(mask, rt, ct, cell_flows_from=1.0 - FEASIBILITY_TOL)
     if flow.value < 1.0 - FEASIBILITY_TOL:
         rect = _cut_rectangle(flow.cut_rows, mask)
         return FeasibilityClass("C", tight_rectangles=(rect,) if rect else ())
@@ -364,7 +368,7 @@ def classify_existence(s: SupportPattern, t: MarginPair) -> FeasibilityClass:
     # are settled without a probe, and each failed probe's min cut yields a
     # tight rectangle that settles its whole complement block at once.
     forced = np.zeros_like(mask)
-    decided = ~mask | (flow.cell_flows() > FORCED_ZERO_DELTA)
+    decided = ~mask | (flow.cell_flows > FORCED_ZERO_DELTA)
     tight = []
     for x, y in zip(*np.nonzero(~decided)):
         if decided[x, y]:

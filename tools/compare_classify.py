@@ -115,7 +115,7 @@ def answer(tabcop, counts, target):
 
 
 def record(n_random, seeds):
-    """Every classification this tree makes, with its count of max flows; every fit and output."""
+    """The sweep kernel, every classification with its count of max flows, every fit and output."""
     sys.path.insert(0, PERFBENCH)
     import numpy as np
 
@@ -174,7 +174,7 @@ def record(n_random, seeds):
             cases = workload.traced_cases() if name == "cli_verbs" else workload.cases
             for case in cases:
                 run(f"{name}/{seed}/{case.case_id}", case.op)
-    return calls, fits, outputs
+    return tabcop.IPF_BACKEND, calls, fits, outputs
 
 
 def run_tree(src, n_random, seeds):
@@ -206,10 +206,11 @@ def main(argv=None):
             pickle.dump(record(args.random, args.seeds), fh)
         return 0
 
-    old_calls, old_fits, old_outputs = run_tree(args.old_src, args.random, args.seeds)
-    new_calls, new_fits, new_outputs = run_tree(args.new_src, args.random, args.seeds)
+    old_backend, old_calls, old_fits, old_outputs = run_tree(args.old_src, args.random, args.seeds)
+    new_backend, new_calls, new_fits, new_outputs = run_tree(args.new_src, args.random, args.seeds)
     same = True
     tags = collections.Counter(call[4] for call in old_calls)
+    print(f"sweep kernel: {old_backend} old, {new_backend} new")
     print(f"calls: {len(old_calls)} old, {len(new_calls)} new; max flows: "
           f"{sum(c[-1] for c in old_calls)} old, {sum(c[-1] for c in new_calls)} new")
     print("classes: " + ", ".join(f"{tag} {n}" for tag, n in sorted(tags.items())))
