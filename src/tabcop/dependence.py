@@ -64,8 +64,11 @@ def odds_ratio_matrix(p: JointPmf) -> OddsRatioMatrix:
     v = p.values
     num = v[0, 0] * v[1:, 1:]
     den = np.multiply.outer(v[1:, 0], v[0, 1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if np.count_nonzero(den) == den.size:  # no 0 denominator: nothing to silence
         entries = num / den
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entries = num / den
     # a quotient of nonnegative products: entries in [0, inf] or NaN
     return pmf_core._wrap(OddsRatioMatrix, entries=entries)
 
