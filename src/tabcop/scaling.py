@@ -107,7 +107,7 @@ def _build(source, lib_path):
 
 
 def _remove_stale(lib_path):
-    """Delete the kernel libraries of this platform in ``lib_path``'s directory but it.
+    """Delete this platform's other kernel libraries from the directory of ``lib_path``.
 
     Each source or flag set builds a library under its own name, and none
     is loaded again once another replaces it.  A file that cannot be
