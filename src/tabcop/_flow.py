@@ -13,7 +13,17 @@ stay inside this module and are freed when it returns.
 
 A hand-rolled Dinic keeps each call in the tens of microseconds for the
 small dense networks this package sees; the exhaustive classification
-tests run hundreds of thousands of them.
+tests run hundreds of thousands of them.  The network is built in one
+pass over the support's nonzero cells, in row-major order, and the
+blocking-flow search walks an explicit path of edges from the source
+instead of recursing, so an augmenting path as long as the network
+(2 min(R, S) + 2 edges on a staircase support) costs no stack.  The
+search takes the edges in the same order, prunes the same saturated ones
+(residual at most ``_CAP_EPS``), forms each bottleneck as the same
+``min`` chain from the source and updates the same residuals as the
+recursive search it replaced, so every value, cut row and cell flow
+equals that search's to the bit; ``tests/conftest.py`` keeps it as the
+reference.
 """
 
 from collections import deque
@@ -52,35 +62,51 @@ class DinicFlow:
         self._level = level
         return level[t] >= 0
 
-    def _push(self, u, t, limit, alive):
-        if u == t:
-            return limit
-        while alive[u] < len(self.adj[u]):
-            edge = self.adj[u][alive[u]]
-            v = edge[0]
-            if edge[1] > _CAP_EPS and self._level[v] == self._level[u] + 1:
-                pushed = self._push(v, t, min(limit, edge[1]), alive)
-                if pushed > 0.0:
-                    edge[1] -= pushed
-                    self.adj[v][edge[2]][1] += pushed
-                    return pushed
-            alive[u] += 1
-        return 0.0
+    def _path(self, s, t, alive):
+        """The next level-increasing path of edges from s to t, or None where the phase is blocked.
+
+        ``alive[u]`` indexes the first edge of node u not yet found dead.
+        A dead end is popped off the path and the edge that led to it
+        skipped, as the recursive search returned 0 through it.
+        """
+        adj, level = self.adj, self._level
+        path = []
+        u = s
+        while u != t:
+            edges = adj[u]
+            if alive[u] < len(edges):
+                edge = edges[alive[u]]
+                if edge[1] > _CAP_EPS and level[edge[0]] == level[u] + 1:
+                    path.append(edge)
+                    u = edge[0]
+                    continue
+                alive[u] += 1
+            elif path:
+                edge = path.pop()
+                u = adj[edge[0]][edge[2]][0]  # the popped edge's tail
+                alive[u] += 1
+            else:
+                return None
+        return path
 
     def max_flow(self, s, t):
         """The maximum flow from s to t.
 
-        The last level search fails; the nodes it leaves at ``_level >= 0``
-        are those reachable from s in the residual graph, the source side
-        of the minimal min cut.
+        Each phase augments along the paths of :meth:`_path`, each found
+        afresh from s, until none is left.  The last level search fails;
+        the nodes it leaves at ``_level >= 0`` are those reachable from s
+        in the residual graph, the source side of the minimal min cut.
         """
         total = 0.0
         while self._bfs_levels(s, t):
             alive = [0] * self.n
-            while True:
-                pushed = self._push(s, t, INF, alive)
-                if pushed <= 0.0:
-                    break
+            while (path := self._path(s, t, alive)) is not None:
+                pushed = INF
+                for edge in path:
+                    pushed = min(pushed, edge[1])
+                for edge in path:
+                    edge[1] -= pushed
+                    self.adj[edge[0]][edge[2]][1] += pushed
                 total += pushed
         return total
 
@@ -108,11 +134,9 @@ def max_transport_flow(mask, row_caps, col_caps, cell_flows_from=None):
         net.add_edge(0, 1 + x, float(row_caps[x]))
     for y in range(n_cols):
         net.add_edge(1 + n_rows + y, sink, float(col_caps[y]))
-    for x in range(n_rows):
-        row = mask[x]
-        for y in range(n_cols):
-            if row[y]:
-                net.add_edge(1 + x, 1 + n_rows + y, INF)
+    rows, cols = np.nonzero(mask)
+    for x, y in zip((rows + 1).tolist(), (cols + 1 + n_rows).tolist()):
+        net.add_edge(x, y, INF)
     value = net.max_flow(0, sink)
     cut_rows = [x for x in range(n_rows) if net._level[1 + x] >= 0]
     flows = None

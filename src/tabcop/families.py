@@ -157,7 +157,10 @@ def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
     where s - rho is exact.  At (u, v) = (0.3, 0.7), where b = -a, the
     direct b - rho a is all cancellation and costs 3.7e-10 at
     rho = -(1 - 1e-15).  ``ndtri`` runs once per entry of ``u`` and of
-    ``v``, so once per row and per column of a mesh.
+    ``v``, so once per row and per column of a mesh.  An entry whose C
+    falls below ``_OWEN_LOWER_TAIL`` (about 1e-6), where 1e-16 absolute
+    is worse than 1e-10 relative, is taken instead from
+    :func:`_gaussian_lower_tail`, whose terms are all nonnegative.
     """
     special = _special()
     a, b = special.ndtri(u), special.ndtri(v)
@@ -172,7 +175,62 @@ def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
         ab = a * b
         beta = np.where((ab < 0.0) | ((ab == 0.0) & (a + b < 0.0)), 0.5, 0.0)
         c = 0.5 * (special.ndtr(a) + special.ndtr(b)) - owen(a, b) - owen(b, a) - beta
-    return np.where((a == 0.0) & (b == 0.0), 0.25 + math.asin(rho) / (2.0 * math.pi), c)
+    c = np.where((a == 0.0) & (b == 0.0), 0.25 + math.asin(rho) / (2.0 * math.pi), c)
+    tail = c < _OWEN_LOWER_TAIL
+    if tail.any():
+        a, b = np.broadcast_arrays(a, b)
+        for i in map(tuple, np.argwhere(tail)):
+            c[i] = _gaussian_lower_tail(float(a[i]), float(b[i]), rho, r, s)
+    return c
+
+
+#: Below this C, Owen's form, accurate to about 1e-16 absolute, is worse
+#: than 1e-10 relative, and the Gaussian copula takes its lower tail.
+#: Mesh nodes of up to 15 x 15 cells at |rho| <= 0.66 stay above it.
+_OWEN_LOWER_TAIL = 2.0**-20
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+#: log of the least positive double: a C whose log is below it is 0.0.
+_LOG_DBL_TRUE_MIN = math.log(math.ulp(0.0))
+
+
+def _gaussian_lower_tail(a: float, b: float, rho: float, r: float, s: float) -> float:
+    """P(Z1 <= a, Z2 <= b) as the conditional integral, to about 1e-13 relative.
+
+    With h = min(a, b), k = max(a, b) and Z2 given Z1 = x normal with mean
+    rho x and deviation r,
+
+        C = int_{-inf}^h phi(x) Phi((k - rho x) / r) dx
+          = phi(h) Phi(z0) int_0^inf exp(L(t)) dt,    z0 = (k - rho h) / r,
+        L(t) = h t - t^2 / 2 + log Phi(z0 + m t) - log Phi(z0),    m = rho / r,
+
+    after x = h - t.  Every term is nonnegative and exp(L(0)) = 1, so the
+    integral keeps its relative accuracy however small C is, and C, formed
+    from logarithms, underflows only where its value does.  L is concave,
+    with L'(0) = h + m phi(z0) / Phi(z0) and -L'' at most 1 + m^2; the
+    integral runs in x = lam t, lam = |L'(0)| + sqrt(1 + m^2), in which
+    the integrand's slope at 0 and its curvature are at most 1, however
+    narrow it is in t (near rho = -1, m is of order 1 / r).  z0 takes the
+    numerator as (k - s h) + (s - rho) h, s = sign(rho), as
+    :func:`_gaussian_cdf` does.  For rho <= 0, C <= Phi(h) Phi(z0), and
+    where that bound is below the doubles no integral is run.
+    """
+    integrate, special = _quadrature()
+    h, k = min(a, b), max(a, b)
+    z0 = ((k - s * h) + (s - rho) * h) / r
+    m = rho / r
+    log_z0 = float(special.log_ndtr(z0))
+    if rho <= 0.0 and log_z0 + float(special.log_ndtr(h)) < _LOG_DBL_TRUE_MIN:
+        return 0.0
+    lam = abs(h + m * math.exp(-0.5 * z0 * z0 - _LOG_SQRT_2PI - log_z0)) + math.sqrt(1.0 + m * m)
+
+    def integrand(x):
+        t = x / lam
+        return math.exp(h * t - 0.5 * t * t + special.log_ndtr(z0 + m * t) - log_z0)
+
+    integral, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return math.exp(log_z0 - 0.5 * h * h - _LOG_SQRT_2PI + math.log(integral / lam))
 
 
 def _student_tail_quantile(df: float, u: float) -> float:
@@ -558,9 +616,10 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
     array kernel at one point, the same one :func:`discretize_copula`
     runs on a whole mesh, so a mesh node and this value agree exactly.
     The Gaussian family is closed form in Owen's T, to about 1e-16
-    absolute; the Student family evaluates to ~1e-12 via a
-    one-dimensional correlation integral.  Every family is clamped to the
-    Frechet bounds max(0, u + v - 1) <= C <= min(u, v).
+    absolute, and below about 1e-6 a conditional integral of nonnegative
+    terms, to about 1e-13 relative; the Student family evaluates to
+    ~1e-12 via a one-dimensional correlation integral.  Every family is
+    clamped to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v).
     """
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise DomainError(f"copula arguments must lie in [0, 1], got ({u!r}, {v!r})")

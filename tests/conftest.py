@@ -4,11 +4,17 @@ The oracles here deliberately avoid the code paths they check: the
 feasibility oracle enumerates null rectangles outright (exponential, fine
 for tiny shapes), and the fitting oracle sweeps columns first so that a
 fixed point reached from a different iteration order can confirm the
-production kernel.
+production kernel.  The recursive Dinic max flow is the reference that
+the flat, non-recursive one in ``_flow`` must equal bit for bit.
 """
+
+import math
+from collections import deque
 
 import numpy as np
 import pytest
+
+from tabcop._flow import _CAP_EPS
 
 
 @pytest.fixture
@@ -83,6 +89,87 @@ def rectangle_classification_oracle(mask, row_targets=None, col_targets=None,
     if tight:
         return "B1", frozenset()
     return "A", frozenset()
+
+
+class DinicFlow:
+    """Recursive Dinic max flow with real capacities: the reference for ``_flow``.
+
+    ``_flow.max_transport_flow`` takes the same edges in the same order,
+    with the same saturation test and bottleneck chain, without recursion;
+    its results must equal this one's bit for bit.  The recursion depth is
+    the augmenting path's length, so a long path passes Python's limit.
+    """
+
+    def __init__(self, n_nodes):
+        self.n = n_nodes
+        # adjacency: per node, list of [target, residual_cap, reverse_index]
+        self.adj = [[] for _ in range(n_nodes)]
+
+    def add_edge(self, u, v, cap):
+        self.adj[u].append([v, cap, len(self.adj[v])])
+        self.adj[v].append([u, 0.0, len(self.adj[u]) - 1])
+
+    def _bfs_levels(self, s, t):
+        level = [-1] * self.n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v, cap, _ in self.adj[u]:
+                if cap > _CAP_EPS and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        self._level = level
+        return level[t] >= 0
+
+    def _push(self, u, t, limit, alive):
+        if u == t:
+            return limit
+        while alive[u] < len(self.adj[u]):
+            edge = self.adj[u][alive[u]]
+            v = edge[0]
+            if edge[1] > _CAP_EPS and self._level[v] == self._level[u] + 1:
+                pushed = self._push(v, t, min(limit, edge[1]), alive)
+                if pushed > 0.0:
+                    edge[1] -= pushed
+                    self.adj[v][edge[2]][1] += pushed
+                    return pushed
+            alive[u] += 1
+        return 0.0
+
+    def max_flow(self, s, t):
+        """The maximum flow from s to t; ``_level >= 0`` then marks the source side of the minimal min cut."""
+        total = 0.0
+        while self._bfs_levels(s, t):
+            alive = [0] * self.n
+            while True:
+                pushed = self._push(s, t, math.inf, alive)
+                if pushed <= 0.0:
+                    break
+                total += pushed
+        return total
+
+
+def reference_transport_flow(mask, row_caps, col_caps):
+    """``(value, cut_rows, cell_flows)`` of the transportation network of ``mask``, by :class:`DinicFlow`."""
+    n_rows, n_cols = mask.shape
+    net = DinicFlow(n_rows + n_cols + 2)
+    sink = n_rows + n_cols + 1
+    for x in range(n_rows):
+        net.add_edge(0, 1 + x, float(row_caps[x]))
+    for y in range(n_cols):
+        net.add_edge(1 + n_rows + y, sink, float(col_caps[y]))
+    for x in range(n_rows):
+        for y in range(n_cols):
+            if mask[x, y]:
+                net.add_edge(1 + x, 1 + n_rows + y, math.inf)
+    value = net.max_flow(0, sink)
+    cut_rows = [x for x in range(n_rows) if net._level[1 + x] >= 0]
+    flows = np.zeros(mask.shape)
+    for x in range(n_rows):  # after the source edge's reverse, the row's cell edges
+        for v, _cap, rev in net.adj[1 + x][1:]:  # a cell's flow is its reverse's residual
+            flows[x, v - 1 - n_rows] = net.adj[v][rev][1]
+    return value, cut_rows, flows
 
 
 def column_first_ipf(values, row_targets, col_targets, tol=1e-13, max_iter=100000):

@@ -11,6 +11,8 @@ in its own process and records
 * every ``classify_existence`` call: its support and margins, the class
   it returned (tag, forced cells and tight rectangles, in order) and the
   number of max flows it ran;
+* every max flow those calls ran: its value's bits, its cut rows and its
+  cell flows' bytes (or None);
 * every fit through ``scaling._fit``: the fitted table's bytes and every
   diagnostics field, or the error it raised;
 * the output of every operation: table bytes, ``upsilon`` floats,
@@ -115,7 +117,7 @@ def answer(tabcop, counts, target):
 
 
 def record(n_random, seeds):
-    """The sweep kernel, every classification with its count of max flows, every fit and output."""
+    """The sweep kernel, every classification with its count of max flows, every flow, fit and output."""
     sys.path.insert(0, PERFBENCH)
     import numpy as np
 
@@ -127,18 +129,20 @@ def record(n_random, seeds):
     original_classify = tabcop.scaling.classify_existence
     original_flow = tabcop.scaling.max_transport_flow
     original_fit = tabcop.scaling._fit
-    calls, fits, outputs, flows = [], [], [], [0]
+    calls, flows, fits, outputs = [], [], [], []
 
-    def counting_flow(*args, **kwargs):
-        flows[0] += 1
-        return original_flow(*args, **kwargs)
+    def recording_flow(*args, **kwargs):
+        got = original_flow(*args, **kwargs)
+        cells = None if got.cell_flows is None else got.cell_flows.tobytes()
+        flows.append((got.value.hex(), tuple(got.cut_rows), cells))
+        return got
 
     def recording_classify(s, t):
-        flows[0] = 0
+        before = len(flows)
         got = original_classify(s, t)
         calls.append((s.mask.shape, s.mask.tobytes(), t.row_margins.tobytes(),
                       t.col_margins.tobytes(), got.tag, got.forced_zero_cells,
-                      got.tight_rectangles, flows[0]))
+                      got.tight_rectangles, len(flows) - before))
         return got
 
     def recording_fit(*args, **kwargs):
@@ -157,7 +161,7 @@ def record(n_random, seeds):
             got = exc
         outputs.append((label, canonical(got)))
 
-    tabcop.scaling.max_transport_flow = counting_flow
+    tabcop.scaling.max_transport_flow = recording_flow
     tabcop.scaling._fit = recording_fit
     for module in [m for name, m in sys.modules.items() if name.startswith("tabcop")]:
         if getattr(module, "classify_existence", None) is original_classify:
@@ -174,7 +178,7 @@ def record(n_random, seeds):
             cases = workload.traced_cases() if name == "cli_verbs" else workload.cases
             for case in cases:
                 run(f"{name}/{seed}/{case.case_id}", case.op)
-    return tabcop.IPF_BACKEND, calls, fits, outputs
+    return tabcop.IPF_BACKEND, calls, flows, fits, outputs
 
 
 def run_tree(src, n_random, seeds):
@@ -206,16 +210,18 @@ def main(argv=None):
             pickle.dump(record(args.random, args.seeds), fh)
         return 0
 
-    old_backend, old_calls, old_fits, old_outputs = run_tree(args.old_src, args.random, args.seeds)
-    new_backend, new_calls, new_fits, new_outputs = run_tree(args.new_src, args.random, args.seeds)
+    old_backend, old_calls, old_flows, old_fits, old_outputs = run_tree(
+        args.old_src, args.random, args.seeds)
+    new_backend, new_calls, new_flows, new_fits, new_outputs = run_tree(
+        args.new_src, args.random, args.seeds)
     same = True
     tags = collections.Counter(call[4] for call in old_calls)
     print(f"sweep kernel: {old_backend} old, {new_backend} new")
     print(f"calls: {len(old_calls)} old, {len(new_calls)} new; max flows: "
           f"{sum(c[-1] for c in old_calls)} old, {sum(c[-1] for c in new_calls)} new")
     print("classes: " + ", ".join(f"{tag} {n}" for tag, n in sorted(tags.items())))
-    for what, old, new in (("calls", old_calls, new_calls), ("fits", old_fits, new_fits),
-                           ("outputs", old_outputs, new_outputs)):
+    for what, old, new in (("calls", old_calls, new_calls), ("flows", old_flows, new_flows),
+                           ("fits", old_fits, new_fits), ("outputs", old_outputs, new_outputs)):
         differ, counts_match = differing(old, new)
         first = ""
         if differ:
