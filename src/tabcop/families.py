@@ -142,12 +142,13 @@ def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
     Owen's closed form (1956, Ann. Math. Statist. 27) in his function
     T(h, x) = (1/2pi) int_0^x exp(-h^2 (1 + t^2) / 2) / (1 + t^2) dt:
 
-        C = (Phi(a) + Phi(b)) / 2 - T(a, (b - rho a) / (a r))
+        C = (u + v) / 2 - T(a, (b - rho a) / (a r))
             - T(b, (a - rho b) / (b r)) - beta,    r = sqrt((1 - rho)(1 + rho)),
 
     where beta = 1/2 if a b < 0, or if a b = 0 and a + b < 0, and beta = 0
-    otherwise.  At a = 0 the second argument of T is infinite with the
-    sign of b, and T(0, +-inf) = +-1/4; at a = b = 0 (u = v = 1/2),
+    otherwise; (u + v) / 2 is Owen's (Phi(a) + Phi(b)) / 2, taken from the
+    arguments themselves.  At a = 0 the second argument of T is infinite
+    with the sign of b, and T(0, +-inf) = +-1/4; at a = b = 0 (u = v = 1/2),
     C = 1/4 + asin(rho) / 2pi.  ``scipy.special.owens_t`` (Patefield and
     Tandy 2000) evaluates T to rounding error, so C is within about 1e-16
     absolute for |rho| up to 1 - 1e-15.  The bound is absolute: the terms
@@ -174,7 +175,7 @@ def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # h = 0, replaced in owen
         ab = a * b
         beta = np.where((ab < 0.0) | ((ab == 0.0) & (a + b < 0.0)), 0.5, 0.0)
-        c = 0.5 * (special.ndtr(a) + special.ndtr(b)) - owen(a, b) - owen(b, a) - beta
+        c = 0.5 * (u + v) - owen(a, b) - owen(b, a) - beta
     c = np.where((a == 0.0) & (b == 0.0), 0.25 + math.asin(rho) / (2.0 * math.pi), c)
     tail = c < _OWEN_LOWER_TAIL
     if tail.any():
@@ -341,12 +342,14 @@ def _student_quantile(df: float, u) -> np.ndarray:
     F(-x) above it, misses u (or 1 - u, exact there) by more than
     ``_ROUND_TRIP_RTOL`` relative, the quantile comes from
     :func:`_student_tail_quantile` on that tail, as it does for a nan or
-    +inf below u = 1/2.  A u or 1 - u below the normal doubles is not
-    checked, since ``stdtr`` keeps few digits there.  An infinity on its
-    own side of the median is kept: at a small df it stands for a
-    quantile past the doubles (at df = 0.002 the quantile of 14/15 is
-    about 1e437).  The nodes of a 15 x 15 mesh keep ``stdtrit`` from df
-    of about 0.006 on, those of a 64 x 64 mesh from about 0.01.
+    an infinity.  A u or 1 - u below the normal doubles is not checked,
+    since ``stdtr`` keeps few digits there.  An infinity on its own side
+    of the median need not be a quantile past the doubles: at
+    df = 0.010598982986231954, ``stdtrit`` reads +inf at u = 1 -
+    0.011597628450106699, whose quantile is about 8.6e152.  The tail solve
+    returns the infinity where it is one (at df = 0.002 the quantile of
+    14/15 is about 1e437).  The nodes of a 15 x 15 mesh keep ``stdtrit``
+    from df of about 0.006 on, those of a 64 x 64 mesh from about 0.01.
     """
     special = _special()
     u = np.asarray(u, dtype=float)
@@ -356,54 +359,39 @@ def _student_quantile(df: float, u) -> np.ndarray:
     back = special.stdtr(df, np.where(lower, x, -x))
     wrong = (np.isfinite(x) & (sys.float_info.min <= tail) & (tail < 0.4999999)
              & ~(np.abs(back - tail) <= _ROUND_TRIP_RTOL * tail))
-    redo = wrong | (lower & ~(x < np.inf))  # nan or +inf below the median
+    redo = wrong | ~np.isfinite(x)
     if redo.any():
         for idx in np.ndindex(x.shape):
             if redo[idx]:
                 q = _student_tail_quantile(df, float(tail[idx]))
                 x[idx] = q if lower[idx] else -q
-    # nearer the median the round trip is not taken, as ``stdtr`` cancels
-    # there, yet ``stdtrit`` misses (by 4.0e-11 in F at df = 4, u =
-    # 0.4999999): one Newton step on _student_t_cdf, which keeps the
-    # digits of F - 1/2, finishes it.  u = 1/2 keeps the ``stdtrit`` value
-    centre = (0.4999999 <= tail) & (tail < 0.5)
+    # within 0.01 of the median, x is finished by one Newton step on
+    # F = 1/2 + sign(x) I_z(1/2, df/2) / 2, z = x^2 / (df + x^2), the
+    # probability of |T| <= |x| halved, which keeps the digits of F - 1/2
+    # where z < 1/2, that is |x| < sqrt(df); at a tiny df, x there can be so
+    # large that z rounds to 1 (about -2.7e85 at df = 1e-4, u = 0.49), and
+    # is left as it is.  There ``stdtrit`` misses at df = 4 (by
+    # 2.3e-10 in F at u = 0.5000002, 1.6e-13 at 0.5001), and ``stdtr``
+    # cancels (``stdtr(1, -1e-9)`` is exactly 0.5, 3.2e-10 off): the round
+    # trip, not taken within 1e-7 of the median, can reject a good x just
+    # outside (df = 1, u = 0.49999989999999994) for a tail solve 2.7e-11
+    # off in F.  u = 1/2 keeps the ``stdtrit`` value, and mesh nodes up to
+    # 50 x 50 lie outside the band
+    centre = (0.49 <= tail) & (tail < 0.5) & (np.abs(x) < math.sqrt(df))
     if centre.any():
         xc = x[centre]
+        cdf = 0.5 + np.sign(xc) * special.betainc(0.5, 0.5 * df, xc * xc / (df + xc * xc)) / 2.0
         log_pdf = (-0.5 * math.log(df) - float(special.betaln(0.5 * df, 0.5))
                    - 0.5 * (df + 1.0) * np.log1p(xc * xc / df))
-        x[centre] = xc - (_student_t_cdf(df, xc) - u[centre]) / np.exp(log_pdf)
+        x[centre] = xc - (cdf - u[centre]) / np.exp(log_pdf)
     return x
 
 
-def _student_t_cdf(df: float, x) -> np.ndarray:
-    """The t CDF at the entries of ``x``: ``stdtr``, but from the centre's own form near it.
-
-    ``stdtr`` cancels near x = 0: ``stdtr(1, -1e-9)`` is exactly 0.5, 3.2e-10
-    off.  Where |x| < sqrt(df) the CDF is taken as
-
-        1/2 + sign(x) I_z(1/2, df/2) / 2,    z = x^2 / (df + x^2),
-
-    the probability of |T| <= |x| halved, which keeps the digits of the
-    offset from 1/2: for df from 0.5 to 30 it is within 1.1e-16 of a
-    40-digit reference at u within 1e-6 of 1/2, and within 4.4e-16
-    anywhere in that range.  Elsewhere ``stdtr`` is kept, except below
-    -sqrt(DBL_MAX), where x^2 overflows and ``stdtr`` reads F as 0: there
-    F is the leading term of the tail series of
-    :func:`_student_tail_quantile`, c (sqrt(df) / -x)^df, which is exact
-    to rounding that far out.
-    """
-    special = _special()
-    x = np.asarray(x, dtype=float)
-    cdf = np.array(special.stdtr(df, x), dtype=float)
-    centre = np.abs(x) < math.sqrt(df)
-    xc = x[centre]
-    z = xc * xc / (df + xc * xc)
-    cdf[centre] = 0.5 + np.sign(xc) * special.betainc(0.5, 0.5 * df, z) / 2.0
-    far = x < -_SQRT_DBL_MAX
-    if far.any():
-        log_c = -math.log(df) - float(special.betaln(0.5 * df, 0.5))
-        cdf[far] = np.exp(log_c + df * (0.5 * math.log(df) - np.log(-x[far])))
-    return cdf
+#: Largest |t quantile| that :func:`_student_cdf` integrates as it is:
+#: below it (x - y)^2 is a finite double, and past it the quantiles are
+#: scaled and the far kernel runs.  At 15 x 15 the quantile of 1/15 passes
+#: it below df of about 0.0055 (it is about -1.8e217 at df = 0.004).
+_STUDENT_MESH_QUANTILE_MAX = 0.5 * math.sqrt(sys.float_info.max)
 
 
 def _student_kernel(theta, rho_sign, d2, xy2, df):
@@ -437,11 +425,14 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
         dT2/drho = (1 + Q/df)^(-df/2) / (2 pi sqrt(1 - rho^2)),
         Q = (x^2 - 2 rho x y + y^2) / (1 - rho^2).
 
-    For rho >= 0 the integral runs down from rho = 1, where
-    T2 = T(min(x, y)); for rho < 0 it runs up from rho = -1, where
-    T2 = max(0, T(x) + T(y) - 1).  The substitution r = sin(theta)
-    removes the 1/sqrt(1 - r^2) endpoint singularity, and Q is written so
-    that it does not cancel at the endpoint integrated to:
+    For rho >= 0 the integral runs down from rho = 1, where T2 is the
+    upper Frechet bound min(u, v); for rho < 0 it runs up from rho = -1,
+    where T2 is the lower bound max(0, u + v - 1).  Both are taken from u
+    and v themselves, not from the t CDF at their quantiles, so the
+    radial pair C(u, v) and u + v - 1 + C(1 - u, 1 - v) share one
+    integral.  The substitution r = sin(theta) removes the
+    1/sqrt(1 - r^2) endpoint singularity, and Q is written so that it
+    does not cancel at the endpoint integrated to:
     (x - y)^2/cos^2 + 2xy/(1 + sin) toward +pi/2 and
     (x + y)^2/cos^2 - 2xy/(1 - sin) toward -pi/2.  The kernel goes
     through log1p, so a large df does not round it away.  Where the
@@ -450,17 +441,18 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     endpoint, and breakpoints there keep ``quad`` from stepping over the
     dip (at (u, v) = (0.5, 0.4999999), rho = 0, df = 1 the plain call was
     5e-8 off).  The quantiles are taken once per entry of ``u`` and of
-    ``v``; the integral is one ``quad`` per point, and T is
-    :func:`_student_t_cdf`.
+    ``v``; the integral is one ``quad`` per point.
 
     Where a quantile passes ``_STUDENT_MESH_QUANTILE_MAX`` (about 6.7e153;
-    no mesh node does), (x -+ y)^2 or 2xy would overflow.  There both are
-    scaled by m = max(|x|, |y|), which multiplies Q by m^-2, and the
-    kernel, (Q m^2 / df)^(-df/2), is integrated without its factor m^-df,
-    which multiplies the integral afterwards; the integral keeps its
-    relative digits even where the copula is far below 1e-13.  Where
-    m^-df is below the normal doubles the term is dropped, as a value
-    that small keeps too few bits to add.
+    at 15 x 15 the mesh nodes do below df of about 0.0055), (x -+ y)^2 or
+    2xy would overflow.  There both are scaled by m = max(|x|, |y|),
+    which multiplies Q by m^-2, and the kernel, (Q m^2 / df)^(-df/2), is
+    integrated without its factor m^-df, which multiplies the integral
+    afterwards; the integral keeps its relative digits even where the
+    copula is far below 1e-13.  Where m^-df is below the normal doubles
+    the term is dropped, as a value that small keeps too few bits to add;
+    at an infinite quantile, one past the doubles, that leaves the
+    Frechet bound that its argument reaches as it goes to 0 or 1.
     """
     integrate, _ = _quadrature()
     x, y = np.broadcast_arrays(_student_quantile(df, u), _student_quantile(df, v))
@@ -489,10 +481,7 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
         value[idx] = factor * integrate.quad(kernel, start, stop,
                                              args=(sign, d2, sign * 2.0 * xi * yi, df),
                                              points=points, epsabs=1e-13, epsrel=1e-12)[0]
-    if sign > 0.0:
-        base = _student_t_cdf(df, np.minimum(x, y))
-    else:
-        base = np.maximum(0.0, _student_t_cdf(df, x) + _student_t_cdf(df, y) - 1.0)
+    base = np.minimum(u, v) if sign > 0.0 else np.maximum(0.0, u + v - 1.0)
     return base - value / (2.0 * math.pi)
 
 
@@ -618,7 +607,9 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
     The Gaussian family is closed form in Owen's T, to about 1e-16
     absolute, and below about 1e-6 a conditional integral of nonnegative
     terms, to about 1e-13 relative; the Student family evaluates to
-    ~1e-12 via a one-dimensional correlation integral.  Every family is
+    ~1e-12 via a one-dimensional correlation integral.  Both subtract
+    their integrals from terms taken from u and v, so C(u, v) and
+    u + v - 1 + C(1 - u, 1 - v) agree to rounding.  Every family is
     clamped to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v).
     """
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
@@ -634,15 +625,6 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
     return float(_interior_cdf(spec, np.array([float(u)]), np.array([float(v)]))[0])
 
 
-#: sqrt(DBL_MAX): past it x^2 overflows.
-_SQRT_DBL_MAX = math.sqrt(sys.float_info.max)
-
-#: Largest |t quantile| of a Student mesh node: below it (x - y)^2 is a
-#: finite double.  At 15 x 15 the quantile of 1/15 passes it below df of
-#: about 0.0055 (it is about -7.6e435 at df = 0.002).
-_STUDENT_MESH_QUANTILE_MAX = 0.5 * _SQRT_DBL_MAX
-
-
 def _cdf_mesh(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> np.ndarray:
     """C at every node (i/R, j/S) of the mesh, in one kernel call for the interior."""
     u = np.arange(n_rows + 1) / n_rows
@@ -650,11 +632,10 @@ def _cdf_mesh(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> np.ndarra
     if spec.family == "student":
         df = spec.params["df"]
         quantiles = _student_quantile(df, np.concatenate((u[1:-1], v[1:-1])))
-        if not (np.abs(quantiles) < _STUDENT_MESH_QUANTILE_MAX).all():
+        if not np.isfinite(quantiles).all():
             raise ParamError(
                 f"student df={df!r} is too small for a {n_rows}x{n_cols} mesh: the t "
-                f"quantile of a mesh node passes {_STUDENT_MESH_QUANTILE_MAX:.2g}, "
-                "where the correlation integral overflows"
+                "quantile of a mesh node passes the doubles"
             )
     nodes = np.zeros((n_rows + 1, n_cols + 1))
     nodes[1:, n_cols] = u[1:]
@@ -674,8 +655,8 @@ def discretize_copula(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> J
     Each node is evaluated once, so the row and column sums telescope to
     the exact uniform margins up to rounding, independent of any
     quadrature error in the interior nodes.  A Student df so small that a
-    mesh node's t quantile leaves the range where the correlation integral
-    can be evaluated raises ``ParamError``.
+    mesh node's t quantile passes the doubles (at 15 x 15, df below about
+    0.0028) raises ``ParamError``.
     """
     n_rows = check_size(n_rows, "n_rows", 2, ValidationError)
     n_cols = check_size(n_cols, "n_cols", 2, ValidationError)

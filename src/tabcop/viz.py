@@ -22,6 +22,14 @@ from tabcop.pmf_core import JointPmf
 DEFAULT_RAMP = ((211, 211, 211), (139, 0, 0))
 
 
+def _check_ramp(ramp) -> None:
+    """Raise ``ValidationError`` unless both ramp ends are integer RGB in 0..255."""
+    lo, hi = ramp
+    for c in (*lo, *hi):
+        if not (isinstance(c, (int, np.integer)) and 0 <= c <= 255):
+            raise ValidationError("ramp colors must be integer RGB in 0..255")
+
+
 @dataclass(frozen=True)
 class ConfettiOptions:
     cell_size: float = 48.0
@@ -34,10 +42,7 @@ class ConfettiOptions:
             # stored as floats, so a NumPy scalar is not drawn in its own precision
             object.__setattr__(self, name,
                                check_positive(getattr(self, name), name, ValidationError))
-        lo, hi = self.color_ramp_ends
-        for c in (*lo, *hi):
-            if not (isinstance(c, (int, np.integer)) and 0 <= c <= 255):
-                raise ValidationError("ramp colors must be integer RGB in 0..255")
+        _check_ramp(self.color_ramp_ends)
 
 
 def _fmt(x: float) -> str:
@@ -117,6 +122,7 @@ def heatmap_ppm(grid: DensityGrid, gamma: float = 1.0,
     low end, which helps when a grid has a sharp ridge.
     """
     gamma = check_positive(gamma, "gamma", ValidationError)
+    _check_ramp(ramp)
     h = grid.heights
     peak = h.max()
     scaled = (h / peak) ** gamma if peak > 0 else np.zeros_like(h)

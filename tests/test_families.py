@@ -41,7 +41,6 @@ from tabcop.families import (
     _goodman_seed,
     _student_cdf,
     _student_quantile,
-    _student_t_cdf,
     _student_tail_quantile,
     binomial_copula,
     bivariate_binomial_pmf,
@@ -485,6 +484,12 @@ def _student_copula_cdf_by_mpmath(u, v, rho, df):
     the t density times that CDF; the quantiles x, y < 0 are solved at 40
     digits in log(-x).  The integral runs in t = log(s / x), divided by u
     to order 1, since mpmath's rule stops on an absolute error.
+
+    Not a reference at a df as small as 0.004, where its fixed breakpoints
+    miss the integrand's spread over hundreds of decades: at rho = 0.5 it
+    reads 0.0889628 at (7/15, 2/15) and 0.0889463 at (2/15, 7/15), where
+    :func:`_student_copula_cdf_by_correlation_integral` gives
+    0.08894625127484423 at both.
     """
     with mpmath.workdps(40):
         u, v, rho, df = (mpmath.mpf(a) for a in (u, v, rho, df))
@@ -510,16 +515,49 @@ def _student_copula_cdf_by_mpmath(u, v, rho, df):
         return float(u * mpmath.quad(integrand, [0, 1, 10, 100, 1000, mpmath.inf]))
 
 
-class TestStudentCdf:
-    @pytest.mark.parametrize("df", [0.5, 1.0, 4.0, 30.0])
-    def test_base_term_near_the_median(self, df):
-        # stdtr cancels here: stdtr(1, -1e-9) is exactly 0.5, 3.2e-10 off
-        for offset in (1e-6, 3.1416e-7, 1e-9, 1e-12, 1e-15):
-            for u in (0.5 - offset, 0.5 + offset):
-                x = float(special.stdtrit(df, u))
-                assert _student_t_cdf(df, x) == pytest.approx(
-                    _student_t_cdf_by_mpmath(df, x), abs=2.3e-16)
+def _student_copula_cdf_by_correlation_integral(u, v, rho, df):
+    """The Student copula C(u, v) at 40 digits, by the correlation integral in theta.
 
+    The Frechet bound at rho = +-1, min(u, v) or max(0, u + v - 1), less
+    (1 / 2 pi) times the integral of (1 + Q / df)^(-df/2) from asin(rho)
+    to +-pi/2, with Q in the form of :func:`_student_cdf` that does not
+    cancel at the endpoint.  The quantiles are solved at 40 digits in
+    log(-x), from the far tail's closed form, and the upper ones are the
+    lower ones negated; mpmath's numbers do not overflow, so quantiles
+    past 1e154 need no scaling.  The quantiles of the points it is used at
+    do not nearly meet, so the kernel has no narrow dip at the endpoint.
+    """
+    with mpmath.workdps(40):
+        u, v, rho, df = (mpmath.mpf(a) for a in (u, v, rho, df))
+        a = df / 2
+        log_c = -mpmath.log(2 * a) - mpmath.log(mpmath.beta(a, 0.5))
+
+        def quantile(p):
+            if p > 0.5:
+                return -quantile(1 - p)
+
+            def log_ratio(w):
+                x = -mpmath.exp(w)
+                return mpmath.log(mpmath.betainc(a, 0.5, 0, df / (df + x * x),
+                                                 regularized=True) / (2 * p))
+
+            return -mpmath.exp(mpmath.findroot(
+                log_ratio, mpmath.log(df) / 2 + (log_c - mpmath.log(p)) / df))
+
+        x, y = quantile(u), quantile(v)
+        sign = 1 if rho >= 0 else -1
+
+        def kernel(theta):
+            q = ((x - sign * y) ** 2 / mpmath.cos(theta) ** 2
+                 + sign * 2 * x * y / (1 + sign * mpmath.sin(theta)))
+            return (1 + q / df) ** (-df / 2)
+
+        value = mpmath.quad(kernel, [mpmath.asin(rho), sign * mpmath.pi / 2])
+        base = min(u, v) if sign > 0 else max(0, u + v - 1)
+        return float(base - value / (2 * mpmath.pi))
+
+
+class TestStudentCdf:
     @settings(max_examples=40, deadline=None)
     @example(u=0.5, v=0.4999999, rho=0.0, df=1.0)  # the kernel's dip at the endpoint
     @given(
@@ -598,6 +636,31 @@ class TestStudentCdf:
                 assert max(0.0, u + v - 1.0) - 1e-12 <= value <= min(u, v) + 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@example(u=14 / 15, v=14 / 15, rho=0.5, df=0.004)  # 0.022 off with base terms from the t CDF
+# stdtrit reads +inf for the quantile of 1 - v, about 8.6e152: 0.0024 off
+@example(u=0.4268158945219887, v=0.011597628450106699, rho=-0.2439477221562496,
+         df=0.010598982986231954)
+# the quantile of 1 - v missed by 2.7e-11 in F: 1.3e-11 off
+@example(u=0.5, v=0.4999999, rho=0.0, df=1.0)
+@given(
+    u=st.floats(0.01, 0.99),
+    v=st.floats(0.01, 0.99),
+    rho=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
+    df=st.one_of(st.none(), st.floats(-2.0, 3.0).map(lambda k: 10.0 ** k)),
+)
+def test_elliptical_copulas_are_exchangeable_and_radially_symmetric(u, v, rho, df):
+    # df None is the Gaussian family; both laws are symmetric in their two
+    # coordinates and under (X, Y) -> (-X, -Y)
+    if df is None:
+        spec = ContinuousCopulaSpec("gaussian", {"rho": rho})
+    else:
+        spec = ContinuousCopulaSpec("student", {"rho": rho, "df": df})
+    value = copula_cdf(spec, u, v)
+    assert abs(value - copula_cdf(spec, v, u)) <= 1e-13
+    assert abs(value - (u + v - 1.0 + copula_cdf(spec, 1.0 - u, 1.0 - v))) <= 1e-13
+
+
 def _student_quantile_by_mpmath(df, u, start):
     """The t quantile of ``u`` in 40-digit arithmetic, by a root search near ``start``.
 
@@ -673,13 +736,27 @@ class TestStudentQuantile:
 
     @pytest.mark.parametrize("df", [0.5, 1.0, 4.0, 30.0])
     def test_near_the_median(self, df):
-        # stdtrit is not checked by a round trip here, and misses: F(x) - u
-        # is 4.0e-11 at df = 4, u = 0.4999999; the bound is that of
-        # _student_t_cdf, which the Newton step that finishes x relies on
-        for offset in (1e-7, 9.9e-8, 3.1416e-8, 1e-9, 1e-12, 1e-15, 2.0**-53):
-            for u in (0.5 - offset, 0.5 + offset):
+        # stdtrit misses here: F(x) - u is 4.0e-11 at df = 4, u = 0.4999999,
+        # 2.3e-10 at u = 0.5000002 and 1.6e-13 at u = 0.5001; and at df = 1,
+        # u = 0.49999989999999994 the round trip rejects a good x for a
+        # tail solve 2.7e-11 off.
+        # The Newton step that finishes x within 0.01 of the median takes F
+        # from the centre's form, which keeps F - 1/2
+        for offset in (1e-2, 1e-3, 1e-4, 1e-5, 5e-7, 1.01e-7, 1e-7, 9.9e-8, 3.1416e-8, 1e-9,
+                       1e-12, 1e-15, 2.0**-53):
+            for u in (0.5 - offset, 0.5 + offset, 1.0 - (0.5 + offset)):
                 x = float(_student_quantile(df, u))
                 assert abs(_student_t_cdf_by_mpmath(df, x, minus=u)) <= 2.3e-16
+
+    @pytest.mark.parametrize("df", [1e-4, 5e-4])
+    def test_tiny_df_near_the_median(self, df):
+        # x passes sqrt(df) within 0.01 of the median (about -2.7e85 at
+        # u = 0.49, df = 1e-4), where z in the centre's form rounds to 1 and
+        # a Newton step on it would throw x to the other side of 0; the
+        # quantile's condition number in u is of order 1/df
+        for u in (0.49, 0.495, 0.4999):
+            x = float(_student_quantile(df, u)[()])
+            assert x == pytest.approx(_student_quantile_by_mpmath(df, u, x), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("df", [0.002, 0.5, 1.0, 4.0, 30.0, 1e8])
     def test_median_keeps_stdtrit(self, df):
@@ -702,9 +779,17 @@ class TestStudentQuantile:
         monkeypatch.setattr(families, "_special", lambda: _FixedStdtrit(u, value))
         assert _student_quantile(0.002, u) == value
 
+    def test_infinite_upper_quantile_solved_on_its_tail(self):
+        # stdtrit reads +inf for the upper quantile, which is about 8.6e152
+        df, u = 0.010598982986231954, 1.0 - 0.011597628450106699
+        x = float(_student_quantile(df, u)[()])
+        assert math.isfinite(x)
+        assert x == pytest.approx(-_student_quantile_by_mpmath(df, 1.0 - u, -x), rel=1e-13,
+                                  abs=0.0)
+
     def test_infinite_upper_quantile_gives_frechet_upper_bound(self, monkeypatch):
         monkeypatch.setattr(families, "_special", lambda: _FixedStdtrit(14 / 15, math.inf))
-        assert _student_cdf(14 / 15, 7 / 15, 0.3, 0.002) == special.stdtr(0.002, special.stdtrit(0.002, 7 / 15))
+        assert _student_cdf(14 / 15, 7 / 15, 0.3, 0.002) == 7 / 15
 
     @pytest.mark.parametrize("df", [0.0005, 0.002])
     def test_tiny_df_upper_tail_raises_nothing(self, df):
@@ -805,16 +890,35 @@ class TestDiscretize:
             np.testing.assert_array_equal(
                 cells, np.clip(np.diff(np.diff(expected, axis=0), axis=1), 0.0, None))
 
-    @pytest.mark.parametrize("df", [0.0005, 0.002, 0.004])
+    @pytest.mark.parametrize("df", [0.0005, 0.002])
     def test_tiny_student_df_is_a_param_error(self, df):
         # the t quantile of 1/15 is about -7.6e435 at df = 0.002, past the
-        # doubles, and about -1.8e217 at df = 0.004, where (x - y)^2 in the
-        # correlation integral overflows (the mesh then summed to 1.13)
+        # doubles
         spec = ContinuousCopulaSpec("student", {"rho": 0.3, "df": df})
         with pytest.raises(ParamError, match=f"df={df!r}"):
             discretize_copula(spec, 15, 15)
         assert is_copula_pmf(discretize_copula(
             ContinuousCopulaSpec("student", {"rho": 0.3, "df": 0.01}), 15, 15), tol=1e-12)
+
+    @pytest.mark.parametrize("rho, df", [(0.5, 0.004), (0.3, 0.004), (-0.3, 0.005),
+                                         (-0.5, 0.003)])
+    def test_quantiles_past_sqrt_dbl_max_discretize(self, rho, df):
+        # the t quantile of 1/15 is about -1.8e217 at df = 0.004, past
+        # sqrt(DBL_MAX), where the far kernel runs; these meshes raised
+        # ParamError, and with base terms from the t CDF they had cells
+        # down to -0.022
+        spec = ContinuousCopulaSpec("student", {"rho": rho, "df": df})
+        nodes = families._cdf_mesh(spec, 15, 15)
+        assert np.diff(np.diff(nodes, axis=0), axis=1).min() >= -1e-15
+        assert is_copula_pmf(discretize_copula(spec, 15, 15), tol=1e-12)
+
+    def test_mesh_past_sqrt_dbl_max_matches_correlation_integral(self):
+        nodes = families._cdf_mesh(ContinuousCopulaSpec("student", {"rho": 0.5, "df": 0.004}),
+                                   15, 15)
+        for i, j in ((7, 2), (2, 7), (1, 1), (14, 14), (1, 14), (8, 3), (13, 6)):
+            assert nodes[i, j] == pytest.approx(_student_copula_cdf_by_correlation_integral(
+                i / 15, j / 15, 0.5, 0.004), rel=1e-12, abs=0.0), (i, j)
+        assert nodes[14, 14] == pytest.approx(0.9110537487251558, rel=1e-12, abs=0.0)
 
     def test_matches_fgm_closed_form_everywhere(self):
         for theta in (-1.0, -0.3, 0.4, 1.0):

@@ -221,3 +221,10 @@ class TestHeatmapPpm:
     def test_gamma_validation(self):
         with pytest.raises(ValidationError):
             heatmap_ppm(DensityGrid(np.ones((2, 2))), gamma=0.0)
+
+    @pytest.mark.parametrize("red", [300, -5, 0.5])
+    def test_ramp_validation(self, red):
+        # the ramp ends go into uint8 pixels: 300 would draw 44, -5 draw 251
+        grid = DensityGrid([[2.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValidationError, match="ramp colors"):
+            heatmap_ppm(grid, ramp=((211, 211, 211), (red, 0, 0)))
