@@ -6,11 +6,13 @@ Two construction routes:
   differences keep the margins exactly uniform), or
 * build a table in the odds-ratio class of a model, normalize it, and
   fit it to uniform margins by :func:`tabcop.scaling.copula_pmf` at its
-  default tolerance and sweep budget.  The truncated Geometric model
-  gives its own table; the Binomial and Goodman models give a table
-  centred on the middle cell, which has the odds ratios of the matrix
-  anchored at (0, 0) but spans about the square root of its range, so
-  the fit takes about a quarter of the sweeps.
+  default tolerance and sweep budget.  The Binomial and Goodman models
+  give a table centred on the middle cell, which has the odds ratios of
+  the matrix anchored at (0, 0) but spans about the square root of its
+  range, so the fit takes about a quarter of the sweeps.  The truncated
+  Geometric model, and the Poisson grid of :mod:`tabcop.infinite`, give
+  the log of their table, which :func:`_fit_log_seed` double-centres, so
+  that the seed spans the dependence and not the margins.
 
 Each continuous family has one array kernel that evaluates C on
 broadcast arrays of arguments: a mesh is one call on its row coordinates
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from tabcop import scaling
-from tabcop.bernoulli import bernoulli_copula
 from tabcop.dependence import frechet_bounds
 from tabcop.errors import (
     DegenerateError,
@@ -886,37 +887,101 @@ def _geometric_limit_seed(n: int) -> np.ndarray:
     return np.where(support, coef, 0.0)
 
 
+def _geometric_log_seed(n: int, omega: float) -> np.ndarray:
+    """log of a row and column rescaling of the truncated table of odds ratio omega.
+
+    With r = sqrt(omega), the uniform-margin base has p00 = p11 =
+    r / (2 (1 + r)), p01 = p10 = 1 / (2 (1 + r)) and every line sum 1/2.
+    In the products of :func:`truncated_geometric_pmf`, x < y takes
+    p00^x p10 2^-(y-x-1) and a last 1/2 unless y = N-1, and x > y likewise.
+    Since max(x, y) = x + y - min(x, y), the log of every such cell is
+    min(x, y) log(p00 / (1/2)^2) plus terms in x alone and in y alone.  The
+    diagonal x = y < N-1 takes p11 = r p10 and the corner p00^(N-1) alone,
+    so up to row and column terms the log table is
+
+        min(x, y) log(2r / (1 + r)) + [x = y < N-1] log(omega) / 2
+                                    + [x = y = N-1] log((1 + r) / 2).
+
+    It is 0 at omega = 1 and takes no power of p00, so it does not
+    underflow before it is centred.
+    """
+    r = math.sqrt(omega)
+    k = np.arange(n)
+    seed = np.minimum(k[:, None], k) * math.log(2.0 * r / (1.0 + r))
+    seed[k[:-1], k[:-1]] += 0.5 * math.log(omega)
+    seed[-1, -1] += math.log((1.0 + r) / 2.0)
+    return seed
+
+
+def _fit_seed(seed: np.ndarray, message: str) -> JointPmf:
+    """``scaling._fit`` of ``seed``; ParamError with ``message`` where the fit fails."""
+    try:
+        return scaling._fit(seed)[0]
+    except (InfeasibleError, NonConvergenceError) as exc:
+        raise ParamError(message) from exc
+
+
+def _fit_log_seed(log_table: np.ndarray, message: str) -> JointPmf:
+    """The copula pmf of exp(``log_table``), fitted from its double-centred logarithm.
+
+    Subtracting the row means and then the column means of ``log_table``
+    rescales the rows and columns of its table, so every odds ratio is
+    kept, and leaves every line with log mean 0: the seed spans the range
+    of the dependence, not of the margins.  It is exponentiated once,
+    shifted so that its largest cell is 1, and normalized.
+
+    A normalized cell that still falls below the normal doubles is raised
+    to the least normal double, so the support stays full and is not
+    classified.  The fit is kept where those cells end with at most the
+    fit tolerance of mass in all: the true cells are smaller still, so
+    with the same row and column factors they miss uniform margins by no
+    more.  Where the raised cells end with more, the fit's factors lift
+    cells past the doubles into view, and no answer in doubles shows what
+    they hold.  ParamError with ``message`` is raised there and where the
+    fit fails.
+    """
+    centred = log_table - log_table.mean(axis=1, keepdims=True)
+    centred -= centred.mean(axis=0)
+    seed = np.exp(centred - centred.max())
+    seed /= seed.sum()
+    raised = seed < sys.float_info.min
+    seed[raised] = sys.float_info.min
+    fitted = _fit_seed(seed, message)
+    if not fitted.values[raised].sum() <= scaling.DEFAULT_TOL:
+        raise ParamError(message)
+    return fitted
+
+
 def truncated_geometric_copula(n_levels: int, omega: float) -> JointPmf:
     """Standard truncated-Geometric copula pmf on an N x N grid.
 
     The base 2x2 table is pinned to uniform margins (the uniform-margin
     representative with odds ratio ``omega``), which collapses the model
     to one parameter; the truncated table is then fitted to uniform
-    margins.  At omega = 0 the raw table's support cannot reach uniform
-    margins, so the copula is the omega -> 0 limit instead: mass settles
-    on the support of minimal vanishing order and the leading coefficients
-    are fitted there (for N = 3 this is the uniform off-diagonal table).
-    Where cells of the table underflow to 0, the support left is fitted;
-    ParamError names omega and N where that fit fails (as at N = 8,
-    omega = 1e-300, where no table on it has uniform margins).
+    margins from its log, taken in closed form with the factors of the
+    margins left out (:func:`_geometric_log_seed`) and centred
+    (:func:`_fit_log_seed`).  At omega = 0 the raw table's support cannot
+    reach uniform margins, so the copula is the omega -> 0 limit instead:
+    mass settles on the support of minimal vanishing order and the leading
+    coefficients are fitted there (for N = 3 this is the uniform
+    off-diagonal table); omega = inf gives the diagonal Frechet table.
+    Where cells of the centred seed still pass the doubles (as at N = 8,
+    omega = 1e-200), the fit is kept if they end with no mass to speak of
+    (:func:`_fit_log_seed`).  ParamError names omega and N where they do
+    not (N = 12, omega = 1e-300) and where a fit fails (N = 3,
+    omega = 1e-300, where it stalls).
     """
     n_levels = check_size(n_levels, "n_levels", 2, ParamError)
     omega = check_nonnegative(omega, "omega", ParamError)
+    if math.isinf(omega):
+        return frechet_bounds(n_levels)[0]
     if omega == 0.0:
         seed = _geometric_limit_seed(n_levels)
-        return scaling._fit(seed / seed.sum())[0]
-    table = _geometric_table(n_levels, bernoulli_copula(omega).values)
-    if np.count_nonzero(table) == table.size:
-        return scaling._fit(table)[0]
-    # cells underflowed: check the lines as the public table does, and fit
-    # the support that is left where it still reaches uniform margins
-    try:
-        return scaling._fit(JointPmf(table).values)[0]
-    except (InfeasibleError, NonConvergenceError) as exc:
-        raise ParamError(
-            f"omega={omega} underflows cells for N={n_levels}: the geometric "
-            "table spans more than the doubles"
-        ) from exc
+        return _fit_seed(seed / seed.sum(),
+                         f"omega=0 for N={n_levels}: the fit of the omega -> 0 limit fails")
+    return _fit_log_seed(_geometric_log_seed(n_levels, omega),
+                         f"omega={omega} for N={n_levels}: the geometric table spans more "
+                         "than the doubles")
 
 
 def _goodman_seed(n_rows: int, n_cols: int, theta: float) -> JointPmf:

@@ -9,7 +9,10 @@ the truncated bivariate Poisson, the resulting Poisson and Geometric
 copula density grids, and couples truncated countable margins with
 arbitrary copula pmfs.  The boundary level N-1 absorbs each Poisson tail,
 which is taken directly (scipy's ``pdtrc``), never as a complement, so
-it keeps its relative accuracy however small it is.
+it keeps its relative accuracy however small it is.  The Poisson copula
+is fitted from the log of the truncated table with its margins taken
+out (:func:`tabcop.families._fit_log_seed`), so its cells underflow only
+where the dependence passes the doubles.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tabcop import scaling
+from tabcop.dependence import yule_upsilon
 from tabcop.errors import (
     DimensionMismatchError,
     ParamError,
@@ -29,6 +33,7 @@ from tabcop.errors import (
     check_positive,
     check_size,
 )
+from tabcop.families import _fit_log_seed, truncated_geometric_copula
 from tabcop.pmf_core import JointPmf, MarginPair, _wrap
 
 _GRID_MASS_TOL = 1e-9
@@ -142,6 +147,24 @@ def truncated_poisson_margin(lam: float, n_levels: int) -> np.ndarray:
     return pmf
 
 
+def _bivariate_poisson_log_pmf(lam10: float, lam01: float, lam11: float,
+                               n: int) -> np.ndarray:
+    """log of :func:`bivariate_poisson_pmf`'s cells, for checked arguments."""
+    log_x, log_y = _poisson_log_pmf(lam10, n), _poisson_log_pmf(lam01, n)
+    tail_x, tail_y = _poisson_log_tails(lam10, log_x), _poisson_log_tails(lam01, log_y)
+    log_shared = _poisson_log_pmf(lam11, n) if lam11 > 0.0 else np.zeros(1)
+    out = np.full((n, n), -np.inf)
+    for i, log_p in enumerate(log_shared[: n - 1]):
+        last = n - 1 - i  # the boundary level, counted from the block's corner
+        fx = np.append(log_x[:last], tail_x[last])
+        fy = np.append(log_y[:last], tail_y[last])
+        block = out[i:, i:]
+        np.logaddexp(block, log_p + fx[:, np.newaxis] + fy[np.newaxis, :], out=block)
+    if lam11 > 0.0:
+        out[-1, -1] = np.logaddexp(out[-1, -1], _poisson_log_tails(lam11, log_shared)[-1])
+    return out
+
+
 def bivariate_poisson_pmf(lam10: float, lam01: float, lam11: float,
                           n_levels: int) -> JointPmf:
     """Truncated common-shock bivariate Poisson on {0..N-1}^2.
@@ -162,28 +185,30 @@ def bivariate_poisson_pmf(lam10: float, lam01: float, lam11: float,
     lam01 = check_positive(lam01, "lam01", ParamError)
     lam11 = check_nonnegative(lam11, "lam11", ParamError, allow_inf=False)
     n = check_size(n_levels, "n_levels", 2, ParamError)
+    return JointPmf(np.exp(_bivariate_poisson_log_pmf(lam10, lam01, lam11, n)))
 
-    log_x, log_y = _poisson_log_pmf(lam10, n), _poisson_log_pmf(lam01, n)
-    tail_x, tail_y = _poisson_log_tails(lam10, log_x), _poisson_log_tails(lam01, log_y)
-    log_shared = _poisson_log_pmf(lam11, n) if lam11 > 0.0 else np.zeros(1)
-    out = np.full((n, n), -np.inf)
-    for i, log_p in enumerate(log_shared[: n - 1]):
-        last = n - 1 - i  # the boundary level, counted from the block's corner
-        fx = np.append(log_x[:last], tail_x[last])
-        fy = np.append(log_y[:last], tail_y[last])
-        block = out[i:, i:]
-        np.logaddexp(block, log_p + fx[:, np.newaxis] + fy[np.newaxis, :], out=block)
-    if lam11 > 0.0:
-        out[-1, -1] = np.logaddexp(out[-1, -1], _poisson_log_tails(lam11, log_shared)[-1])
-    return JointPmf(np.exp(out))
+
+def _poisson_copula(omega: float, n: int) -> JointPmf:
+    """The copula pmf of the truncated bivariate Poisson at lam10 = lam01 = 1, lam11 = omega.
+
+    Only the ratio omega = lam11 / (lam10 lam01) matters for the copula.
+    The log table is fitted with the Poisson margins taken out
+    (:func:`tabcop.families._fit_log_seed`), so a cell underflows only
+    where the dependence, not a margin level, passes the doubles;
+    ParamError names omega and N where the fit fails.
+    """
+    return _fit_log_seed(_bivariate_poisson_log_pmf(1.0, 1.0, omega, n),
+                         f"omega={omega} for n_levels={n}: the Poisson table spans more "
+                         "than the doubles")
 
 
 def poisson_copula_grid(omega: float, n_levels: int) -> DensityGrid:
     """Density grid of the bivariate Poisson dependence structure.
 
     Only the ratio omega = lam11/(lam10*lam01) matters for the copula, so
-    the construction fixes lam10 = lam01 = 1 and lam11 = omega.  The
-    marginal mass absorbed into the boundary level N-1 must stay below
+    the construction fixes lam10 = lam01 = 1 and lam11 = omega, and fits
+    the log table with the margins taken out (:func:`_poisson_copula`).
+    The marginal mass absorbed into the boundary level N-1 must stay below
     1e-6, otherwise ParamError asks for a larger N; and no level of the
     Poisson(1 + omega) margin may round to 0 (:func:`_poisson_last_level`).
     """
@@ -197,7 +222,7 @@ def poisson_copula_grid(omega: float, n_levels: int) -> DensityGrid:
             f"marginal tail mass {tail:.3g} beyond level {n_levels - 1} exceeds "
             f"{_GRID_TAIL_TOL:g}; increase n_levels"
         )
-    cop, _diag = scaling._fit(bivariate_poisson_pmf(1.0, 1.0, omega, n_levels).values)
+    cop = _poisson_copula(omega, n_levels)
     # N^2 times a fitted copula pmf: the grid's invariants hold by construction
     return _wrap(DensityGrid, heights=n_levels**2 * cop.values)
 
@@ -209,8 +234,6 @@ def geometric_copula_grid(omega: float, n_levels: int) -> DensityGrid:
     the given odds ratio; for omega > 1 the density ridges along the main
     diagonal, for omega < 1 it vanishes there in the limit.
     """
-    from tabcop.families import truncated_geometric_copula
-
     cop = truncated_geometric_copula(n_levels, omega)
     return _wrap(DensityGrid, heights=n_levels**2 * cop.values)
 
@@ -239,12 +262,10 @@ def upsilon_truncation_drift(omega: float, n_levels: int) -> float:
     Absolute change of the copula's Yule coefficient when the truncation
     level doubles.  No convergence rate in N is asserted anywhere; this
     diagnostic lets callers judge whether a grid resolution has stabilized
-    the summaries they care about.
+    the summaries they care about.  Both copulas are fitted as the grid's
+    are (:func:`_poisson_copula`), without its bound on the tail mass.
     """
-    from tabcop.dependence import yule_upsilon
-
-    cop_small, _ = scaling.copula_pmf(bivariate_poisson_pmf(1.0, 1.0, omega, n_levels))
-    cop_large, _ = scaling.copula_pmf(
-        bivariate_poisson_pmf(1.0, 1.0, omega, 2 * n_levels)
-    )
-    return abs(yule_upsilon(cop_large) - yule_upsilon(cop_small))
+    omega = check_nonnegative(omega, "omega", ParamError, allow_inf=False)
+    n_levels = check_size(n_levels, "n_levels", 2, ParamError)
+    small = yule_upsilon(_poisson_copula(omega, n_levels))
+    return abs(yule_upsilon(_poisson_copula(omega, 2 * n_levels)) - small)

@@ -185,6 +185,17 @@ def column_first_ipf(values, row_targets, col_targets, tol=1e-13, max_iter=10000
     raise AssertionError("reference iteration did not converge")
 
 
+def additive_residual(values):
+    """Largest entry of ``values`` less its row means and then its column means.
+
+    0 to rounding exactly where ``values`` is a(x) + b(y); applied to the log
+    of one table less the log of another, it reads whether the first is a
+    row and column rescaling of the second, with the same odds ratios.
+    """
+    centred = values - values.mean(axis=1, keepdims=True)
+    return float(np.abs(centred - centred.mean(axis=0)).max())
+
+
 def pearson_correlation(values):
     """Pearson correlation of (X, Y) under a table on integer labels."""
     v = np.asarray(values, dtype=float)

@@ -174,7 +174,7 @@ class TestFamilyVerb:
         np.testing.assert_allclose(out, np.eye(3) / 3, atol=1e-12)
 
     def test_geometric_past_the_doubles_is_a_parameter_error(self, capsys):
-        assert run(["family", "--name", "geometric", "--N", "8",
+        assert run(["family", "--name", "geometric", "--N", "3",
                     "--omega", "1e-300"]) == 1
         assert "spans more than the doubles" in capsys.readouterr().err
 

@@ -63,6 +63,7 @@ from tabcop.pmf_core import JointPmf, is_copula_pmf
 from tabcop.viz import ConfettiOptions, confetti_svg, heatmap_ppm
 
 from conftest import (
+    additive_residual,
     binomial2_copula_closed_form,
     geometric3_copula_closed_form,
     goodman33_copula_closed_form,
@@ -1389,13 +1390,64 @@ class TestTruncatedGeometricCopula:
         ups = [yule_upsilon(truncated_geometric_copula(3, float(w))) for w in grid]
         assert all(a <= b + 1e-12 for a, b in zip(ups, ups[1:]))
 
-    def test_underflowed_cells_that_fit_keep_the_fit(self):
-        # cells past the doubles raise only where the support left cannot be
-        # fitted (see EXTREME_CALLS); here it can, and the fit is kept
-        table = families._geometric_table(40, bernoulli_copula(1e-20).values)
-        assert np.count_nonzero(table == 0.0) == 65
-        want = scaling._fit(JointPmf(table).values)[0]
-        assert truncated_geometric_copula(40, 1e-20).values.tobytes() == want.values.tobytes()
+    @pytest.mark.parametrize("omega", [1e-60, 1e-100, 1e-150])
+    def test_tiny_omega_matches_printed_closed_form(self, omega):
+        # the fit of the model's own table stalled here (NonConvergenceError)
+        got = truncated_geometric_copula(3, omega).values
+        assert np.abs(got - geometric3_copula_closed_form(omega)).max() <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.floats(-6.0, 6.0))
+    def test_log_seed_is_a_rescaling_of_the_model_table(self, n, k):
+        omega = 10.0**k
+        log_pmf = np.log(truncated_geometric_pmf(n, bernoulli_copula(omega)).values)
+        gap = families._geometric_log_seed(n, omega) - log_pmf
+        assert additive_residual(gap) <= 1e-12 * max(1.0, np.abs(log_pmf).max())
+
+    @pytest.mark.parametrize("n, omega", [(40, 1e-20), (64, 1e-12)])
+    def test_cells_the_model_table_underflows_are_kept(self, n, omega):
+        # the model's table has cells past the doubles (65 at (40, 1e-20)),
+        # whose partial support took seconds of per-cell max-flow probes;
+        # the centred seed has none, and the copula is its rescaling
+        assert (truncated_geometric_pmf(n, bernoulli_copula(omega)).values == 0.0).any()
+        got = truncated_geometric_copula(n, omega)
+        assert got.values.min() > 0.0
+        assert is_copula_pmf(got, tol=1e-12)
+        gap = np.log(got.values) - families._geometric_log_seed(n, omega)
+        assert additive_residual(gap) <= 1e-12
+
+    def test_raised_cells_that_keep_no_mass_keep_the_fit(self):
+        # 6 cells of the centred seed pass the doubles at (8, 1e-200): raised
+        # to the least normal double, they end with no mass to speak of, and
+        # the copula is the fit of the model's table with them left out
+        table = families._geometric_table(8, bernoulli_copula(1e-200).values)
+        want = scaling._fit(JointPmf(table).values)[0].values
+        assert np.abs(truncated_geometric_copula(8, 1e-200).values - want).max() <= 1e-15
+
+    def test_raised_cells_that_take_mass_raise(self):
+        # at (12, 1e-300) the fit lifts cells raised from past the doubles
+        # into view.  Fitting the centred seed without them lands 1e-2 from
+        # the omega -> 0 limit, which the copula meets to 1e-12 at 1e-240
+        limit = truncated_geometric_copula(12, 0.0).values
+        assert np.abs(truncated_geometric_copula(12, 1e-240).values - limit).max() <= 1e-12
+        log_seed = families._geometric_log_seed(12, 1e-300)
+        centred = log_seed - log_seed.mean(axis=1, keepdims=True)
+        centred -= centred.mean(axis=0)
+        seed = np.exp(centred - centred.max())
+        seed[seed / seed.sum() < sys.float_info.min] = 0.0
+        assert np.abs(scaling._fit(seed)[0].values - limit).max() > 1e-3
+        with pytest.raises(ParamError, match="omega=1e-300 for N=12: "):
+            truncated_geometric_copula(12, 1e-300)
+
+    @pytest.mark.parametrize("n, omega", [(6, 1e-320), (8, 1e-300), (12, 1e-100)])
+    def test_far_below_the_doubles_the_copula_is_the_limit(self, n, omega):
+        # these raised ParamError while the model's table underflowed.  The
+        # copula nears the omega -> 0 limit as a power of omega, to within
+        # 1e-12 from omega = 1e-50 on at these N
+        got = truncated_geometric_copula(n, omega).values
+        limit = truncated_geometric_copula(n, 0.0).values
+        assert np.abs(got - limit).max() <= 1e-12
+        np.testing.assert_array_equal(geometric_copula_grid(omega, n).heights, n**2 * got)
 
 
 class TestGoodmanCopula:
@@ -1558,17 +1610,17 @@ EXTREME_CALLS = {
     "goodman theta=1e20": (lambda: goodman_copula(30, 30, 1e20), ParamError, "underflows"),
     "goodman theta=1e308": (lambda: goodman_copula(3, 3, 1e308), ParamError, "underflows"),
     "goodman theta=0 on 3x4": (lambda: goodman_copula(3, 4, 0.0), InfeasibleError, "diagonal"),
-    # geometric cells that underflow to 0 leave a table no fit can finish:
-    # its line sums underflow in the first sweep (1e-320), no uniform
-    # margins fit its support (1e-300) or its fit stalls (1e-100)
-    "geometric omega=1e-320": (lambda: truncated_geometric_copula(6, 1e-320),
-                               ParamError, "omega=1e-320 .*N=6: .*spans more than the doubles"),
-    "geometric grid omega=1e-320": (lambda: geometric_copula_grid(1e-320, 6),
+    # the centred geometric seed still passes the doubles, and the fit lifts
+    # the cells raised from there into view (1e-320, 1e-100), or the fit of
+    # the full seed stalls (1e-300 at N = 3)
+    "geometric omega=1e-320": (lambda: truncated_geometric_copula(12, 1e-320),
+                               ParamError, "omega=1e-320 .*N=12: .*spans more than the doubles"),
+    "geometric grid omega=1e-320": (lambda: geometric_copula_grid(1e-320, 12),
                                     ParamError, "spans more than the doubles"),
-    "geometric omega=1e-300": (lambda: truncated_geometric_copula(8, 1e-300),
-                               ParamError, "omega=1e-300 .*N=8: .*spans more than the doubles"),
-    "geometric omega=1e-100": (lambda: truncated_geometric_copula(12, 1e-100),
-                               ParamError, "omega=1e-100 .*N=12: .*spans more than the doubles"),
+    "geometric omega=1e-300": (lambda: truncated_geometric_copula(3, 1e-300),
+                               ParamError, "omega=1e-300 .*N=3: .*spans more than the doubles"),
+    "geometric omega=1e-100": (lambda: truncated_geometric_copula(40, 1e-100),
+                               ParamError, "omega=1e-100 .*N=40: .*spans more than the doubles"),
     "poisson level rounds to 0": (lambda: poisson_copula_grid(1.0, 400), ParamError,
                                   "rounds to 0"),
     "poisson margin level rounds to 0": (lambda: truncated_poisson_margin(800.0, 3),

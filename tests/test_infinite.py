@@ -23,7 +23,7 @@ from tabcop.infinite import (
 )
 from tabcop.pmf_core import JointPmf
 
-from conftest import pearson_correlation
+from conftest import additive_residual, pearson_correlation
 
 #: levels past N-1 the oracle sums the tails over; beyond them the terms
 #: of rates up to 2 + 2 are below exp(-55) of the tail
@@ -261,6 +261,20 @@ class TestPoissonCopulaGrid:
         g = poisson_copula_grid(0.5, 24)
         assert g.heights.mean() == pytest.approx(1.0, abs=1e-9)
 
+    def test_cells_the_model_table_underflows_are_kept(self):
+        # the model's table has 12 cells past the doubles at N = 180, and the
+        # fit of the support left took its per-cell max-flow probes for over
+        # 25 s; the seed with the margins taken out has none, and the grid is
+        # its rescaling, read on a subgrid of the interior against per-cell sums
+        n = 180
+        assert np.count_nonzero(bivariate_poisson_pmf(1.0, 1.0, 1.0, n).values == 0.0) == 12
+        heights = poisson_copula_grid(1.0, n).heights
+        assert heights.min() > 0.0
+        idx = list(range(0, n - 1, 6))
+        model = np.array([[_log_poisson_cell(1.0, 1.0, 1.0, x, y) for y in idx] for x in idx])
+        gap = np.log(heights[np.ix_(idx, idx)]) - model
+        assert additive_residual(gap) <= 1e-12 * np.abs(model).max()
+
 
 class TestGeometricCopulaGrid:
     def test_ridge_at_omega_two(self):
@@ -319,6 +333,11 @@ class TestUpsilonDrift:
         # rate in N is asserted anywhere, this diagnostic quantifies it
         drift = upsilon_truncation_drift(0.2, 12)
         assert 0.05 < drift < 0.5
+
+    def test_large_truncation_has_a_finite_drift(self):
+        # the doubled truncation, N = 180, is the grid's seed and fit; the
+        # fit of the model's table with its underflowed cells did not finish
+        assert math.isfinite(upsilon_truncation_drift(1.0, 90))
 
 
 class TestDensityGrid:

@@ -32,10 +32,12 @@ The calls are those of
   ``family_grids`` benchmark workloads, and the in-process form of every
   ``cli_verbs`` case, at each seed.
 
-Floats are compared by their bits.  The script prints the counts and
-exits with 1 unless both trees made the same calls with the same results
-and outputs.  Run it once with a C compiler on PATH and once without, to
-compare both sweep kernels.
+Floats are compared by their bits.  The script prints the counts and,
+for each case family (a label up to its last ``/``) whose outputs or fits
+differ, how many do and the largest absolute cell difference between
+tables of one shape on the two sides.  It exits with 1 unless both trees
+made the same calls with the same results and outputs.  Run it once with
+a C compiler on PATH and once without, to compare both sweep kernels.
 """
 
 from __future__ import annotations
@@ -145,21 +147,24 @@ def record(n_random, seeds):
                       got.tight_rectangles, len(flows) - before))
         return got
 
+    label = [None]  # the operation that is running, for the fits it makes
+
     def recording_fit(*args, **kwargs):
         try:
             got = original_fit(*args, **kwargs)
         except tabcop.errors.TabcopError as exc:
-            fits.append(canonical(exc))
+            fits.append((label[0], canonical(exc)))
             raise
-        fits.append(canonical(got))
+        fits.append((label[0], canonical(got)))
         return got
 
-    def run(label, op):
+    def run(name, op):
+        label[0] = name
         try:
             got = op()
         except tabcop.errors.TabcopError as exc:
             got = exc
-        outputs.append((label, canonical(got)))
+        outputs.append((name, canonical(got)))
 
     tabcop.scaling.max_transport_flow = recording_flow
     tabcop.scaling._fit = recording_fit
@@ -197,6 +202,40 @@ def differing(old, new):
     return [i for i, (a, b) in enumerate(zip(old, new)) if a != b], len(old) == len(new)
 
 
+def largest_cell_difference(old, new):
+    """The largest |old - new| over the float tables of one shape in two canonical forms.
+
+    The forms are walked side by side; None where no pair of tables of one
+    shape lines up.
+    """
+    import numpy as np
+
+    if not (isinstance(old, tuple) and isinstance(new, tuple) and len(old) == len(new)):
+        return None
+    if old[:1] == new[:1] == ("ndarray",):
+        if old[1] != new[1] or old[2] != new[2] or np.dtype(old[1]).kind != "f" or len(old[2]) != 2:
+            return None
+        a, b = np.frombuffer(old[3], old[1]), np.frombuffer(new[3], new[1])
+        return float(np.abs(a - b).max()) if a.size else 0.0
+    found = [d for d in map(largest_cell_difference, old, new) if d is not None]
+    return max(found) if found else None
+
+
+def family_differences(old_outputs, new_outputs, old_fits, new_fits):
+    """Per case family: differing outputs, differing fits and the largest cell difference."""
+    rows = collections.defaultdict(lambda: [0, 0, None])
+    for column, old, new in ((0, old_outputs, new_outputs), (1, old_fits, new_fits)):
+        for (label, a), (_, b) in zip(old, new):
+            if a == b:
+                continue
+            row = rows[str(label).rsplit("/", 1)[0]]
+            row[column] += 1
+            d = largest_cell_difference(a, b)
+            if d is not None:
+                row[2] = d if row[2] is None else max(row[2], d)
+    return dict(rows)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -229,6 +268,10 @@ def main(argv=None):
                 f", {old[differ[0]][0]})" if what == "outputs" else ")")
         print(f"{what}: {len(old)} old, {len(new)} new; differing {what}: {len(differ)}{first}")
         same = same and counts_match and not differ
+    for family, (n_outputs, n_fits, cells) in sorted(
+            family_differences(old_outputs, new_outputs, old_fits, new_fits).items()):
+        largest = "no tables of one shape" if cells is None else f"largest cell difference {cells:.3g}"
+        print(f"  {family}: differing outputs {n_outputs}, differing fits {n_fits}; {largest}")
     return 0 if same else 1
 
 
