@@ -13,8 +13,9 @@ in its own process and records
   number of max flows it ran;
 * every max flow those calls ran: its value's bits, its cut rows and its
   cell flows' bytes (or None);
-* every fit through ``scaling._fit``: the fitted table's bytes and every
-  diagnostics field, or the error it raised;
+* every fit through ``scaling._fit``, with the label of the operation
+  that made it: the fitted table's bytes and every diagnostics field, or
+  the error it raised;
 * the output of every operation: table bytes, ``upsilon`` floats,
   odds-ratio entries, SVG and PPM bytes, CLI exit codes and output bytes,
   or the type and message of the error it raised.
@@ -147,19 +148,20 @@ def record(n_random, seeds):
                       got.tight_rectangles, len(flows) - before))
         return got
 
-    label = [None]  # the operation that is running, for the fits it makes
+    label = None  # the operation that is running, for the fits it makes
 
     def recording_fit(*args, **kwargs):
         try:
             got = original_fit(*args, **kwargs)
         except tabcop.errors.TabcopError as exc:
-            fits.append((label[0], canonical(exc)))
+            fits.append((label, canonical(exc)))
             raise
-        fits.append((label[0], canonical(got)))
+        fits.append((label, canonical(got)))
         return got
 
     def run(name, op):
-        label[0] = name
+        nonlocal label
+        label = name
         try:
             got = op()
         except tabcop.errors.TabcopError as exc:
