@@ -121,8 +121,8 @@ def parse_family_spec(text: str) -> ContinuousCopulaSpec:
 def _special():
     """scipy's ``special``, imported on first use.
 
-    ``copula_cdf`` fetches it on every Gaussian and Student call; from
-    this cache that costs about a tenth of an import statement.
+    The Student quantiles and the Gaussian lower tail fetch it on every
+    call; from this cache that costs about a tenth of an import statement.
     """
     from scipy import special
 
@@ -137,59 +137,95 @@ def _quadrature():
     return integrate, _special()
 
 
-def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
-    """Gaussian copula C(u, v) on broadcast arrays: P(Z1 <= a, Z2 <= b) at normal quantiles.
+@functools.cache
+def _gaussian_rule():
+    """The normal quantile and a 20-point Gauss-Legendre rule, built on first use.
 
-    Owen's closed form (1956, Ann. Math. Statist. 27) in his function
-    T(h, x) = (1/2pi) int_0^x exp(-h^2 (1 + t^2) / 2) / (1 + t^2) dt:
-
-        C = (u + v) / 2 - T(a, (b - rho a) / (a r))
-            - T(b, (a - rho b) / (b r)) - beta,    r = sqrt((1 - rho)(1 + rho)),
-
-    where beta = 1/2 if a b < 0, or if a b = 0 and a + b < 0, and beta = 0
-    otherwise; (u + v) / 2 is Owen's (Phi(a) + Phi(b)) / 2, taken from the
-    arguments themselves.  At a = 0 the second argument of T is infinite
-    with the sign of b, and T(0, +-inf) = +-1/4; at a = b = 0 (u = v = 1/2),
-    C = 1/4 + asin(rho) / 2pi.  ``scipy.special.owens_t`` (Patefield and
-    Tandy 2000) evaluates T to rounding error, so C is within about 1e-16
-    absolute for |rho| up to 1 - 1e-15.  The bound is absolute: the terms
-    are of order 1/4, so a C below about 1e-16 (one argument tiny, the
-    other not) keeps no relative accuracy.  Near |rho| = 1 the numerator
-    is taken as b - rho a = (b - s a) + (s - rho) a with s = sign(rho),
-    where s - rho is exact.  At (u, v) = (0.3, 0.7), where b = -a, the
-    direct b - rho a is all cancellation and costs 3.7e-10 at
-    rho = -(1 - 1e-15).  ``ndtri`` runs once per entry of ``u`` and of
-    ``v``, so once per row and per column of a mesh.  An entry whose C
-    falls below ``_OWEN_LOWER_TAIL`` (about 1e-6), where 1e-16 absolute
-    is worse than 1e-10 relative, is taken instead from
-    :func:`_gaussian_lower_tail`, whose terms are all nonnegative.
+    ``statistics.NormalDist().inv_cdf`` is Wichura's AS 241 (1988,
+    Applied Statistics 37): within 7.0e-16 relative of a 40-digit root
+    for u down to 1e-300.  The rule's nodes t in (-1, 1) are returned as
+    1 + t, so that they and the weights integrate over (0, 2).
     """
-    special = _special()
-    a, b = special.ndtri(u), special.ndtri(v)
-    r = math.sqrt((1.0 - rho) * (1.0 + rho))
-    s = 1.0 if rho >= 0.0 else -1.0
+    import statistics
 
-    def owen(h, k):
-        t = special.owens_t(h, ((k - s * h) + (s - rho) * h) / (h * r))
-        return np.where(h == 0.0, np.where(k > 0.0, 0.25, -0.25), t)
+    from numpy.polynomial import legendre
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # h = 0, replaced in owen
-        ab = a * b
-        beta = np.where((ab < 0.0) | ((ab == 0.0) & (a + b < 0.0)), 0.5, 0.0)
-        c = 0.5 * (u + v) - owen(a, b) - owen(b, a) - beta
-    c = np.where((a == 0.0) & (b == 0.0), 0.25 + math.asin(rho) / (2.0 * math.pi), c)
-    tail = c < _OWEN_LOWER_TAIL
+    nodes, weights = legendre.leggauss(20)
+    return statistics.NormalDist().inv_cdf, 1.0 + nodes, weights
+
+
+def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
+    """Gaussian copula C(u, v) on broadcast arrays: P(Z1 <= x, Z2 <= y) at normal quantiles.
+
+    Genz's two forms (2004, Statistics and Computing 14, his BVND) of the
+    Drezner and Wesolowsky (1990) correlation integral, each on one
+    20-point Gauss-Legendre rule from :func:`_gaussian_rule`:
+
+    * |rho| < 0.925: C = u v + asin(rho) / 4pi sum_i w_i f(sin(asin(rho) t_i / 2)),
+      f(q) = exp((q x y - (x^2 + y^2) / 2) / (1 - q^2)), t_i in (0, 2);
+    * |rho| >= 0.925: C = B - s (series + integral) / 2pi, s = sign(rho),
+      where B is the Frechet bound min(u, v) (rho > 0) or max(0, u + v - 1)
+      (rho < 0), and Genz's series and integral in r = sqrt((1 - rho)(1 + rho)),
+      x y s and (s y - x)^2 carry the rest; the series holds the one
+      Phi(-|s y - x| / r), from ``math.erfc``, and drops that term where
+      s x y <= -100, where it is below exp(-150).
+
+    u v and B are taken from the arguments, not from Phi at the
+    quantiles, so C(u, v) and u + v - 1 + C(1 - u, 1 - v) agree to
+    rounding.  Against the 40-digit correlation integral C is within
+    about 1e-16 absolute for |rho| up to 1 - 1e-15.  The bound is
+    absolute, so an entry whose C falls below ``_GAUSSIAN_LOWER_TAIL``
+    (about 1e-6), where 1e-16 absolute is worse than 1e-10 relative, is
+    taken instead from :func:`_gaussian_lower_tail`, whose terms are all
+    nonnegative.  The quantiles are taken once per entry of ``u`` and of
+    ``v``, so once per row and per column of a mesh; the rule runs on all
+    entries at once, its nodes on a trailing axis, so that each entry's
+    sum takes the same order in a mesh as at one point.
+    """
+    inv_cdf, nodes, weights = _gaussian_rule()
+    x, y = (np.array([inv_cdf(p) for p in np.ravel(w).tolist()]).reshape(np.shape(w))
+            for w in (u, v))
+    xy = x * y
+    r2 = (1.0 - rho) * (1.0 + rho)
+    r, s = math.sqrt(r2), 1.0 if rho >= 0.0 else -1.0
+    if abs(rho) < 0.925:
+        half = 0.5 * math.asin(rho)
+        q = np.sin(half * nodes)
+        f = np.exp((xy[..., None] * q - 0.5 * (x * x + y * y)[..., None]) / (1.0 - q * q))
+        cdf = u * v + half / (2.0 * math.pi) * (f * weights).sum(axis=-1)
+    else:
+        hk, bs = (s * xy)[..., None], ((s * y - x) ** 2)[..., None]  # against the nodes
+        c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 16.0
+        b = np.sqrt(bs)
+        erfc = np.frompyfunc(math.erfc, 1, 1)(b / (r * math.sqrt(2.0)))  # 2 Phi(-b / r)
+        with np.errstate(over="ignore", invalid="ignore"):  # hk <= -100, dropped
+            series = (r * np.exp(-0.5 * (bs / r2 + hk))
+                      * (1.0 - c * (bs - r2) * (1.0 - d * bs / 5.0) / 3.0 + c * d * r2 * r2 / 5.0)
+                      - np.where(hk > -100.0, np.exp(-0.5 * hk) * math.sqrt(0.5 * math.pi)
+                                 * np.asarray(erfc, float) * b
+                                 * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0), 0.0))
+        xs = (0.5 * r * nodes) ** 2
+        rs = np.sqrt(1.0 - xs)
+        e = -0.5 * bs / xs
+        f = (np.exp(e - hk / (1.0 + rs)) / rs
+             - np.exp(e - 0.5 * hk) * (1.0 + c * xs * (1.0 + d * xs)))
+        value = series[..., 0] + 0.5 * r * (f * weights).sum(axis=-1)
+        bound = np.minimum(u, v) if s > 0.0 else np.maximum(0.0, u + v - 1.0)
+        cdf = bound - s * value / (2.0 * math.pi)
+    cdf = np.asarray(cdf)  # scalar arguments give a scalar, which takes no item assignment
+    tail = cdf < _GAUSSIAN_LOWER_TAIL
     if tail.any():
-        a, b = np.broadcast_arrays(a, b)
+        x, y = np.broadcast_arrays(x, y)
         for i in map(tuple, np.argwhere(tail)):
-            c[i] = _gaussian_lower_tail(float(a[i]), float(b[i]), rho, r, s)
-    return c
+            cdf[i] = _gaussian_lower_tail(float(x[i]), float(y[i]), rho, r, s)
+    return cdf
 
 
-#: Below this C, Owen's form, accurate to about 1e-16 absolute, is worse
-#: than 1e-10 relative, and the Gaussian copula takes its lower tail.
-#: Mesh nodes of up to 15 x 15 cells at |rho| <= 0.66 stay above it.
-_OWEN_LOWER_TAIL = 2.0**-20
+#: Below this C, the correlation integral, accurate to about 1e-16
+#: absolute, is worse than 1e-10 relative, and the Gaussian copula takes
+#: its lower tail.  Mesh nodes of up to 15 x 15 cells at |rho| <= 0.66
+#: stay above it.
+_GAUSSIAN_LOWER_TAIL = 2.0**-20
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -210,13 +246,27 @@ def _gaussian_lower_tail(a: float, b: float, rho: float, r: float, s: float) -> 
     after x = h - t.  Every term is nonnegative and exp(L(0)) = 1, so the
     integral keeps its relative accuracy however small C is, and C, formed
     from logarithms, underflows only where its value does.  L is concave,
-    with L'(0) = h + m phi(z0) / Phi(z0) and -L'' at most 1 + m^2; the
-    integral runs in x = lam t, lam = |L'(0)| + sqrt(1 + m^2), in which
-    the integrand's slope at 0 and its curvature are at most 1, however
-    narrow it is in t (near rho = -1, m is of order 1 / r).  z0 takes the
-    numerator as (k - s h) + (s - rho) h, s = sign(rho), as
-    :func:`_gaussian_cdf` does.  For rho <= 0, C <= Phi(h) Phi(z0), and
-    where that bound is below the doubles no integral is run.
+    with L'(0) = h + m phi(z0) / Phi(z0) and -L'' at most 1 + m^2.  For
+    |m| <= 1 the integral runs in x = lam t, lam = |L'(0)| + sqrt(1 + m^2),
+    in which the integrand's slope at 0 and its curvature are at most 1.
+    Near rho = +-1, m is of order 1 / r and the integrand has two scales:
+    Phi(z0 + m t) moves over about 1 / |m|, but past t8, where
+    z0 + m t = 8 (m > 0), or before it (m < 0), Phi is within 6.2e-16 of 1,
+    -L'' is about 1, and the integrand decays over about 1 / max(1, |h - t|).
+    So for |m| > 1 the integral is split at t8, and each piece runs from
+    its own start in the scale of its own slope and curvature bound; the
+    piece past t8 starts at z8 = z0 + m t8, so that z0 + m t does not
+    cancel there.  In one piece ``quad`` warned, missed by 7.4e-6 at
+    (1.8e-13, 0.16) with rho = 1 - 2e-12, took the log of a zero integral
+    at (1.6e-7, 0.89) with rho = 1 - 2e-14, and warned at
+    (9.5e-8, 1 - 2.2e-13) with rho = -(1 - 8.1e-15), where Phi cuts the
+    integrand off.  For |m| <= 1 the scales are alike, and a split would
+    leave a finite piece so much longer than the integrand that ``quad``
+    can miss it.  z0 takes the numerator as (k - s h) + (s - rho) h,
+    s = sign(rho), where s - rho is exact: at (0.3, 0.7), where k = -h,
+    the direct k - rho h cancels near rho = -1.  For rho <= 0,
+    C <= Phi(h) Phi(z0), and where that bound is below the doubles no
+    integral is run.
     """
     integrate, special = _quadrature()
     h, k = min(a, b), max(a, b)
@@ -225,14 +275,35 @@ def _gaussian_lower_tail(a: float, b: float, rho: float, r: float, s: float) -> 
     log_z0 = float(special.log_ndtr(z0))
     if rho <= 0.0 and log_z0 + float(special.log_ndtr(h)) < _LOG_DBL_TRUE_MIN:
         return 0.0
-    lam = abs(h + m * math.exp(-0.5 * z0 * z0 - _LOG_SQRT_2PI - log_z0)) + math.sqrt(1.0 + m * m)
 
-    def integrand(x):
-        t = x / lam
-        return math.exp(h * t - 0.5 * t * t + special.log_ndtr(z0 + m * t) - log_z0)
+    def integral(g, z, width, curvature):
+        """int_0^width exp(g t - t^2 / 2 + log Phi(z + m t) - log Phi(z)) dt.
 
-    integral, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
-    return math.exp(log_z0 - 0.5 * h * h - _LOG_SQRT_2PI + math.log(integral / lam))
+        It runs in x = scale t, scale = |g + m phi(z) / Phi(z)| (the
+        integrand's slope at 0) + ``curvature`` (a bound on its -L'').
+        """
+        log_z = float(special.log_ndtr(z))
+        scale = abs(g + m * math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_z)) + curvature
+
+        def integrand(x):
+            t = x / scale
+            return math.exp(g * t - 0.5 * t * t + special.log_ndtr(z + m * t) - log_z)
+
+        value, _ = integrate.quad(integrand, 0.0, scale * width,
+                                  epsabs=0.0, epsrel=1e-13, limit=200)
+        return value / scale
+
+    wide = math.sqrt(1.0 + m * m)
+    if abs(m) <= 1.0:
+        total = integral(h, z0, math.inf, wide)
+    else:
+        t8 = max(0.0, (8.0 - z0) / m)
+        z8 = z0 + m * t8
+        near, far = (wide, 1.0) if m > 0.0 else (1.0, wide)
+        total = (integral(h, z0, t8, near) if t8 > 0.0 else 0.0) + math.exp(
+            h * t8 - 0.5 * t8 * t8 + float(special.log_ndtr(z8)) - log_z0
+        ) * integral(h - t8, z8, math.inf, far)
+    return math.exp(log_z0 - 0.5 * h * h - _LOG_SQRT_2PI + math.log(total))
 
 
 def _student_tail_quantile(df: float, u: float) -> float:
@@ -605,10 +676,12 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
     C(u, 1) = u, C(1, v) = v.  Inside the square this is the family's
     array kernel at one point, the same one :func:`discretize_copula`
     runs on a whole mesh, so a mesh node and this value agree exactly.
-    The Gaussian family is closed form in Owen's T, to about 1e-16
-    absolute, and below about 1e-6 a conditional integral of nonnegative
-    terms, to about 1e-13 relative; the Student family evaluates to
-    ~1e-12 via a one-dimensional correlation integral.  Both subtract
+    The Gaussian family is Genz's correlation integral on one 20-point
+    Gauss-Legendre rule, to about 1e-16 absolute, and below about 1e-6 a
+    conditional integral of nonnegative terms, to about 1e-13 relative,
+    less where a quantile x is large: its 7e-16 relative error costs
+    about x^2 7e-16, 5e-13 at u = 1e-270.  The Student family evaluates
+    to ~1e-12 via a one-dimensional correlation integral.  Both subtract
     their integrals from terms taken from u and v, so C(u, v) and
     u + v - 1 + C(1 - u, 1 - v) agree to rounding.  Every family is
     clamped to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v).

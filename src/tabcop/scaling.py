@@ -498,10 +498,12 @@ def _newton_direction(x, f_long, f_short, free):
     The rows are the longer side: their unknowns are eliminated, leaving
     the Schur complement of the margin Jacobian on the columns, which is
     solved with the columns outside ``free`` pinned at 0.  The products go
-    through ``einsum``, which never calls the threaded BLAS, and the solve
+    through ``einsum``, which never calls the threaded BLAS.  The solve
     has fewer than 100 unknowns for tables up to 100 on a side, where
-    OpenBLAS solves on one thread; a threaded call can stall for tens of
-    milliseconds on a host with little CPU to spare.
+    OpenBLAS solves on one thread; larger systems take its threaded path,
+    as the 179 unknowns of the Poisson grid at N = 180 do, and there a
+    call stalled for 90-130 ms on a 2-core host with another process
+    running, against 0.35 ms on one thread.
 
     Returns ``(d_long, d_short)``; raises LinAlgError on a singular system.
     """

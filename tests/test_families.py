@@ -425,6 +425,45 @@ class TestGaussianCdf:
             else:
                 assert got == pytest.approx(reference, rel=1e-12, abs=0.0), (u, v)
 
+    @pytest.mark.parametrize("rho, u, v", [
+        # Phi(z0 + m t) rises over 1 / m, far narrower than the integrand's
+        # decay; in one piece quad warned at all four, missed the second by
+        # 7.4e-6 relative and took the log of a zero integral at the first
+        (0.9999999999999796, 1.5576538876262286e-07, 0.8866097106642891),
+        (0.9999999999979673, 1.8116115508162714e-13, 0.16108057350021263),
+        (1.0 - 1e-15, 1e-10, 0.5),
+        (1.0 - 1e-15, 1e-300, 1e-300),
+    ])
+    def test_lower_tail_near_unit_rho(self, rho, u, v):
+        spec = ContinuousCopulaSpec("gaussian", {"rho": rho})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = copula_cdf(spec, u, v)
+        assert got == pytest.approx(_gaussian_lower_tail_by_mpmath(u, v, rho), rel=1e-12, abs=0.0)
+
+    def test_lower_tail_cut_off_near_minus_one(self):
+        # at rho = -(1 - 8.1e-15) Phi(z0 + m t) falls from 1 to 0 within 1e-6
+        # of t = x + y, far narrower than the integrand's decay; one quad
+        # warned.  P(Z1 > x, Z2 > y) = C - (u + v - 1) is below 1e-50 here,
+        # so C is u + v - 1, taken exactly; the clamp to the Frechet bound
+        # is not applied, since u + v - 1 in doubles is 6e-11 off
+        u, v, rho = 9.475766248844875e-08, 0.9999999999997778, -0.9999999999999919
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = float(_gaussian_cdf(np.array([u]), np.array([v]), rho)[0])
+        with mpmath.workdps(40):
+            exact = float(mpmath.mpf(u) + mpmath.mpf(v) - 1)
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_continuous_across_the_regime_switch(self, sign):
+        # Genz's two forms meet at |rho| = 0.925
+        below, at = (ContinuousCopulaSpec("gaussian", {"rho": sign * rho})
+                     for rho in (math.nextafter(0.925, 0.0), 0.925))
+        for n in (15, 64):
+            np.testing.assert_allclose(families._cdf_mesh(below, n, n),
+                                       families._cdf_mesh(at, n, n), rtol=0.0, atol=4.4e-16)
+
     @pytest.mark.parametrize("rho", [1.0 - 1e-12, -(1.0 - 1e-12)])
     def test_near_unit_rho_discretizes_without_warnings(self, rho):
         with warnings.catch_warnings():

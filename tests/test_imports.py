@@ -1,15 +1,17 @@
-"""Import budget: the table verbs run on numpy alone.
+"""Import budget: the table verbs and the Gaussian copula run on numpy alone.
 
-scipy is imported only inside the functions that need it (the Gaussian
-and Student CDFs, the Poisson pmf, tails and grid), so ``import tabcop``,
-the ``analyze``, ``copula`` and ``couple`` verbs, the binomial, geometric
-and Goodman families, the geometric grid (omega = 0 included), the
-bivariate Binomial pmf and the independence, FGM, Clayton, Gumbel and
-Frank CDFs never load it.  The
-Gaussian CDF needs only ``scipy.special`` (Owen's T), and the Student
-CDF adds ``scipy.integrate``; neither loads ``scipy.stats``.  Each check
-runs in a fresh interpreter, since the test session itself has scipy
-loaded.
+scipy is imported only inside the functions that need it (the Student
+CDF, the Gaussian CDF's lower tail, the Poisson pmf, tails and grid), so
+``import tabcop``, the ``analyze``, ``copula`` and ``couple`` verbs, the
+binomial, geometric and Goodman families, the geometric grid (omega = 0
+included), the bivariate Binomial pmf, the independence, FGM, Clayton,
+Gumbel, Frank and Gaussian CDFs and the ``family --name gaussian`` verb
+never load it.  The Gaussian CDF takes its normal quantiles from
+``statistics``, which ``import tabcop`` does not load either.  Below
+about 1e-6 the Gaussian CDF takes a conditional integral that loads
+``scipy.special`` and ``scipy.integrate``, as the Student CDF does;
+neither loads ``scipy.stats``.  Each check runs in a fresh interpreter,
+since the test session itself has scipy loaded.
 """
 
 import json
@@ -27,7 +29,7 @@ import tabcop, tabcop.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-report = {"import": scipy_modules()}
+report = {"import": scipy_modules(), "statistics": "statistics" in sys.modules}
 with contextlib.redirect_stdout(io.StringIO()):
     report["analyze"] = tabcop.cli.run(["analyze", "--input", sys.argv[1]])
     report["copula"] = tabcop.cli.run(["copula", "--input", sys.argv[1],
@@ -55,7 +57,13 @@ for name, params in (("independence", {}), ("fgm", {"theta": 0.5}), ("clayton", 
 report["families"] = scipy_modules()
 spec = tabcop.ContinuousCopulaSpec("gaussian", {"rho": 0.5})
 report["gaussian_is_copula"] = tabcop.is_copula_pmf(tabcop.discretize_copula(spec, 4, 4))
+tabcop.copula_cdf(spec, 0.3, 0.6)
+with contextlib.redirect_stdout(io.StringIO()):
+    report["gaussian_code"] = tabcop.cli.run(["family", "--name", "gaussian", "--rho", "0.5",
+                                              "--shape", "15x15"])
 report["after_gaussian"] = scipy_modules()
+report["gaussian_tail"] = tabcop.copula_cdf(spec, 1e-30, 0.7)
+report["after_gaussian_tail"] = scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     report["student_code"] = tabcop.cli.run(["family", "--name", "student", "--rho", "0.5",
                                              "--df", "4", "--shape", "4x4"])
@@ -79,8 +87,13 @@ def test_cli_verbs_load_no_scipy(tmp_path):
     assert report["verbs"] == []
     assert report["family_codes"] == [0] * 6
     assert report["families"] == []
+    assert report["statistics"] is False
     assert report["gaussian_is_copula"] is True
-    assert "scipy.special" in report["after_gaussian"]
-    assert [m for m in report["after_gaussian"] if m.startswith("scipy.integrate")] == []
+    assert report["gaussian_code"] == 0
+    assert report["after_gaussian"] == []
+    assert 0.0 < report["gaussian_tail"] < 1e-30
+    assert "scipy.special" in report["after_gaussian_tail"]
+    assert "scipy.integrate" in report["after_gaussian_tail"]
+    assert [m for m in report["after_gaussian_tail"] if m.startswith("scipy.stats")] == []
     assert report["student_code"] == 0
     assert report["stats_after_student"] == []
