@@ -663,7 +663,9 @@ def _interior_cdf(spec: ContinuousCopulaSpec, u, v) -> np.ndarray:
         c = _gaussian_cdf(u, v, p["rho"])
     else:
         c = _student_cdf(u, v, p["rho"], p["df"])
-    lower = np.where(u + v > 1.0, u + v - 1.0, 0.0)
+    # u + v - 1 as min(u, v) - (1 - max(u, v)): 1 - max(u, v) is exact
+    # wherever u + v > 1, so the bound is rounded once, not twice
+    lower = np.where(u + v > 1.0, np.minimum(u, v) - (1.0 - np.maximum(u, v)), 0.0)
     upper = np.minimum(u, v)
     c = np.where(c < lower, lower, c)
     return np.where(c > upper, upper, c)

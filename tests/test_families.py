@@ -371,6 +371,11 @@ def _gaussian_lower_tail_by_mpmath(u, v, rho):
             return mpmath.exp(h * t - t * t / 2 + mpmath.log(mpmath.ncdf(z0 + m * t)) - log_z0)
 
         points = [0] + [mpmath.mpf(2) ** j / rate for j in range(-4, 11)] + [mpmath.inf]
+        if m < 0 and z0 > -8:
+            # where Phi(z0 + m t) has fallen to Phi(-8), past which the
+            # integrand is below 6.2e-16 of its peak; near rho = -1 that
+            # cut-off is far narrower than the spacing of the other points
+            points = sorted(points + [(-8 - z0) / m])
         return float(mpmath.npdf(h) * mpmath.ncdf(z0) * mpmath.quad(integrand, points))
 
 
@@ -445,8 +450,9 @@ class TestGaussianCdf:
         # at rho = -(1 - 8.1e-15) Phi(z0 + m t) falls from 1 to 0 within 1e-6
         # of t = x + y, far narrower than the integrand's decay; one quad
         # warned.  P(Z1 > x, Z2 > y) = C - (u + v - 1) is below 1e-50 here,
-        # so C is u + v - 1, taken exactly; the clamp to the Frechet bound
-        # is not applied, since u + v - 1 in doubles is 6e-11 off
+        # so C is u + v - 1, taken exactly, by the kernel, by the reference
+        # (with its breakpoint at the cut-off) and by copula_cdf, whose clamp
+        # to the Frechet bound is exact here; u + v - 1 in doubles is 6e-11 off
         u, v, rho = 9.475766248844875e-08, 0.9999999999997778, -0.9999999999999919
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -454,6 +460,9 @@ class TestGaussianCdf:
         with mpmath.workdps(40):
             exact = float(mpmath.mpf(u) + mpmath.mpf(v) - 1)
         assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert _gaussian_lower_tail_by_mpmath(u, v, rho) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        spec = ContinuousCopulaSpec("gaussian", {"rho": rho})
+        assert copula_cdf(spec, u, v) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_continuous_across_the_regime_switch(self, sign):

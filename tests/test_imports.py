@@ -1,17 +1,20 @@
-"""Import budget: the table verbs and the Gaussian copula run on numpy alone.
+"""Import budget: the table verbs, the Gaussian copula and the Poisson tables run without scipy.
 
 scipy is imported only inside the functions that need it (the Student
-CDF, the Gaussian CDF's lower tail, the Poisson pmf, tails and grid), so
-``import tabcop``, the ``analyze``, ``copula`` and ``couple`` verbs, the
-binomial, geometric and Goodman families, the geometric grid (omega = 0
-included), the bivariate Binomial pmf, the independence, FGM, Clayton,
-Gumbel, Frank and Gaussian CDFs and the ``family --name gaussian`` verb
-never load it.  The Gaussian CDF takes its normal quantiles from
-``statistics``, which ``import tabcop`` does not load either.  Below
-about 1e-6 the Gaussian CDF takes a conditional integral that loads
-``scipy.special`` and ``scipy.integrate``, as the Student CDF does;
-neither loads ``scipy.stats``.  Each check runs in a fresh interpreter,
-since the test session itself has scipy loaded.
+CDF and the Gaussian CDF's lower tail), so ``import tabcop``, the
+``analyze``, ``copula`` and ``couple`` verbs, the binomial, geometric and
+Goodman families, the geometric and Poisson grids (omega = 0 included),
+the truncated Poisson margin, the bivariate Binomial and Poisson pmfs,
+the Poisson drift diagnostic, the independence, FGM, Clayton, Gumbel,
+Frank and Gaussian CDFs and the ``family --name gaussian`` verb never
+load it.  Those calls run with every scipy import made to raise and
+recorded, so a fallback import inside an exception handler is seen too.
+The Gaussian CDF takes its normal quantiles from ``statistics``, which
+``import tabcop`` does not load either.  Below about 1e-6 the Gaussian
+CDF takes a conditional integral that loads ``scipy.special`` and
+``scipy.integrate``, as the Student CDF does; neither loads
+``scipy.stats``.  Each check runs in a fresh interpreter, since the test
+session itself has scipy loaded.
 """
 
 import json
@@ -29,7 +32,18 @@ import tabcop, tabcop.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+class NoScipy:
+    # raises on every scipy import and records it, caught or not
+    attempts = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            self.attempts.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+
 report = {"import": scipy_modules(), "statistics": "statistics" in sys.modules}
+sys.meta_path.insert(0, NoScipy())
 with contextlib.redirect_stdout(io.StringIO()):
     report["analyze"] = tabcop.cli.run(["analyze", "--input", sys.argv[1]])
     report["copula"] = tabcop.cli.run(["copula", "--input", sys.argv[1],
@@ -62,6 +76,15 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["gaussian_code"] = tabcop.cli.run(["family", "--name", "gaussian", "--rho", "0.5",
                                               "--shape", "15x15"])
 report["after_gaussian"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    report["poisson_code"] = tabcop.cli.run(["grid", "--name", "poisson", "--N", "32",
+                                              "--omega", "1"])
+report["poisson_margin"] = tabcop.truncated_poisson_margin(2.0, 40).sum()
+report["poisson_pmf"] = tabcop.bivariate_poisson_pmf(1.0, 0.5, 0.7, 24).values.sum()
+report["poisson_drift"] = tabcop.infinite.upsilon_truncation_drift(0.2, 12)
+report["after_poisson"] = scipy_modules()
+report["blocked"] = NoScipy.attempts
+sys.meta_path.pop(0)
 report["gaussian_tail"] = tabcop.copula_cdf(spec, 1e-30, 0.7)
 report["after_gaussian_tail"] = scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -91,6 +114,12 @@ def test_cli_verbs_load_no_scipy(tmp_path):
     assert report["gaussian_is_copula"] is True
     assert report["gaussian_code"] == 0
     assert report["after_gaussian"] == []
+    assert report["poisson_code"] == 0
+    assert abs(report["poisson_margin"] - 1.0) <= 1e-15
+    assert abs(report["poisson_pmf"] - 1.0) <= 1e-14
+    assert 0.0 < report["poisson_drift"] < 1.0
+    assert report["after_poisson"] == []
+    assert report["blocked"] == []
     assert 0.0 < report["gaussian_tail"] < 1e-30
     assert "scipy.special" in report["after_gaussian_tail"]
     assert "scipy.integrate" in report["after_gaussian_tail"]

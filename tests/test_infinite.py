@@ -129,7 +129,8 @@ class TestBivariatePoisson:
         np.testing.assert_array_equal(got > 0.0, ref > 0.0)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=2 * 5e-324)
 
-    @pytest.mark.parametrize("lam, n", [(0.01, 100), (1.0, 185), (30.0, 460), (300.0, 1240)])
+    @pytest.mark.parametrize("lam, n", [(0.01, 100), (1.0, 185), (30.0, 460), (300.0, 1240),
+                                        (1000.0, 2500)])
     def test_log_tails_past_the_pdtrc_cutoff(self, lam, n):
         # the last tails lie below exp(-745), past the smallest subnormal
         got = infinite._poisson_log_tails(lam, infinite._poisson_log_pmf(lam, n))
@@ -138,6 +139,25 @@ class TestBivariatePoisson:
                            for m in range(1, n)]
         assert ref[-1] < -745.0
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
+
+    def test_stirlerr_table_is_correctly_rounded(self):
+        with mpmath.workdps(40):
+            want = [0.0] + [float(mpmath.loggamma(k + 1) - (k + mpmath.mpf(0.5)) * mpmath.log(k)
+                                  + k - mpmath.log(2 * mpmath.pi) / 2) for k in range(1, 16)]
+        assert list(infinite._STIRLERR) == want
+
+    @pytest.mark.parametrize("lam", np.logspace(-3, 3, 13).tolist())
+    def test_log_pmf_matches_40_digits(self, lam):
+        # the saddle-point form is within 10 ulps of max(1, |log P|) from the
+        # mode out to lam + 40 sqrt(lam) + 50; k log lam - lam - lgamma(k + 1)
+        # missed by 3,355 of them at lam = 1000, k = 998
+        top = int(lam + 40 * math.sqrt(lam) + 50)
+        got = infinite._poisson_log_pmf(lam, top + 1)
+        with mpmath.workdps(40):
+            log_lam = mpmath.log(lam)
+            ref = [k * log_lam - lam - mpmath.loggamma(k + 1) for k in range(top + 1)]
+            miss = [float(abs(g - r)) / max(1.0, float(abs(r))) for g, r in zip(got.tolist(), ref)]
+        assert max(miss) <= 10 * 2.0**-53
 
     def test_rows_that_underflow_are_rejected(self):
         # Pois(0..2; 3000) underflows, so rows 0-2 are empty in doubles at any N
@@ -204,15 +224,24 @@ class TestTruncatedPoissonMargin:
         assert m[-1] > 0.0 and abs(m[-1] - float(tail)) <= 5e-324
 
     def test_bit_identical_where_pdtrc_is_normal(self):
+        # the body levels are exp of the log pmf to the bit; the last level is
+        # within 32.6 ulps of its 40-digit value per unit of |log P| (at least
+        # one), the least such bound pdtrc meets on this grid: it misses by
+        # 32.54 of them at lam = 31.6, n = 55
         for lam in np.logspace(-3, 2.5, 23).tolist():
             for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
                 last = special.pdtrc(n - 2, lam)
                 log_pmf = infinite._poisson_log_pmf(lam, n).tolist()
                 want = np.array([math.exp(v) for v in log_pmf])
-                want[-1] = last
-                if last < np.finfo(float).tiny or (want == 0.0).any():
+                if last < np.finfo(float).tiny or (want[:-1] == 0.0).any():
                     continue
-                np.testing.assert_array_equal(truncated_poisson_margin(lam, n), want)
+                got = truncated_poisson_margin(lam, n)
+                np.testing.assert_array_equal(got[:-1], want[:-1])
+                with mpmath.workdps(40):
+                    tail = mpmath.gammainc(n - 1, 0, lam, regularized=True)
+                    miss = float(abs(mpmath.mpf(float(got[-1])) / tail - 1))
+                    bound = 32.6 * 2.0**-53 * max(1.0, -float(mpmath.log(tail)))
+                assert miss <= bound, (lam, n, miss / bound)
 
     @pytest.mark.parametrize("lam, n", [(0.1, 123), (1.0, 179), (1.0, 300), (800.0, 4)])
     def test_levels_that_round_to_zero_raise(self, lam, n):
