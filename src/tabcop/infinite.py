@@ -112,9 +112,12 @@ def _bd0(k: int, lam: float) -> float:
     that the direct form keeps at least 0.3 of its largest term.  Loader
     (2000) takes the series only below 1/10, where the direct form keeps a
     tenth: the log pmf then read up to 65 ulps off at lam = 1000, against 9.
+    Below lam = 1, log(k / lam) is taken as log k - log lam, a sum of two
+    nonnegative terms, since k / lam overflows where lam is subnormal.
     """
     if abs(k - lam) >= 0.5 * (k + lam):
-        return k * math.log(k / lam) + lam - k
+        log_ratio = math.log(k) - math.log(lam) if lam < 1.0 else math.log(k / lam)
+        return k * log_ratio + lam - k
     v = (k - lam) / (k + lam)
     s = (k - lam) * v
     term = 2.0 * k * v

@@ -243,6 +243,14 @@ class TestTruncatedPoissonMargin:
                     bound = 32.6 * 2.0**-53 * max(1.0, -float(mpmath.log(tail)))
                 assert miss <= bound, (lam, n, miss / bound)
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e-320, 5e-324])
+    def test_tiny_rates_keep_their_tail(self, lam):
+        # P(Z >= 1) = 1 - exp(-lam) rounds to lam; 1 / lam overflows at the
+        # subnormal rates.  The tail is exp of a log near -690, whose half
+        # ulp alone moves it by 5.7e-14 of itself
+        m = truncated_poisson_margin(lam, 2)
+        assert m[0] == 1.0 and m[1] == pytest.approx(lam, rel=1e-13, abs=5e-324)
+
     @pytest.mark.parametrize("lam, n", [(0.1, 123), (1.0, 179), (1.0, 300), (800.0, 4)])
     def test_levels_that_round_to_zero_raise(self, lam, n):
         with pytest.raises(ParamError, match=f"lam={lam}.*n_levels={n} "):
