@@ -86,22 +86,14 @@ _STIRLERR = (
     0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
     0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
 )
-_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 
 
 def _stirlerr(k: int) -> float:
-    """log k! minus its Stirling approximation, tabulated to k = 15 and then its series."""
+    """log k! minus its Stirling approximation: tabulated to k = 15, then five terms of its series."""
     if k < 16:
         return _STIRLERR[k]
-    k = float(k)
-    kk = k * k
-    if k > 500:
-        return (_S0 - _S1 / kk) / k
-    if k > 80:
-        return (_S0 - (_S1 - _S2 / kk) / kk) / k
-    if k > 35:
-        return (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / k
-    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+    kk = float(k) * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
 
 
 def _bd0(k: int, lam: float) -> float:
@@ -111,9 +103,10 @@ def _bd0(k: int, lam: float) -> float:
     ...), a series without cancellation, taken wherever |v| < 1/2; past
     that the direct form keeps at least 0.3 of its largest term.  Loader
     (2000) takes the series only below 1/10, where the direct form keeps a
-    tenth: the log pmf then read up to 65 ulps off at lam = 1000, against 9.
-    Below lam = 1, log(k / lam) is taken as log k - log lam, a sum of two
-    nonnegative terms, since k / lam overflows where lam is subnormal.
+    tenth: the log pmf then read up to 65 units of 2^-53 max(1, |log P|)
+    off at lam = 1000, against 9.  Below lam = 1, log(k / lam) is taken as
+    log k - log lam, a sum of two nonnegative terms, since k / lam
+    overflows where lam is subnormal.
     """
     if abs(k - lam) >= 0.5 * (k + lam):
         log_ratio = math.log(k) - math.log(lam) if lam < 1.0 else math.log(k / lam)
