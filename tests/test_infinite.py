@@ -148,8 +148,8 @@ class TestBivariatePoisson:
 
     @pytest.mark.parametrize("lam", np.logspace(-3, 3, 13).tolist())
     def test_log_pmf_matches_40_digits(self, lam):
-        # the saddle-point form is within 10 ulps of max(1, |log P|) from the
-        # mode out to lam + 40 sqrt(lam) + 50; k log lam - lam - lgamma(k + 1)
+        # the saddle-point form is within 10 ulps of max(1, |log P|) for k
+        # from 0 to lam + 40 sqrt(lam) + 50; k log lam - lam - lgamma(k + 1)
         # missed by 3,355 of them at lam = 1000, k = 998
         top = int(lam + 40 * math.sqrt(lam) + 50)
         got = infinite._poisson_log_pmf(lam, top + 1)
