@@ -144,7 +144,8 @@ def _gaussian_rule():
     ``statistics.NormalDist().inv_cdf`` is Wichura's AS 241 (1988,
     Applied Statistics 37): within 7.0e-16 relative of a 40-digit root
     for u down to 1e-300.  The rule's nodes t in (-1, 1) are returned as
-    1 + t, so that they and the weights integrate over (0, 2).
+    1 + t, so that they and the weights integrate over (0, 2).  The
+    Student copula runs the same rule on each of its panels.
     """
     import statistics
 
@@ -152,6 +153,17 @@ def _gaussian_rule():
 
     nodes, weights = legendre.leggauss(20)
     return statistics.NormalDist().inv_cdf, 1.0 + nodes, weights
+
+
+def _frechet_lower(u, v) -> np.ndarray:
+    """The lower Frechet bound max(0, u + v - 1) on broadcast arrays, rounded once.
+
+    Taken as min(u, v) - (1 - max(u, v)) where u + v > 1: there
+    max(u, v) > 1/2, so 1 - max(u, v) is exact and only the difference
+    rounds, where u + v - 1 rounds the sum first (5.3e-11 relative off at
+    (2.0119206680706893e-06, 0.9999999999902628)).
+    """
+    return np.where(u + v > 1.0, np.minimum(u, v) - (1.0 - np.maximum(u, v)), 0.0)
 
 
 def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
@@ -210,7 +222,7 @@ def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
         f = (np.exp(e - hk / (1.0 + rs)) / rs
              - np.exp(e - 0.5 * hk) * (1.0 + c * xs * (1.0 + d * xs)))
         value = series[..., 0] + 0.5 * r * (f * weights).sum(axis=-1)
-        bound = np.minimum(u, v) if s > 0.0 else np.maximum(0.0, u + v - 1.0)
+        bound = np.minimum(u, v) if s > 0.0 else _frechet_lower(u, v)
         cdf = bound - s * value / (2.0 * math.pi)
     cdf = np.asarray(cdf)  # scalar arguments give a scalar, which takes no item assignment
     tail = cdf < _GAUSSIAN_LOWER_TAIL
@@ -459,40 +471,42 @@ def _student_quantile(df: float, u) -> np.ndarray:
     return x
 
 
-#: Largest |t quantile| that :func:`_student_cdf` integrates as it is:
-#: below it (x - y)^2 is a finite double, and past it the quantiles are
-#: scaled and the far kernel runs.  At 15 x 15 the quantile of 1/15 passes
-#: it below df of about 0.0055 (it is about -1.8e217 at df = 0.004).
-_STUDENT_MESH_QUANTILE_MAX = 0.5 * math.sqrt(sys.float_info.max)
+@functools.lru_cache(maxsize=64)
+def _student_rule(rho: float):
+    """sin^2(phi), 1 + cos(phi) and the weights of :func:`_student_cdf`'s rule at ``rho``.
 
-
-def _student_kernel(theta, rho_sign, d2, xy2, df):
-    """The correlation-integral kernel of :func:`_student_cdf` at r = sin(theta)."""
-    s, c = math.sin(theta), math.cos(theta)
-    q = d2 / (c * c) + xy2 / (1.0 + rho_sign * s)
-    # quantiles past 1e154 go to _student_far_kernel, so q is nan only
-    # where a quantile is; the kernel then reads 0
-    return math.exp(-0.5 * df * math.log1p(q / df)) if q == q else 0.0
-
-
-def _student_far_kernel(theta, rho_sign, d2, xy2, df):
-    """:func:`_student_kernel` over m^-df, for quantiles scaled by m past 1e154.
-
-    The scaled Q is at least 1/2, and Q m^2 / df is so large that
-    1 + Q m^2 / df rounds to Q m^2 / df.
+    The 20-point Gauss-Legendre rule of :func:`_gaussian_rule` on each of
+    29 geometric panels of [0, L], L = |sign(rho) pi/2 - asin(rho)|:
+    [L 4^-(k+1), L 4^-k] for k = 0..27 and [0, L 4^-28].  The arrays are
+    built once per rho, which a single point would otherwise spend about
+    a fifth of its time on, and are read-only, since every caller shares
+    them.
     """
-    s, c = math.sin(theta), math.cos(theta)
-    q = d2 / (c * c) + xy2 / (1.0 + rho_sign * s)
-    return math.exp(-0.5 * df * math.log(q / df))
+    _, nodes, weights = _gaussian_rule()
+    s = 1.0 if rho >= 0.0 else -1.0
+    edges = abs(s * math.pi / 2.0 - math.asin(rho)) * 4.0 ** -np.arange(29.0)
+    lower = np.append(edges[1:], 0.0)
+    half = 0.5 * (edges - lower)[:, None]
+    phi = (lower[:, None] + half * nodes).ravel()
+    rule = np.sin(phi) ** 2, 1.0 + np.cos(phi), (half * weights).ravel()
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+#: Mesh entries that :func:`_student_cdf` evaluates at once: each takes
+#: its kernel at all 580 nodes of the rule, so a block's arrays hold about
+#: 0.6 MB each, however large the mesh.
+_STUDENT_BLOCK = 128
 
 
 def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     """Student copula C(u, v) on broadcast arrays: P(T1 <= x, T2 <= y) at t quantiles.
 
-    One-dimensional adaptive quadrature over the correlation integral,
-    the Student form of the Gaussian one (Genz 2004, Statistics and
-    Computing 14).  With T = Z / sqrt(W / df), W ~ chi^2_df, averaging
-    the normal identity dPhi2/drho = phi2 over W gives
+    The correlation integral, the Student form of the Gaussian one (Genz
+    2004, Statistics and Computing 14).  With T = Z / sqrt(W / df),
+    W ~ chi^2_df, averaging the normal identity dPhi2/drho = phi2 over W
+    gives
 
         dT2/drho = (1 + Q/df)^(-df/2) / (2 pi sqrt(1 - rho^2)),
         Q = (x^2 - 2 rho x y + y^2) / (1 - rho^2).
@@ -502,59 +516,76 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     where T2 is the lower bound max(0, u + v - 1).  Both are taken from u
     and v themselves, not from the t CDF at their quantiles, so the
     radial pair C(u, v) and u + v - 1 + C(1 - u, 1 - v) share one
-    integral.  The substitution r = sin(theta) removes the
-    1/sqrt(1 - r^2) endpoint singularity, and Q is written so that it
-    does not cancel at the endpoint integrated to:
-    (x - y)^2/cos^2 + 2xy/(1 + sin) toward +pi/2 and
-    (x + y)^2/cos^2 - 2xy/(1 - sin) toward -pi/2.  The kernel goes
-    through log1p, so a large df does not round it away.  Where the
-    quantiles nearly meet (|x - y| for rho >= 0, |x + y| for rho < 0,
-    below 1% of the interval) the kernel falls to 0 that close to the
-    endpoint, and breakpoints there keep ``quad`` from stepping over the
-    dip (at (u, v) = (0.5, 0.4999999), rho = 0, df = 1 the plain call was
-    5e-8 off).  The quantiles are taken once per entry of ``u`` and of
-    ``v``; the integral is one ``quad`` per point.
+    integral.  The substitution rho = sin(theta) removes the
+    1/sqrt(1 - rho^2) endpoint singularity, and the integral runs in phi,
+    the distance of theta from the endpoint s pi/2, s = sign(rho), over
+    [0, L], L = |s pi/2 - asin(rho)|.  There
 
-    Where a quantile passes ``_STUDENT_MESH_QUANTILE_MAX`` (about 6.7e153;
-    at 15 x 15 the mesh nodes do below df of about 0.0055), (x -+ y)^2 or
-    2xy would overflow.  There both are scaled by m = max(|x|, |y|),
-    which multiplies Q by m^-2, and the kernel, (Q m^2 / df)^(-df/2), is
-    integrated without its factor m^-df, which multiplies the integral
-    afterwards; the integral keeps its relative digits even where the
-    copula is far below 1e-13.  Where m^-df is below the normal doubles
-    the term is dropped, as a value that small keeps too few bits to add;
-    at an infinite quantile, one past the doubles, that leaves the
-    Frechet bound that its argument reaches as it goes to 0 or 1.
+        Q = (x - s y)^2 / sin^2(phi) + 2 s x y / (1 + cos(phi)),
+
+    for both signs, a form that does not cancel at the endpoint: phi is at
+    most pi/2, and (x - s y)^2 >= -4 s x y wherever s x y < 0.
+
+    The rule, from :func:`_student_rule`, is the 20-point Gauss-Legendre
+    rule of :func:`_gaussian_rule` on 29 geometric panels,
+    [L 4^-(k+1), L 4^-k] for k = 0..27 and [0, L 4^-28].  Where the
+    quantiles nearly meet (|x - s y| small), the kernel dips to 0 within
+    about |x - s y| / max(1, |x|, |y|) of the endpoint and behaves like
+    phi^df below that.  A rule on even panels steps over the dip, and so
+    did ``quad`` with breakpoints of its own at (0.758180144, 0.758181016),
+    rho = 0.039, df = 0.079 (4.4e-7 off).  One panel per factor of 4 in
+    phi puts the dip, at whatever width, on a panel about as wide as
+    itself, so no entry needs breakpoints of its own; the last panel
+    holds at most L 4^-28 (under 1e-17) of the integral.  Against the
+    same rule with 40 nodes per panel, or with 58 panels of ratio 2,
+    entries moved by at most 2.2e-16 on meshes and random points, and
+    against the 40-digit integral at the same quantiles by at most
+    1.1e-16, near-meeting quantiles at df down to 0.03 included.  That is
+    an absolute bound.  Where C is far below min(u, v) (rho >= 0) the
+    difference min(u, v) - integral cancels; and deep in the tail at a
+    large df the kernel can fall off within about 2e-3 L of phi = L, on
+    the widest panel: at (1.24e-163, 0.467), rho = -0.756, df = 937, C
+    reads 6.1e-278 against 7.0e-278.
+
+    The kernel is taken in logs, once for every quantile size.  With the
+    quantiles scaled by m = max(1, |x|, |y|), so that Q_m = Q / m^2 is a
+    finite double whatever the quantiles,
+
+        log(1 + Q/df) = softplus(log Q_m + 2 log m - log df),
+
+    softplus(z) = max(z, 0) + log1p(e^-|z|), and the kernel is
+    exp(-df/2 softplus(...)).  A large df does not round the kernel to 1,
+    and a quantile past sqrt(DBL_MAX) does not overflow Q.  An integral
+    below the normal doubles is dropped, as a value that small keeps too
+    few bits to add, and so is one whose m is infinite: at an infinite
+    quantile, one past the doubles, that leaves the Frechet bound that
+    its argument reaches as it goes to 0 or 1.
+
+    The quantiles are taken once per entry of ``u`` and of ``v``, so once
+    per row and per column of a mesh, in one call.  The rule runs on
+    ``_STUDENT_BLOCK`` entries at a time, its nodes on a trailing axis, so
+    that each entry's sum takes the same order in a mesh as at one point.
     """
-    integrate, _ = _quadrature()
-    x, y = np.broadcast_arrays(_student_quantile(df, u), _student_quantile(df, v))
-    sign = 1.0 if rho >= 0.0 else -1.0
-    start, stop = math.asin(rho), sign * math.pi / 2.0
-    length = abs(stop - start)
-    value = np.empty(x.shape)
-    for idx in np.ndindex(x.shape):
-        xi, yi = float(x[idx]), float(y[idx])
-        kernel, factor = _student_kernel, 1.0
-        m = max(abs(xi), abs(yi))
-        if m >= _STUDENT_MESH_QUANTILE_MAX:
-            factor = math.exp(-df * math.log(m))  # 0 where m is inf
-            if factor < sys.float_info.min:
-                value[idx] = 0.0
-                continue
-            kernel, xi, yi = _student_far_kernel, xi / m, yi / m
-        d2 = (xi - sign * yi) * (xi - sign * yi)
-        width, points = math.sqrt(d2), None
-        if 0.0 < width < 1e-2 * length:
-            # the kernel drops to 0 within about |x -+ y| of the endpoint,
-            # a dip the rule's nodes can miss; a breakpoint per decade
-            # from there resolves it
-            points = [stop - sign * width * 10.0 ** k
-                      for k in range(-2, int(math.log10(length / width)) + 1)]
-        value[idx] = factor * integrate.quad(kernel, start, stop,
-                                             args=(sign, d2, sign * 2.0 * xi * yi, df),
-                                             points=points, epsabs=1e-13, epsrel=1e-12)[0]
-    base = np.minimum(u, v) if sign > 0.0 else np.maximum(0.0, u + v - 1.0)
-    return base - value / (2.0 * math.pi)
+    n = np.size(u)
+    q = _student_quantile(df, np.concatenate((np.ravel(u), np.ravel(v))))  # one call for both
+    x, y = q[:n].reshape(np.shape(u)), q[n:].reshape(np.shape(v))
+    s = 1.0 if rho >= 0.0 else -1.0
+    sin2, opc, w = _student_rule(rho)
+    with np.errstate(divide="ignore", invalid="ignore"):  # Q = 0, or an infinite m
+        m = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
+        xm, ym = x / m, y / m
+        d2, xy2 = ((xm - s * ym) ** 2).ravel(), (2.0 * s * xm * ym).ravel()
+        shift = (2.0 * np.log(m) - math.log(df)).ravel()
+        value = np.empty(d2.shape)
+        for i in range(0, value.size, _STUDENT_BLOCK):
+            b = slice(i, i + _STUDENT_BLOCK)
+            z = np.log(d2[b, None] / sin2 + xy2[b, None] / opc) + shift[b, None]
+            softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+            value[b] = (np.exp(-0.5 * df * softplus) * w).sum(axis=-1)
+    value = value.reshape(m.shape)
+    value = np.where(np.isfinite(m) & (value >= sys.float_info.min), value, 0.0)
+    base = np.minimum(u, v) if s > 0.0 else _frechet_lower(u, v)
+    return base - s * value / (2.0 * math.pi)
 
 
 def _log1mexp(x):
@@ -663,9 +694,7 @@ def _interior_cdf(spec: ContinuousCopulaSpec, u, v) -> np.ndarray:
         c = _gaussian_cdf(u, v, p["rho"])
     else:
         c = _student_cdf(u, v, p["rho"], p["df"])
-    # u + v - 1 as min(u, v) - (1 - max(u, v)): 1 - max(u, v) is exact
-    # wherever u + v > 1, so the bound is rounded once, not twice
-    lower = np.where(u + v > 1.0, np.minimum(u, v) - (1.0 - np.maximum(u, v)), 0.0)
+    lower = _frechet_lower(u, v)
     upper = np.minimum(u, v)
     c = np.where(c < lower, lower, c)
     return np.where(c > upper, upper, c)
@@ -682,8 +711,12 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
     Gauss-Legendre rule, to about 1e-16 absolute, and below about 1e-6 a
     conditional integral of nonnegative terms, to about 1e-13 relative,
     less where a quantile x is large: its 7e-16 relative error costs
-    about x^2 7e-16, 5e-13 at u = 1e-270.  The Student family evaluates
-    to ~1e-12 via a one-dimensional correlation integral.  Both subtract
+    about x^2 7e-16, 5e-13 at u = 1e-270.  The Student family is its
+    correlation integral on one fixed Gauss-Legendre rule on geometric
+    panels, within about 1.1e-16 absolute of the 40-digit integral at the
+    same t quantiles; the quantiles from ``stdtrit`` can cost more
+    (2.4e-14 at u = 0.2123, df = 2.73, where F misses u by 4.5e-14).
+    Both subtract
     their integrals from terms taken from u and v, so C(u, v) and
     u + v - 1 + C(1 - u, 1 - v) agree to rounding.  Every family is
     clamped to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v).
@@ -739,9 +772,9 @@ def discretize_copula(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> J
     nodes = _cdf_mesh(spec, n_rows, n_cols)
     strips = nodes[1:] - nodes[:-1]
     cells = strips[:, 1:] - strips[:, :-1]
-    # clip what the Student CDF's quadrature noise (~1e-12) and rounding take
-    # below 0; rows and columns telescope to 1/R and 1/S, so a unit total
-    # (which shows every cell finite) is every check
+    # clip what rounding, and the elliptical CDFs' error of about 1e-16
+    # absolute, take below 0; rows and columns telescope to 1/R and 1/S,
+    # so a unit total (which shows every cell finite) is every check
     np.maximum(cells, 0.0, out=cells)
     if abs(cells.sum() - 1.0) <= SUM_TOL:
         return _wrap(JointPmf, values=cells)

@@ -224,6 +224,23 @@ class TestCopulaCdf:
         value = copula_cdf(spec, u, v)
         assert max(0.0, u + v - 1.0) <= value <= min(u, v)
 
+    @pytest.mark.parametrize("spec", [
+        ContinuousCopulaSpec("gaussian", {"rho": -0.9999}),
+        ContinuousCopulaSpec("student", {"rho": -0.9999, "df": 4.0}),
+    ], ids=lambda spec: spec.family)
+    def test_lower_frechet_base_is_exact(self, spec):
+        # C is u + v - 1 to far below 1e-16 relative here; the kernels'
+        # base, u + v - 1 in doubles, read 5.3e-11 relative high, which the
+        # clamp to the lower bound cannot lower
+        u, v = 2.0119206680706893e-06, 0.9999999999902628
+        with mpmath.workdps(40):
+            exact = float(mpmath.mpf(u) + mpmath.mpf(v) - 1)
+        got = copula_cdf(spec, u, v)
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+        if spec.family == "student":
+            assert got == pytest.approx(_student_copula_cdf_by_correlation_integral(
+                u, v, spec.params["rho"], spec.params["df"]), rel=1e-12, abs=0.0)
+
     def test_clayton_past_overflow(self):
         # (1/15) ** -300 overflows a double; 50-digit decimals are the oracle
         from decimal import Decimal, localcontext
@@ -573,8 +590,10 @@ def _student_copula_cdf_by_correlation_integral(u, v, rho, df):
     cancel at the endpoint.  The quantiles are solved at 40 digits in
     log(-x), from the far tail's closed form, and the upper ones are the
     lower ones negated; mpmath's numbers do not overflow, so quantiles
-    past 1e154 need no scaling.  The quantiles of the points it is used at
-    do not nearly meet, so the kernel has no narrow dip at the endpoint.
+    past 1e154 need no scaling.  Where the quantiles nearly meet, the
+    kernel dips to 0 within about |x -+ y| / max(1, |x|, |y|) of the
+    endpoint; breakpoints at stop -+ |x -+ y| 10^k, one per decade from
+    a hundredth of that width up to the start, resolve the dip.
     """
     with mpmath.workdps(40):
         u, v, rho, df = (mpmath.mpf(a) for a in (u, v, rho, df))
@@ -601,7 +620,14 @@ def _student_copula_cdf_by_correlation_integral(u, v, rho, df):
                  + sign * 2 * x * y / (1 + sign * mpmath.sin(theta)))
             return (1 + q / df) ** (-df / 2)
 
-        value = mpmath.quad(kernel, [mpmath.asin(rho), sign * mpmath.pi / 2])
+        start, stop = mpmath.asin(rho), sign * mpmath.pi / 2
+        width, points = abs(x - sign * y), [stop]
+        if width > 0:
+            k = -2 - int(mpmath.ceil(mpmath.log10(max(1, abs(x), abs(y)))))
+            while width * mpmath.mpf(10) ** k < abs(stop - start):
+                points.append(stop - sign * width * mpmath.mpf(10) ** k)
+                k += 1
+        value = mpmath.quad(kernel, [start] + points[::-1])
         base = min(u, v) if sign > 0 else max(0, u + v - 1)
         return float(base - value / (2 * mpmath.pi))
 
@@ -625,13 +651,26 @@ class TestStudentCdf:
         (0.2, 0.8 + 1e-7, -0.6, 2.0), (0.45, 0.55 - 1e-10, -0.3, 0.5), (0.9, 0.9 + 1e-5, 0.2, 8.0),
     ])
     def test_nearly_equal_quantiles(self, u, v, rho, df):
-        # the kernel drops to 0 within |x -+ y| of the endpoint, where a
-        # plain adaptive rule can step over it (5e-8 off at the first point);
-        # the bound is the mixture test's
+        # the kernel drops to 0 within about |x -+ y| of the endpoint, where
+        # a plain adaptive rule can step over it (5e-8 off at the first
+        # point); the rule's geometric panels put the dip on a panel of its
+        # own width.  The bound is the mixture test's
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = float(_student_cdf(u, v, rho, df))
         assert value == pytest.approx(_student_cdf_by_mixture(u, v, rho, df), abs=1e-10)
+
+    @pytest.mark.parametrize("u, v, rho, df", [
+        # where the quantiles nearly meet at a small df, quad with per-node
+        # breakpoints missed by 4.4e-7 and 5.2e-8, warning, and by 1.4e-9
+        # without a warning
+        (0.7581801440355278, 0.7581810162634147, 0.03895605612943054, 0.07923473115424225),
+        (0.9454891888604782, 0.05451091589355755, -0.763113909544298, 0.154902658138589),
+        (0.2855652349175444, 0.2855652378069701, 0.506825862225719, 0.034718942804319516),
+    ])
+    def test_dip_at_small_df_matches_correlation_integral(self, u, v, rho, df):
+        assert float(_student_cdf(u, v, rho, df)) == pytest.approx(
+            _student_copula_cdf_by_correlation_integral(u, v, rho, df), abs=1e-14)
 
     @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.3, 0.9, 0.99])
     def test_large_df_is_gaussian(self, rho):
@@ -745,13 +784,13 @@ STDTRIT_FAILURES = [
 
 
 class _FixedStdtrit:
-    """``scipy.special`` with ``stdtrit`` returning ``value`` at ``u``."""
+    """``scipy.special`` with ``stdtrit`` returning ``value`` at ``u``, entry by entry."""
 
     def __init__(self, u, value):
         self.u, self.value = u, value
 
     def stdtrit(self, df, u):
-        return self.value if u == self.u else special.stdtrit(df, u)
+        return np.where(np.equal(u, self.u), self.value, special.stdtrit(df, u))
 
     def __getattr__(self, name):
         return getattr(special, name)
@@ -953,9 +992,9 @@ class TestDiscretize:
                                          (-0.5, 0.003)])
     def test_quantiles_past_sqrt_dbl_max_discretize(self, rho, df):
         # the t quantile of 1/15 is about -1.8e217 at df = 0.004, past
-        # sqrt(DBL_MAX), where the far kernel runs; these meshes raised
-        # ParamError, and with base terms from the t CDF they had cells
-        # down to -0.022
+        # sqrt(DBL_MAX), where (x - y)^2 would overflow unscaled; these
+        # meshes raised ParamError, and with base terms from the t CDF they
+        # had cells down to -0.022
         spec = ContinuousCopulaSpec("student", {"rho": rho, "df": df})
         nodes = families._cdf_mesh(spec, 15, 15)
         assert np.diff(np.diff(nodes, axis=0), axis=1).min() >= -1e-15

@@ -1,7 +1,7 @@
 """Import budget: the table verbs, the Gaussian copula and the Poisson tables run without scipy.
 
 scipy is imported only inside the functions that need it (the Student
-CDF and the Gaussian CDF's lower tail), so ``import tabcop``, the
+quantiles and the Gaussian CDF's lower tail), so ``import tabcop``, the
 ``analyze``, ``copula`` and ``couple`` verbs, the binomial, geometric and
 Goodman families, the geometric and Poisson grids (omega = 0 included),
 the truncated Poisson margin, the bivariate Binomial and Poisson pmfs,
@@ -10,11 +10,14 @@ Frank and Gaussian CDFs and the ``family --name gaussian`` verb never
 load it.  Those calls run with every scipy import made to raise and
 recorded, so a fallback import inside an exception handler is seen too.
 The Gaussian CDF takes its normal quantiles from ``statistics``, which
-``import tabcop`` does not load either.  Below about 1e-6 the Gaussian
-CDF takes a conditional integral that loads ``scipy.special`` and
-``scipy.integrate``, as the Student CDF does; neither loads
-``scipy.stats``.  Each check runs in a fresh interpreter, since the test
-session itself has scipy loaded.
+``import tabcop`` does not load either.  The Student CDF, the
+``family --name student`` verb included, loads ``scipy.special`` for its
+t quantiles and never ``scipy.integrate``: those calls run with only
+``scipy.integrate`` made to raise and recorded.  Below about 1e-6 the
+Gaussian CDF takes a conditional integral that loads ``scipy.special``
+and ``scipy.integrate``; none of these loads ``scipy.stats``.  Each check
+runs in a fresh interpreter, since the test session itself has scipy
+loaded.
 """
 
 import json
@@ -32,18 +35,21 @@ import tabcop, tabcop.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-class NoScipy:
-    # raises on every scipy import and records it, caught or not
-    attempts = []
+class Blocker:
+    # raises on every import of the package ``root`` or below, and records
+    # it, caught or not
+    def __init__(self, root):
+        self.root, self.attempts = root, []
 
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if name == self.root or name.startswith(self.root + "."):
             self.attempts.append(name)
             raise ImportError(f"{name} is blocked")
         return None
 
 report = {"import": scipy_modules(), "statistics": "statistics" in sys.modules}
-sys.meta_path.insert(0, NoScipy())
+no_scipy = Blocker("scipy")
+sys.meta_path.insert(0, no_scipy)
 with contextlib.redirect_stdout(io.StringIO()):
     report["analyze"] = tabcop.cli.run(["analyze", "--input", sys.argv[1]])
     report["copula"] = tabcop.cli.run(["copula", "--input", sys.argv[1],
@@ -83,14 +89,20 @@ report["poisson_margin"] = tabcop.truncated_poisson_margin(2.0, 40).sum()
 report["poisson_pmf"] = tabcop.bivariate_poisson_pmf(1.0, 0.5, 0.7, 24).values.sum()
 report["poisson_drift"] = tabcop.infinite.upsilon_truncation_drift(0.2, 12)
 report["after_poisson"] = scipy_modules()
-report["blocked"] = NoScipy.attempts
-sys.meta_path.pop(0)
-report["gaussian_tail"] = tabcop.copula_cdf(spec, 1e-30, 0.7)
-report["after_gaussian_tail"] = scipy_modules()
+report["blocked"] = no_scipy.attempts
+sys.meta_path.remove(no_scipy)
+no_integrate = Blocker("scipy.integrate")
+sys.meta_path.insert(0, no_integrate)
 with contextlib.redirect_stdout(io.StringIO()):
     report["student_code"] = tabcop.cli.run(["family", "--name", "student", "--rho", "0.5",
-                                             "--df", "4", "--shape", "4x4"])
-report["stats_after_student"] = [m for m in scipy_modules() if m.startswith("scipy.stats")]
+                                             "--df", "4", "--shape", "15x15"])
+student = tabcop.ContinuousCopulaSpec("student", {"rho": 0.5, "df": 4.0})
+report["student_cdf"] = tabcop.copula_cdf(student, 0.3, 0.6)
+report["after_student"] = scipy_modules()
+report["integrate_blocked"] = no_integrate.attempts
+sys.meta_path.remove(no_integrate)
+report["gaussian_tail"] = tabcop.copula_cdf(spec, 1e-30, 0.7)
+report["after_gaussian_tail"] = scipy_modules()
 print(json.dumps(report))
 """
 
@@ -120,9 +132,12 @@ def test_cli_verbs_load_no_scipy(tmp_path):
     assert 0.0 < report["poisson_drift"] < 1.0
     assert report["after_poisson"] == []
     assert report["blocked"] == []
+    assert report["student_code"] == 0
+    assert 0.3 * 0.6 < report["student_cdf"] < 0.3
+    assert "scipy.special" in report["after_student"]
+    assert [m for m in report["after_student"] if m.startswith("scipy.integrate")] == []
+    assert report["integrate_blocked"] == []
     assert 0.0 < report["gaussian_tail"] < 1e-30
     assert "scipy.special" in report["after_gaussian_tail"]
     assert "scipy.integrate" in report["after_gaussian_tail"]
     assert [m for m in report["after_gaussian_tail"] if m.startswith("scipy.stats")] == []
-    assert report["student_code"] == 0
-    assert report["stats_after_student"] == []
