@@ -121,8 +121,9 @@ def parse_family_spec(text: str) -> ContinuousCopulaSpec:
 def _special():
     """scipy's ``special``, imported on first use.
 
-    The Student quantiles and the Gaussian lower tail fetch it on every
-    call; from this cache that costs about a tenth of an import statement.
+    The Student quantiles (``betainc``, ``betaincc``, ``ndtri`` and, below
+    a = 30, ``betaln``) and the Gaussian lower tail fetch it on every call;
+    from this cache that costs about a tenth of an import statement.
     """
     from scipy import special
 
@@ -244,6 +245,9 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 #: log of the least positive double: a C whose log is below it is 0.0.
 _LOG_DBL_TRUE_MIN = math.log(math.ulp(0.0))
 
+#: log of the least normal double.
+_LOG_DBL_MIN = math.log(sys.float_info.min)
+
 
 def _gaussian_lower_tail(a: float, b: float, rho: float, r: float, s: float) -> float:
     """P(Z1 <= a, Z2 <= b) as the conditional integral, to about 1e-13 relative.
@@ -318,157 +322,129 @@ def _gaussian_lower_tail(a: float, b: float, rho: float, r: float, s: float) -> 
     return math.exp(log_z0 - 0.5 * h * h - _LOG_SQRT_2PI + math.log(total))
 
 
-def _student_tail_quantile(df: float, u: float) -> float:
-    """The t quantile x < 0 with ``stdtr(df, x) = u``, for 0 < u < 0.4999999.
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2).
 
-    The fallback of :func:`_student_quantile` where ``stdtrit`` fails.
-    There F is not taken from ``stdtr`` where that underflows (a subnormal
-    F keeps few digits) or past about x = -1e150.  With a = df/2 and
-    z = df / (df + x^2), F = I_z(a, 1/2) / 2, and (DLMF 8.17.8)
+    scipy's ``betaln`` is within 6e-16 of the 40-digit value below a = 30,
+    but loses up to 9e-10 from about a = 170 to 1e6.  From a = 30 on this
+    takes log B = log(pi / a) / 2 - (lgamma(a + 1/2) - lgamma(a) - log(a) / 2)
+    from the asymptotic series of the bracket in 1/a, to its 1/a^7 term:
+    within 1.3e-15 of the 40-digit value up to a = 1e12.
+    """
+    if a < 30.0:
+        return float(_special().betaln(a, 0.5))
+    t = 1.0 / a
+    t2 = t * t
+    return 0.5 * math.log(math.pi * t) + t * (
+        1.0 / 8.0 - t2 * (1.0 / 192.0 - t2 * (1.0 / 640.0 - t2 * 17.0 / 14336.0)))
 
-        I_z(a, b) = z^a (1 - z)^b / (a B(a, b)) * sum_k (a + b)_k / (a + 1)_k z^k.
 
-    Far out, where x^2 > 1e32 df, the leading term is exact to rounding
-    and gives x in closed form: x = -sqrt(df) (c / u)^(1/df) with
-    c = 1 / (2 a B(a, 1/2)), or -inf past -DBL_MAX; at a tiny df, where
-    (c / u)^(1/df) is finite but one of its two factors over- or
-    underflows, it is taken in logs.  Nearer in, Newton steps on
-    log(F / u) in s = log(-x), where log F falls nearly linearly with
-    slope -df, start from the closed form's s.  Each step is kept
-    inside the bracket [-20, log(DBL_MAX)], which the steps narrow, and is
-    replaced by bisection when it leaves it.  log F is the series, in
-    logs, while z <= 1/2, and ``stdtr`` nearer the centre, where a large
-    df can still make it underflow; such an s lies past the root and only
-    narrows the bracket.  The slope d log F / ds is x f(x) / F(x), with
-    the t density f taken in logs so that x^2 cannot overflow.  Against a
-    40-digit mpmath root the result is within 5e-14 relative on random df
-    in [0.3, 1e6] with u in [1e-307, 0.01], and on df up to 1500 with a
-    subnormal u.  A subnormal u with df past about 1500 puts the root
-    where x^2 < df and F comes from ``stdtr``, whose subnormal values miss
-    by about 1% there (1.3% at df = 784105.57, u = 7.47e-320); ``stdtrit`` has not
-    been seen to fail at such df.
+#: Terms of the series for F in :func:`_student_quantile`: where z <= 1/2
+#: the k-th is at most 2^-k of the first, so that the rest is below 1e-18.
+_STUDENT_SERIES_TERMS = 60
+
+#: Newton steps :func:`_student_quantile` takes at most: twice the most
+#: that random scans needed.  An entry whose F keeps few digits (a
+#: subnormal min(u, 1 - u) at a large df) stops here.
+_STUDENT_STEPS = 12
+
+
+def _student_quantile(df: float, u):
+    """Sign and log|x| of the t quantiles x of the entries of the 1-d array ``u``.
+
+    x < 0 below the median and x > 0 above it, and u = 1/2 gives x = 0 with
+    log|x| = -inf; log|x| is finite wherever x passes the doubles.  With
+    a = df/2, s = log|x|, z = df / (df + x^2) and w = x^2 / (df + x^2),
+    both taken from r = e^(2s) / df so that neither rounds next to 1,
+
+        F = I_z(a, 1/2) / 2,    G = 1/2 - F = I_w(1/2, a) / 2
+
+    are the t mass below -|x| and between -|x| and 0.  Newton steps in s
+    solve log F = log min(u, 1 - u) where min(u, 1 - u) < 1/16, and
+    log G = log |u - 1/2| nearer the median, where F - 1/2 would keep few
+    digits of G; |u - 1/2| is exact from min(u, 1 - u) = 1/4 on and within
+    half an ulp of 1/2 below.  F is the series (DLMF 8.17.8)
+
+        I_z(a, b) = z^a (1 - z)^b / (a B(a, b)) sum_k (a + b)_k / (a + 1)_k z^k
+
+    in logs where x^2 > df (z < 1/2), so that it does not underflow however
+    far out x is, and ``betaincc(1/2, a, w)`` nearer in.  G is
+    ``betainc(1/2, a, w)`` where x^2 <= df and ``betaincc(a, 1/2, z)``
+    beyond; where z is below the normal doubles (x^2 past 1e308 df, at df
+    below about 0.002 only) the step takes F's form instead.  The band
+    edge is 1/16 and not 1/4 because ``betaincc`` costs about five times
+    ``betainc``: it leaves the nodes of a 15 x 15 mesh at df = 4 to
+    ``betainc``.  The slopes are d log F / ds = -x f / F and
+    d log G / ds = x f / G, with the t density f = f(0) z^(a + 1/2) in logs.
+
+    The steps start at the larger of x = |u - 1/2| / f(0), left of the root
+    since f is largest at 0, and one of two approximations.  Where Hill's
+    leading term (1970, CACM 13, Algorithm 396), s = (log df) / 2 +
+    (log c - log min(u, 1 - u)) / df with c = 1 / (df B(a, 1/2)), puts x^2
+    past e^2 df, it is that term, which lies right of the root, since
+    F < c (df / x^2)^a everywhere, and misses it by about z / 2 in s.
+    Elsewhere it is the normal quantile with its first Cornish-Fisher term,
+    close at a large df.  From these starts the steps took at most 6 on
+    random df in [1e-4, 1e8] and u in (0, 1), subnormal u aside
+    (``_STUDENT_STEPS``).  Each entry stops on its own, once a step is
+    below 1e-9 max(1, |s|), so that a mesh node and a single point take
+    the same steps; Newton's quadratic convergence leaves the last step's
+    square.
+
+    The backward error |F(x) - u| / min(u, 1 - u) at the returned s, in 40
+    digits, is within 1e-13 plus what rounding leaves: one ulp of s, which
+    F's elasticity x f / F carries into F (it grows like x^2 at a large
+    df: at df = 5.8e5, u = 2.5e-279 the best double s misses by 2.3e-13),
+    and two ulps of log min(u, 1 - u), at which log F rounds.  A subnormal
+    min(u, 1 - u) keeps few digits of F where it comes from ``betaincc``
+    (df past about 1500).
     """
     special = _special()
-    df = float(df)  # a NumPy df would warn where a float raises OverflowError
     a = 0.5 * df
-    log_c = -math.log(2.0 * a) - float(special.betaln(a, 0.5))
-    try:
-        far = -math.sqrt(df) * math.exp(log_c / df) * u ** (-1.0 / df)
-    except OverflowError:
-        far = math.nan
-    if not far < 0.0:  # 0 * inf, inf, or an underflow to -0.0
-        log_far = 0.5 * math.log(df) + (log_c - math.log(u)) / df
-        if log_far > math.log(sys.float_info.max):
-            return -math.inf
-        far = -math.exp(log_far)
-    if far * far > 1e32 * df:
-        return far
-    log_u = math.log(u)
-    log_norm = (math.lgamma(a + 0.5) - math.lgamma(a)
-                - 0.5 * math.log(df * math.pi))
-
-    def residual_and_slope(s):
-        """log(F / u) and its derivative in s, at x = -e^s."""
-        log_tail = math.log1p(df * math.exp(-2.0 * s))  # log(1 + df / x^2)
-        log_z = math.log(df) - 2.0 * s - log_tail
-        if log_z <= -math.log(2.0):
-            z, term, total, k = math.exp(log_z), 1.0, 1.0, 0
-            while term > 1e-17 * total:
-                term *= (a + 0.5 + k) / (a + 1.0 + k) * z
-                total += term
-                k += 1
-            log_cdf = log_c + a * log_z - 0.5 * log_tail + math.log(total)
-        else:
-            cdf = float(special.stdtr(df, -math.exp(s)))
-            if cdf == 0.0:  # underflow, as at df = 1e4 past x = -40
-                return -math.inf, math.nan
-            log_cdf = math.log(cdf)
-        log_pdf = log_norm - 0.5 * (df + 1.0) * (log_tail - log_z)
-        return log_cdf - log_u, -math.exp(s + log_pdf - log_cdf)
-
-    lo, hi = -20.0, math.log(sys.float_info.max)
-    s = min(max(math.log(-far), lo), hi)
-    for _step in range(200):
-        residual, slope = residual_and_slope(s)
-        if residual == 0.0:
+    log_df = math.log(df)
+    log_f0 = -0.5 * log_df - _log_beta_half(a)  # f(0) = 1 / (sqrt(df) B(a, 1/2))
+    log_c = log_f0 - 0.5 * log_df
+    tail = np.minimum(u, 1.0 - u)
+    centre = tail >= 0.0625
+    with np.errstate(divide="ignore"):  # u = 1/2
+        log_tail, log_half = np.log(tail), np.log(np.abs(u - 0.5))
+        z = special.ndtri(tail)
+        normal = np.log(-z * (1.0 + (z * z + 1.0) / (4.0 * df)))
+    hill = 0.5 * log_df + (log_c - log_tail) / df
+    s = np.maximum(log_half - log_f0, np.where(hill > 0.5 * log_df + 1.0, hill, normal))
+    s[u == 0.5] = -np.inf
+    k = np.arange(_STUDENT_SERIES_TERMS - 1.0)
+    ratios = (a + 0.5 + k) / (a + 1.0 + k)
+    todo = np.flatnonzero(u != 0.5)
+    for _step in range(_STUDENT_STEPS):
+        if not todo.size:
             break
-        if residual > 0.0:
-            lo = s
-        else:
-            hi = s
-        nxt = s - residual / slope if slope else math.nan
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        converged = abs(nxt - s) <= 1e-15 * max(1.0, abs(s))
-        s = nxt
-        if converged:
-            break
-    return -math.exp(s)
-
-
-#: Largest relative miss of ``stdtr(df, stdtrit(df, u))`` against u (or of
-#: the upper tail against 1 - u) that :func:`_student_quantile` accepts.
-_ROUND_TRIP_RTOL = 1e-10
-
-
-def _student_quantile(df: float, u) -> np.ndarray:
-    """The t quantiles of the entries of ``u``: ``stdtrit``, checked by a round trip.
-
-    ``stdtrit`` fails in two ways.  It returns nan or +inf for some far
-    lower-tail u (nan at df = 2.3412869356382107, u = 1e-250, whose
-    quantile is about -5e106); in random scans of 60,000 (df, u), df in
-    [0.1, 1e8] and u in [1e-320, 0.1], every such failure had df in
-    [0.96, 59] and u below 1e-148.  And it returns finite wrong values:
-    -3.29e95 at df = 2.2103866156983756, u = 4.9493119154139494e-213,
-    where the quantile is -8.73e95, and a value stuck at -2.998e152 for
-    every u from 1e-5 to 0.2 at df = 0.002.  So each finite x is checked
-    by ``stdtr``: where the tail it lies in, F(x) below the median and
-    F(-x) above it, misses u (or 1 - u, exact there) by more than
-    ``_ROUND_TRIP_RTOL`` relative, the quantile comes from
-    :func:`_student_tail_quantile` on that tail, as it does for a nan or
-    an infinity.  A u or 1 - u below the normal doubles is not checked,
-    since ``stdtr`` keeps few digits there.  An infinity on its own side
-    of the median need not be a quantile past the doubles: at
-    df = 0.010598982986231954, ``stdtrit`` reads +inf at u = 1 -
-    0.011597628450106699, whose quantile is about 8.6e152.  The tail solve
-    returns the infinity where it is one (at df = 0.002 the quantile of
-    14/15 is about 1e437).  The nodes of a 15 x 15 mesh keep ``stdtrit``
-    from df of about 0.006 on, those of a 64 x 64 mesh from about 0.01.
-    """
-    special = _special()
-    u = np.asarray(u, dtype=float)
-    x = np.array(special.stdtrit(df, u), dtype=float)
-    lower = u < 0.5
-    tail = np.where(lower, u, 1.0 - u)
-    back = special.stdtr(df, np.where(lower, x, -x))
-    wrong = (np.isfinite(x) & (sys.float_info.min <= tail) & (tail < 0.4999999)
-             & ~(np.abs(back - tail) <= _ROUND_TRIP_RTOL * tail))
-    redo = wrong | ~np.isfinite(x)
-    if redo.any():
-        for idx in np.ndindex(x.shape):
-            if redo[idx]:
-                q = _student_tail_quantile(df, float(tail[idx]))
-                x[idx] = q if lower[idx] else -q
-    # within 0.01 of the median, x is finished by one Newton step on
-    # F = 1/2 + sign(x) I_z(1/2, df/2) / 2, z = x^2 / (df + x^2), the
-    # probability of |T| <= |x| halved, which keeps the digits of F - 1/2
-    # where z < 1/2, that is |x| < sqrt(df); at a tiny df, x there can be so
-    # large that z rounds to 1 (about -2.7e85 at df = 1e-4, u = 0.49), and
-    # is left as it is.  There ``stdtrit`` misses at df = 4 (by
-    # 2.3e-10 in F at u = 0.5000002, 1.6e-13 at 0.5001), and ``stdtr``
-    # cancels (``stdtr(1, -1e-9)`` is exactly 0.5, 3.2e-10 off): the round
-    # trip, not taken within 1e-7 of the median, can reject a good x just
-    # outside (df = 1, u = 0.49999989999999994) for a tail solve 2.7e-11
-    # off in F.  u = 1/2 keeps the ``stdtrit`` value, and mesh nodes up to
-    # 50 x 50 lie outside the band
-    centre = (0.49 <= tail) & (tail < 0.5) & (np.abs(x) < math.sqrt(df))
-    if centre.any():
-        xc = x[centre]
-        cdf = 0.5 + np.sign(xc) * special.betainc(0.5, 0.5 * df, xc * xc / (df + xc * xc)) / 2.0
-        log_pdf = (-0.5 * math.log(df) - float(special.betaln(0.5 * df, 0.5))
-                   - 0.5 * (df + 1.0) * np.log1p(xc * xc / df))
-        x[centre] = xc - (cdf - u[centre]) / np.exp(log_pdf)
-    return x
+        st = s[todo]
+        with np.errstate(over="ignore"):
+            r = np.exp(2.0 * st) / df  # x^2 / df
+        log_z = np.where(r < np.inf, -np.log1p(r), log_df - 2.0 * st)
+        near = r <= 1.0
+        by_g = centre[todo] & (near | (log_z >= _LOG_DBL_MIN))
+        near_g, near_f, far_g = near & by_g, near & ~by_g, by_g & ~near
+        twice = np.zeros(st.shape)  # 2F or 2G; the series' entries are set in logs below
+        twice[near_g] = special.betainc(0.5, a, r[near_g] / (1.0 + r[near_g]))
+        if near_f.any():  # betaincc costs about 2.5 us an entry, betainc 0.5
+            twice[near_f] = special.betaincc(0.5, a, r[near_f] / (1.0 + r[near_f]))
+        if far_g.any():
+            twice[far_g] = special.betaincc(a, 0.5, np.exp(log_z[far_g]))
+        log_v = np.log(np.maximum(0.5 * twice, math.ulp(0.0)))  # a subnormal F can round to 0
+        series = ~(near | by_g)
+        if series.any():
+            lz = log_z[series]
+            terms = np.cumprod(ratios * np.exp(lz)[:, None], axis=1)
+            log_v[series] = (log_c + a * lz - 0.5 * np.log1p(1.0 / r[series])
+                             + np.log1p(terms.sum(axis=1)))
+        slope = np.exp(st + log_f0 + (a + 0.5) * log_z - log_v)
+        delta = (log_v - np.where(by_g, log_half[todo], log_tail[todo])) / np.where(
+            by_g, slope, -slope)
+        s[todo] = st - delta
+        todo = todo[np.abs(delta) > 1e-9 * np.maximum(1.0, np.abs(st))]
+    return np.sign(u - 0.5), s
 
 
 @functools.lru_cache(maxsize=64)
@@ -547,19 +523,18 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     the widest panel: at (1.24e-163, 0.467), rho = -0.756, df = 937, C
     reads 6.1e-278 against 7.0e-278.
 
-    The kernel is taken in logs, once for every quantile size.  With the
-    quantiles scaled by m = max(1, |x|, |y|), so that Q_m = Q / m^2 is a
-    finite double whatever the quantiles,
+    The kernel is taken in logs, once for every quantile size.  The
+    quantiles come from :func:`_student_quantile` as signs and log|x|, so
+    log m, m = max(1, |x|, |y|), and the ratios x / m and y / m are taken
+    without forming x or y, and Q_m = Q / m^2 is a finite double whatever
+    the quantiles, past the doubles included:
 
         log(1 + Q/df) = softplus(log Q_m + 2 log m - log df),
 
     softplus(z) = max(z, 0) + log1p(e^-|z|), and the kernel is
     exp(-df/2 softplus(...)).  A large df does not round the kernel to 1,
-    and a quantile past sqrt(DBL_MAX) does not overflow Q.  An integral
-    below the normal doubles is dropped, as a value that small keeps too
-    few bits to add, and so is one whose m is infinite: at an infinite
-    quantile, one past the doubles, that leaves the Frechet bound that
-    its argument reaches as it goes to 0 or 1.
+    and no quantile overflows Q.  An integral below the normal doubles is
+    dropped, as a value that small keeps too few bits to add.
 
     The quantiles are taken once per entry of ``u`` and of ``v``, so once
     per row and per column of a mesh, in one call.  The rule runs on
@@ -567,23 +542,24 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     that each entry's sum takes the same order in a mesh as at one point.
     """
     n = np.size(u)
-    q = _student_quantile(df, np.concatenate((np.ravel(u), np.ravel(v))))  # one call for both
-    x, y = q[:n].reshape(np.shape(u)), q[n:].reshape(np.shape(v))
+    signs, logs = _student_quantile(df, np.concatenate((np.ravel(u), np.ravel(v))))
+    log_x, log_y = logs[:n].reshape(np.shape(u)), logs[n:].reshape(np.shape(v))
+    log_m = np.maximum(np.maximum(log_x, log_y), 0.0)
+    xm = signs[:n].reshape(np.shape(u)) * np.exp(log_x - log_m)
+    ym = signs[n:].reshape(np.shape(v)) * np.exp(log_y - log_m)
     s = 1.0 if rho >= 0.0 else -1.0
     sin2, opc, w = _student_rule(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):  # Q = 0, or an infinite m
-        m = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
-        xm, ym = x / m, y / m
-        d2, xy2 = ((xm - s * ym) ** 2).ravel(), (2.0 * s * xm * ym).ravel()
-        shift = (2.0 * np.log(m) - math.log(df)).ravel()
-        value = np.empty(d2.shape)
+    d2, xy2 = ((xm - s * ym) ** 2).ravel(), (2.0 * s * xm * ym).ravel()
+    shift = (2.0 * log_m - math.log(df)).ravel()
+    value = np.empty(d2.shape)
+    with np.errstate(divide="ignore"):  # Q = 0
         for i in range(0, value.size, _STUDENT_BLOCK):
             b = slice(i, i + _STUDENT_BLOCK)
             z = np.log(d2[b, None] / sin2 + xy2[b, None] / opc) + shift[b, None]
             softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
             value[b] = (np.exp(-0.5 * df * softplus) * w).sum(axis=-1)
-    value = value.reshape(m.shape)
-    value = np.where(np.isfinite(m) & (value >= sys.float_info.min), value, 0.0)
+    value = value.reshape(log_m.shape)
+    value = np.where(value >= sys.float_info.min, value, 0.0)
     base = np.minimum(u, v) if s > 0.0 else _frechet_lower(u, v)
     return base - s * value / (2.0 * math.pi)
 
@@ -714,10 +690,9 @@ def copula_cdf(spec: ContinuousCopulaSpec, u: float, v: float) -> float:
     about x^2 7e-16, 5e-13 at u = 1e-270.  The Student family is its
     correlation integral on one fixed Gauss-Legendre rule on geometric
     panels, within about 1.1e-16 absolute of the 40-digit integral at the
-    same t quantiles; the quantiles from ``stdtrit`` can cost more
-    (2.4e-14 at u = 0.2123, df = 2.73, where F misses u by 4.5e-14).
-    Both subtract
-    their integrals from terms taken from u and v, so C(u, v) and
+    same t quantiles, which are solved in logs to a backward error of
+    about 1e-13 relative or less.  Both subtract their integrals from
+    terms taken from u and v, so C(u, v) and
     u + v - 1 + C(1 - u, 1 - v) agree to rounding.  Every family is
     clamped to the Frechet bounds max(0, u + v - 1) <= C <= min(u, v).
     """
@@ -738,14 +713,6 @@ def _cdf_mesh(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> np.ndarra
     """C at every node (i/R, j/S) of the mesh, in one kernel call for the interior."""
     u = np.arange(n_rows + 1) / n_rows
     v = np.arange(n_cols + 1) / n_cols
-    if spec.family == "student":
-        df = spec.params["df"]
-        quantiles = _student_quantile(df, np.concatenate((u[1:-1], v[1:-1])))
-        if not np.isfinite(quantiles).all():
-            raise ParamError(
-                f"student df={df!r} is too small for a {n_rows}x{n_cols} mesh: the t "
-                "quantile of a mesh node passes the doubles"
-            )
     nodes = np.zeros((n_rows + 1, n_cols + 1))
     nodes[1:, n_cols] = u[1:]
     nodes[n_rows, 1:] = v[1:]
@@ -763,9 +730,7 @@ def discretize_copula(spec: ContinuousCopulaSpec, n_rows: int, n_cols: int) -> J
     once per row and per column; each node equals ``copula_cdf`` there.
     Each node is evaluated once, so the row and column sums telescope to
     the exact uniform margins up to rounding, independent of any
-    quadrature error in the interior nodes.  A Student df so small that a
-    mesh node's t quantile passes the doubles (at 15 x 15, df below about
-    0.0028) raises ``ParamError``.
+    quadrature error in the interior nodes.
     """
     n_rows = check_size(n_rows, "n_rows", 2, ValidationError)
     n_cols = check_size(n_cols, "n_cols", 2, ValidationError)
@@ -1022,14 +987,14 @@ def _geometric_log_seed(n: int, omega: float) -> np.ndarray:
 
 
 def _fit_seed(seed: np.ndarray, message: str) -> JointPmf:
-    """``scaling._fit`` of ``seed``; ParamError with ``message`` where the fit fails."""
+    """``scaling._fit`` of ``seed``; where it fails, ParamError with ``message`` and the reason."""
     try:
         return scaling._fit(seed)[0]
     except (InfeasibleError, NonConvergenceError) as exc:
-        raise ParamError(message) from exc
+        raise ParamError(f"{message}: {exc}") from exc
 
 
-def _fit_log_seed(log_table: np.ndarray, message: str) -> JointPmf:
+def _fit_log_seed(log_table: np.ndarray, where: str, table: str) -> JointPmf:
     """The copula pmf of exp(``log_table``), fitted from its double-centred logarithm.
 
     Subtracting the row means and then the column means of ``log_table``
@@ -1045,8 +1010,9 @@ def _fit_log_seed(log_table: np.ndarray, message: str) -> JointPmf:
     with the same row and column factors they miss uniform margins by no
     more.  Where the raised cells end with more, the fit's factors lift
     cells past the doubles into view, and no answer in doubles shows what
-    they hold.  ParamError with ``message`` is raised there and where the
-    fit fails.
+    they hold.  ParamError is raised there, "<where>: the <table> table
+    spans more than the doubles", and where the fit fails, "<where>: the fit
+    of the <table> table fails: " with the fit's own reason.
     """
     centred = log_table - log_table.mean(axis=1, keepdims=True)
     centred -= centred.mean(axis=0)
@@ -1054,9 +1020,9 @@ def _fit_log_seed(log_table: np.ndarray, message: str) -> JointPmf:
     seed /= seed.sum()
     raised = seed < sys.float_info.min
     seed[raised] = sys.float_info.min
-    fitted = _fit_seed(seed, message)
+    fitted = _fit_seed(seed, f"{where}: the fit of the {table} table fails")
     if not fitted.values[raised].sum() <= scaling.DEFAULT_TOL:
-        raise ParamError(message)
+        raise ParamError(f"{where}: the {table} table spans more than the doubles")
     return fitted
 
 
@@ -1087,9 +1053,8 @@ def truncated_geometric_copula(n_levels: int, omega: float) -> JointPmf:
         seed = _geometric_limit_seed(n_levels)
         return _fit_seed(seed / seed.sum(),
                          f"omega=0 for N={n_levels}: the fit of the omega -> 0 limit fails")
-    return _fit_log_seed(_geometric_log_seed(n_levels, omega),
-                         f"omega={omega} for N={n_levels}: the geometric table spans more "
-                         "than the doubles")
+    return _fit_log_seed(_geometric_log_seed(n_levels, omega), f"omega={omega} for N={n_levels}",
+                         "geometric")
 
 
 def _goodman_seed(n_rows: int, n_cols: int, theta: float) -> JointPmf:

@@ -263,8 +263,7 @@ def _poisson_copula(omega: float, n: int) -> JointPmf:
     ParamError names omega and N where the fit fails.
     """
     return _fit_log_seed(_bivariate_poisson_log_pmf(1.0, 1.0, omega, n),
-                         f"omega={omega} for n_levels={n}: the Poisson table spans more "
-                         "than the doubles")
+                         f"omega={omega} for n_levels={n}", "Poisson")
 
 
 def poisson_copula_grid(omega: float, n_levels: int) -> DensityGrid:

@@ -174,9 +174,17 @@ class TestFamilyVerb:
         np.testing.assert_allclose(out, np.eye(3) / 3, atol=1e-12)
 
     def test_geometric_past_the_doubles_is_a_parameter_error(self, capsys):
-        assert run(["family", "--name", "geometric", "--N", "3",
-                    "--omega", "1e-300"]) == 1
+        assert run(["family", "--name", "geometric", "--N", "12",
+                    "--omega", "1e-320"]) == 1
         assert "spans more than the doubles" in capsys.readouterr().err
+
+    def test_student_past_the_doubles(self, capsys):
+        # the t quantiles of these mesh nodes pass the doubles; it exited 1
+        assert run(["family", "--name", "student", "--rho", "0.3", "--df", "0.002",
+                    "--shape", "15x15"]) == 0
+        want = families.discretize_copula(
+            families.ContinuousCopulaSpec("student", {"rho": 0.3, "df": 0.002}), 15, 15)
+        np.testing.assert_array_equal(read_matrix(capsys.readouterr().out), want.values)
 
     def test_gaussian_family(self, capsys):
         assert run(["family", "--name", "gaussian", "--rho", "-0.5",

@@ -41,7 +41,6 @@ from tabcop.families import (
     _goodman_seed,
     _student_cdf,
     _student_quantile,
-    _student_tail_quantile,
     binomial_copula,
     bivariate_binomial_pmf,
     copula_cdf,
@@ -565,6 +564,8 @@ def _student_copula_cdf_by_mpmath(u, v, rho, df):
             return half if s < 0 else 1 - half
 
         def quantile(p):
+            if p == 0.5:
+                return mpmath.mpf(0)
             start = mpmath.log(-float(special.stdtrit(float(df), float(p))))
             return -mpmath.exp(mpmath.findroot(
                 lambda w: mpmath.log(t_cdf(df, -mpmath.exp(w)) / p), start))
@@ -603,6 +604,8 @@ def _student_copula_cdf_by_correlation_integral(u, v, rho, df):
         def quantile(p):
             if p > 0.5:
                 return -quantile(1 - p)
+            if p == 0.5:
+                return mpmath.mpf(0)
 
             def log_ratio(w):
                 x = -mpmath.exp(w)
@@ -691,6 +694,25 @@ class TestStudentCdf:
         spec = ContinuousCopulaSpec("student", {"rho": 0.212, "df": 0.4665})
         assert copula_cdf(spec, 3.29e-77, 5.59e-5) == pytest.approx(
             _student_copula_cdf_by_mpmath(3.29e-77, 5.59e-5, 0.212, 0.4665), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rho, u, v", [(-0.9, 1e-150, 1e-150), (0.5, 1e-150, 1e-150),
+                                           (0.5, 1e-150, 0.5)])
+    def test_quantile_past_the_doubles(self, rho, u, v):
+        # at df = 0.3 the t quantile of 1e-150 is about -1e500: as -inf it
+        # dropped the correlation term, which read 0.0 and 1e-150 (the upper
+        # Frechet bound) at the first two points
+        spec = ContinuousCopulaSpec("student", {"rho": rho, "df": 0.3})
+        assert copula_cdf(spec, u, v) == pytest.approx(
+            _student_copula_cdf_by_mpmath(u, v, rho, 0.3), rel=1e-12, abs=0.0)
+
+    def test_quantile_to_the_last_digits(self):
+        # stdtrit's quantile of u here missed u by 4.5e-14 in F, and put C
+        # 2.4e-14 off the 40-digit integral
+        u, v = 0.21230229271540754, 0.4184680407208572
+        rho, df = 0.14603654212822292, 2.728740705005025
+        spec = ContinuousCopulaSpec("student", {"rho": rho, "df": df})
+        assert copula_cdf(spec, u, v) == pytest.approx(
+            _student_copula_cdf_by_correlation_integral(u, v, rho, df), rel=0.0, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @example(u=1e-300, v=0.5, rho=0.3, df=3.0)
@@ -783,101 +805,145 @@ STDTRIT_FAILURES = [
 ]
 
 
-class _FixedStdtrit:
-    """``scipy.special`` with ``stdtrit`` returning ``value`` at ``u``, entry by entry."""
+def _student_backward_error(df, u, sign, log_abs):
+    """|F(x) - u| / min(u, 1 - u) at x = sign e^log_abs in 40 digits, and what rounding adds to it.
 
-    def __init__(self, u, value):
-        self.u, self.value = u, value
+    F(x) = I_z(df/2, 1/2) / 2, z = df / (df + x^2), below the median and 1
+    minus that above it, taken from log|x| itself, so that a quantile past
+    the doubles has one.  The second value is the backward error that
+    rounding to doubles can leave in a solve in logs: one ulp of log|x|,
+    which F's elasticity x f / F carries into F (f the t density; it grows
+    like x^2 at a large df, 2.3e-13 at df = 5.8e5, u = 2.5e-279), and two
+    ulps of log min(u, 1 - u), at which log F rounds (2.3e-13 at
+    u = 1e-280).
+    """
+    tail = min(u, 1.0 - u)
+    with mpmath.workdps(40):
+        df, p = mpmath.mpf(df), mpmath.mpf(tail)
+        if sign == 0:
+            return float(abs(mpmath.mpf(u) - 0.5) / p), 0.0
+        x2 = mpmath.exp(2 * mpmath.mpf(log_abs))
+        z = df / (df + x2)
+        below = mpmath.betainc(df / 2, 0.5, 0, z, regularized=True) / 2
+        cdf = below if sign < 0 else 1 - below
+        density = z ** ((df + 1) / 2) / (mpmath.sqrt(df) * mpmath.beta(df / 2, 0.5))
+        return (float(abs(cdf - mpmath.mpf(u)) / p),
+                float(mpmath.sqrt(x2) * density / p) * math.ulp(log_abs)
+                + 2.0 * math.ulp(math.log(tail)))
 
-    def stdtrit(self, df, u):
-        return np.where(np.equal(u, self.u), self.value, special.stdtrit(df, u))
 
-    def __getattr__(self, name):
-        return getattr(special, name)
+def _quantile(df, u):
+    """sign(x) and log|x| of the t quantile x of the one argument ``u``."""
+    sign, log_abs = _student_quantile(df, np.array([u]))
+    return float(sign[0]), float(log_abs[0])
+
+
+def _assert_backward_error(df, u):
+    sign, log_abs = _quantile(df, u)
+    error, rounding = _student_backward_error(df, u, sign, log_abs)
+    assert error <= 1e-13 + rounding, (df, u, sign, log_abs, error, rounding)
+    return sign, log_abs
 
 
 class TestStudentQuantile:
+    @settings(max_examples=150, deadline=None)
+    # where scipy 1.17's stdtrit reads nan, a finite -3.29e95 (F 8.65 u),
+    # a value stuck at -2.998e152 for u from 1e-5 to 0.2, +inf for a
+    # quantile of about 8.6e152, and a value whose F misses u by 4.5e-14
+    @example(df=2.3412869356382107, tail=1e-250, upper=False)
+    @example(df=2.2103866156983756, tail=4.9493119154139494e-213, upper=False)
+    @example(df=0.002, tail=1e-5, upper=False)
+    @example(df=0.002, tail=1e-3, upper=False)
+    @example(df=0.002, tail=0.05, upper=False)
+    @example(df=0.002, tail=0.2, upper=False)
+    @example(df=0.010598982986231954, tail=0.011597628450106699, upper=True)
+    @example(df=2.728740705005025, tail=0.21230229271540754, upper=False)
+    @given(
+        df=st.floats(-2.0, 6.0).map(lambda k: 10.0 ** k),
+        tail=st.floats(-300.0, math.log10(0.5)).map(lambda k: 10.0 ** k).filter(
+            lambda p: p < 0.5),
+        upper=st.booleans(),
+    )
+    def test_backward_error(self, df, tail, upper):
+        u = 1.0 - tail if upper else tail
+        if u == 1.0:  # 1 - tail rounds to 1 below about 1e-16
+            return
+        sign, _ = _assert_backward_error(df, u)
+        assert sign == np.sign(u - 0.5)
+
     @pytest.mark.parametrize("df, u", STDTRIT_FAILURES)
     def test_tail_solve_matches_mpmath(self, df, u):
-        x = _student_tail_quantile(df, u)
+        sign, log_abs = _quantile(df, u)
+        x = sign * math.exp(log_abs)
         assert x == pytest.approx(_student_quantile_by_mpmath(df, u, x), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("df, u", STDTRIT_FAILURES)
     def test_replaces_a_failed_stdtrit(self, df, u):
-        by_stdtrit = float(special.stdtrit(df, u))
-        x = _student_quantile(df, u)
-        if math.isfinite(by_stdtrit):  # a scipy that no longer fails here
-            assert x == by_stdtrit
-        else:
-            assert x == _student_tail_quantile(df, u) and -math.inf < x < 0.0
+        # scipy's stdtrit reads nan or +inf at these lower-tail u
+        sign, log_abs = _assert_backward_error(df, u)
+        assert sign == -1.0 and math.isfinite(log_abs)
 
     @pytest.mark.parametrize("df, u", [(0.5, 1e-3), (1.0, 1e-30), (4.0, 1e-12),
                                        (60.0, 1e-100), (1e4, 1e-200)])
     def test_tail_solve_away_from_failures(self, df, u):
-        # closer in than the failures: Newton steps on the series and on stdtr
-        x = _student_tail_quantile(df, u)
+        # closer in than the failures: F from the series and from betaincc
+        sign, log_abs = _quantile(df, u)
+        x = sign * math.exp(log_abs)
         assert x == pytest.approx(_student_quantile_by_mpmath(df, u, x), rel=1e-13, abs=0.0)
 
     def test_quantile_past_the_doubles(self):
-        # at df = 0.5 the quantile of 1e-300 is about -1e1200
-        assert _student_tail_quantile(0.5, 1e-300) == -math.inf
+        # at df = 0.5 the quantile of 1e-300 is about -1e599, kept as its log
+        sign, log_abs = _assert_backward_error(0.5, 1e-300)
+        assert sign == -1.0 and log_abs == pytest.approx(599.0 * math.log(10.0), rel=1e-4)
 
     @pytest.mark.parametrize("df", [0.5, 1.0, 4.0, 30.0])
     def test_near_the_median(self, df):
-        # stdtrit misses here: F(x) - u is 4.0e-11 at df = 4, u = 0.4999999,
-        # 2.3e-10 at u = 0.5000002 and 1.6e-13 at u = 0.5001; and at df = 1,
-        # u = 0.49999989999999994 the round trip rejects a good x for a
-        # tail solve 2.7e-11 off.
-        # The Newton step that finishes x within 0.01 of the median takes F
-        # from the centre's form, which keeps F - 1/2
+        # stdtrit missed here: F(x) - u was 4.0e-11 at df = 4, u = 0.4999999,
+        # 2.3e-10 at u = 0.5000002 and 1.6e-13 at u = 0.5001.  Within 1/4 of
+        # the median the steps take G = 1/2 - F from I_w(1/2, df/2), which
+        # keeps the digits of F - 1/2
         for offset in (1e-2, 1e-3, 1e-4, 1e-5, 5e-7, 1.01e-7, 1e-7, 9.9e-8, 3.1416e-8, 1e-9,
                        1e-12, 1e-15, 2.0**-53):
             for u in (0.5 - offset, 0.5 + offset, 1.0 - (0.5 + offset)):
-                x = float(_student_quantile(df, u))
+                sign, log_abs = _quantile(df, u)
+                x = sign * math.exp(log_abs)
                 assert abs(_student_t_cdf_by_mpmath(df, x, minus=u)) <= 2.3e-16
 
     @pytest.mark.parametrize("df", [1e-4, 5e-4])
     def test_tiny_df_near_the_median(self, df):
         # x passes sqrt(df) within 0.01 of the median (about -2.7e85 at
-        # u = 0.49, df = 1e-4), where z in the centre's form rounds to 1 and
-        # a Newton step on it would throw x to the other side of 0; the
+        # u = 0.49, df = 1e-4), where G comes from betaincc at z; the
         # quantile's condition number in u is of order 1/df
         for u in (0.49, 0.495, 0.4999):
-            x = float(_student_quantile(df, u)[()])
+            sign, log_abs = _quantile(df, u)
+            x = sign * math.exp(log_abs)
             assert x == pytest.approx(_student_quantile_by_mpmath(df, u, x), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("df", [0.002, 0.5, 1.0, 4.0, 30.0, 1e8])
     def test_median_keeps_stdtrit(self, df):
-        # u = 1/2 is a node of every even mesh, which stays bit-identical
-        assert _student_quantile(df, 0.5) == special.stdtrit(df, 0.5)
-        nodes = np.arange(1, 64) / 64.0
-        assert _student_quantile(df, nodes)[31] == special.stdtrit(df, 0.5)
-
-    @pytest.mark.parametrize("value, u", [(math.nan, 1e-250), (math.inf, 1e-250)])
-    def test_lower_tail_failure_solved(self, monkeypatch, value, u):
-        monkeypatch.setattr(families, "_special", lambda: _FixedStdtrit(u, value))
-        assert _student_quantile(2.3412869356382107, u) == _student_tail_quantile(
-            2.3412869356382107, u)
+        # u = 1/2 is x = 0, stdtrit's value there, at every even mesh node too
+        assert special.stdtrit(df, 0.5) == 0.0
+        sign, log_abs = _student_quantile(df, np.arange(1, 64) / 64.0)
+        assert sign[31] == 0.0 and log_abs[31] == -math.inf
+        assert _quantile(df, 0.5) == (0.0, -math.inf)
 
     @pytest.mark.parametrize("value, u", [(math.inf, 14 / 15), (math.inf, 0.9),
                                           (-math.inf, 0.1), (-math.inf, 1e-250)])
-    def test_infinity_on_its_own_side_kept(self, monkeypatch, value, u):
-        # at df = 0.002 the quantile of 14/15 is past the doubles, so +inf
-        # is the right answer and not a lower-tail failure
-        monkeypatch.setattr(families, "_special", lambda: _FixedStdtrit(u, value))
-        assert _student_quantile(0.002, u) == value
+    def test_infinity_on_its_own_side_kept(self, value, u):
+        # at df = 0.002 these quantiles pass the doubles (about 1e437 at
+        # 14/15): each keeps the side of its infinity, its log finite
+        sign, log_abs = _assert_backward_error(0.002, u)
+        assert sign == math.copysign(1.0, value)
+        assert math.log(sys.float_info.max) < log_abs < math.inf
 
     def test_infinite_upper_quantile_solved_on_its_tail(self):
-        # stdtrit reads +inf for the upper quantile, which is about 8.6e152
+        # stdtrit read +inf for the upper quantile, which is about 8.6e152
         df, u = 0.010598982986231954, 1.0 - 0.011597628450106699
-        x = float(_student_quantile(df, u)[()])
+        sign, log_abs = _quantile(df, u)
+        x = sign * math.exp(log_abs)
         assert math.isfinite(x)
         assert x == pytest.approx(-_student_quantile_by_mpmath(df, 1.0 - u, -x), rel=1e-13,
                                   abs=0.0)
-
-    def test_infinite_upper_quantile_gives_frechet_upper_bound(self, monkeypatch):
-        monkeypatch.setattr(families, "_special", lambda: _FixedStdtrit(14 / 15, math.inf))
-        assert _student_cdf(14 / 15, 7 / 15, 0.3, 0.002) == 7 / 15
 
     @pytest.mark.parametrize("df", [0.0005, 0.002])
     def test_tiny_df_upper_tail_raises_nothing(self, df):
@@ -885,47 +951,47 @@ class TestStudentQuantile:
         for u in (0.9, 14 / 15):
             assert 0.0 <= copula_cdf(spec, u, 0.4) <= 0.4
 
-    def test_mesh_nodes_keep_stdtrit(self):
-        # from df of about 0.006 on stdtrit passes its round trip at every
-        # node of a 15 x 15 mesh, so discretized pmfs are unchanged (smaller
-        # df below)
+    def test_mesh_nodes_backward_error(self):
+        # these nodes took stdtrit's quantiles, which round-tripped
         for df in (0.01, 0.1, 1.0, 2.3412869356382107, 30.0, 1e8):
             for i in range(1, 15):
-                assert _student_quantile(df, i / 15) == float(special.stdtrit(df, i / 15))
+                _assert_backward_error(df, i / 15)
 
     @pytest.mark.parametrize("df", [0.0005, 0.002])
     def test_tiny_df_values_that_miss_the_round_trip_replaced(self, df):
         # scipy 1.17's stdtrit sticks at about -+1.5e152 (df = 0.0005) and
-        # -+3e152 (df = 0.002) across most of the mesh; a value whose tail
-        # misses u (or 1 - u) is replaced by the tail solve on that tail,
-        # and one that round-trips is kept
+        # -+3e152 (df = 0.002) across most of the mesh, where the quantiles
+        # pass the doubles; every node's quantile is solved, to the backward
+        # error bound, and differs from a stdtrit value whose tail misses u
         for i in range(1, 15):
             u = i / 15
             by_stdtrit = float(special.stdtrit(df, u))
             tail = min(u, 1.0 - u)
             back = special.stdtr(df, by_stdtrit if u < 0.5 else -by_stdtrit)
-            x = _student_quantile(df, u)
-            if abs(back - tail) <= 1e-10 * tail:
-                assert x == by_stdtrit
-            else:
-                q = _student_tail_quantile(df, tail)
-                assert x == (q if u < 0.5 else -q)
+            sign, log_abs = _assert_backward_error(df, u)
+            if not abs(back - tail) <= 1e-10 * tail:
+                assert log_abs != math.log(abs(by_stdtrit))
 
     def test_finite_wrong_quantile_replaced(self):
-        # stdtrit gives a finite -3.29e95 here; F(-3.29e95) is 8.65 u
+        # stdtrit gave a finite -3.29e95 here; F(-3.29e95) is 8.65 u
         df, u = 2.2103866156983756, 4.9493119154139494e-213
-        x = float(_student_quantile(df, u))
+        sign, log_abs = _quantile(df, u)
+        x = sign * math.exp(log_abs)
         assert x == pytest.approx(-8.73345862645786e95, rel=1e-13, abs=0.0)
         assert x == pytest.approx(_student_quantile_by_mpmath(df, u, x), rel=1e-13, abs=0.0)
 
     def test_closed_form_in_logs_at_tiny_df(self):
-        # at df = 0.0005 the closed form's exp(log c / df) underflows while
-        # u^(-1/df) overflows, though their product is about -7.4e191; the
-        # quantile's condition number in u is 1/df = 2000, hence rel 5e-12
-        x = _student_tail_quantile(0.0005, 0.4)
+        # at df = 0.0005 Hill's closed form needs logs: exp(log c / df)
+        # underflows while u^(-1/df) overflows, though their product is about
+        # -7.4e191; the quantile's condition number in u is 1/df = 2000,
+        # hence rel 5e-12.  The quantile of 0.3, about -5.6e441, is its log
+        sign, log_abs = _quantile(0.0005, 0.4)
+        x = sign * math.exp(log_abs)
         assert x == pytest.approx(_student_quantile_by_mpmath(0.0005, 0.4, x), rel=5e-12,
                                   abs=0.0)
-        assert _student_tail_quantile(0.0005, 0.3) == -math.inf  # about -5.6e441
+        sign, log_abs = _assert_backward_error(0.0005, 0.3)
+        assert sign == -1.0
+        assert log_abs == pytest.approx(math.log(5.6) + 441.0 * math.log(10.0), rel=1e-4)
 
 
 class TestDiscretize:
@@ -979,14 +1045,15 @@ class TestDiscretize:
                 cells, np.clip(np.diff(np.diff(expected, axis=0), axis=1), 0.0, None))
 
     @pytest.mark.parametrize("df", [0.0005, 0.002])
-    def test_tiny_student_df_is_a_param_error(self, df):
+    def test_tiny_student_df_discretizes(self, df):
         # the t quantile of 1/15 is about -7.6e435 at df = 0.002, past the
-        # doubles
+        # doubles, and is kept as its log; these meshes raised ParamError
         spec = ContinuousCopulaSpec("student", {"rho": 0.3, "df": df})
-        with pytest.raises(ParamError, match=f"df={df!r}"):
-            discretize_copula(spec, 15, 15)
-        assert is_copula_pmf(discretize_copula(
-            ContinuousCopulaSpec("student", {"rho": 0.3, "df": 0.01}), 15, 15), tol=1e-12)
+        assert is_copula_pmf(discretize_copula(spec, 15, 15), tol=1e-12)
+        nodes = families._cdf_mesh(spec, 15, 15)
+        for i, j in ((7, 2), (2, 7), (1, 1), (14, 14), (1, 14), (14, 7), (8, 3), (13, 6)):
+            assert nodes[i, j] == pytest.approx(_student_copula_cdf_by_correlation_integral(
+                i / 15, j / 15, 0.3, df), rel=1e-12, abs=0.0), (i, j)
 
     @pytest.mark.parametrize("rho, df", [(0.5, 0.004), (0.3, 0.004), (-0.3, 0.005),
                                          (-0.5, 0.003)])
@@ -1699,22 +1766,21 @@ EXTREME_CALLS = {
     "goodman theta=0 on 3x4": (lambda: goodman_copula(3, 4, 0.0), InfeasibleError, "diagonal"),
     # the centred geometric seed still passes the doubles, and the fit lifts
     # the cells raised from there into view (1e-320, 1e-100), or the fit of
-    # the full seed stalls (1e-300 at N = 3)
+    # the full seed, whose least cell is a normal double, stalls (1e-300 at
+    # N = 3)
     "geometric omega=1e-320": (lambda: truncated_geometric_copula(12, 1e-320),
                                ParamError, "omega=1e-320 .*N=12: .*spans more than the doubles"),
     "geometric grid omega=1e-320": (lambda: geometric_copula_grid(1e-320, 12),
                                     ParamError, "spans more than the doubles"),
-    "geometric omega=1e-300": (lambda: truncated_geometric_copula(3, 1e-300),
-                               ParamError, "omega=1e-300 .*N=3: .*spans more than the doubles"),
+    "geometric omega=1e-300": (lambda: truncated_geometric_copula(3, 1e-300), ParamError,
+                               "omega=1e-300 .*N=3: the fit of the geometric table fails: "
+                               "fit stalled"),
     "geometric omega=1e-100": (lambda: truncated_geometric_copula(40, 1e-100),
                                ParamError, "omega=1e-100 .*N=40: .*spans more than the doubles"),
     "poisson level rounds to 0": (lambda: poisson_copula_grid(1.0, 400), ParamError,
                                   "rounds to 0"),
     "poisson margin level rounds to 0": (lambda: truncated_poisson_margin(800.0, 3),
                                          ParamError, "rounds to 0"),
-    "student mesh df=0.002": (lambda: discretize_copula(
-        ContinuousCopulaSpec("student", {"rho": 0.3, "df": 0.002}), 15, 15), ParamError,
-        "too small"),
 }
 
 
