@@ -838,6 +838,19 @@ def _quantile(df, u):
     return float(sign[0]), float(log_abs[0])
 
 
+class _FixedStdtrit:
+    """``scipy.special`` with ``stdtrit`` returning ``value`` at ``u``, entry by entry."""
+
+    def __init__(self, u, value):
+        self.u, self.value = u, value
+
+    def stdtrit(self, df, u):
+        return np.where(np.equal(u, self.u), self.value, special.stdtrit(df, u))
+
+    def __getattr__(self, name):
+        return getattr(special, name)
+
+
 def _assert_backward_error(df, u):
     sign, log_abs = _quantile(df, u)
     error, rounding = _student_backward_error(df, u, sign, log_abs)
@@ -926,6 +939,16 @@ class TestStudentQuantile:
         sign, log_abs = _student_quantile(df, np.arange(1, 64) / 64.0)
         assert sign[31] == 0.0 and log_abs[31] == -math.inf
         assert _quantile(df, 0.5) == (0.0, -math.inf)
+
+    @pytest.mark.parametrize("value, u", [(math.nan, 1e-250), (math.inf, 1e-250)])
+    def test_lower_tail_failure_solved(self, monkeypatch, value, u):
+        # stdtrit read nan or +inf here; the quantile is solved without it,
+        # so a stdtrit that fails at u leaves it unchanged
+        expected = _quantile(2.3412869356382107, u)
+        monkeypatch.setattr(families, "_special", lambda: _FixedStdtrit(u, value))
+        assert _quantile(2.3412869356382107, u) == expected
+        sign, log_abs = _assert_backward_error(2.3412869356382107, u)
+        assert sign == -1.0 and math.isfinite(log_abs)
 
     @pytest.mark.parametrize("value, u", [(math.inf, 14 / 15), (math.inf, 0.9),
                                           (-math.inf, 0.1), (-math.inf, 1e-250)])
@@ -1807,6 +1830,14 @@ class TestWrappedTables:
         p = build()
         assert not p.values.flags.writeable
         np.testing.assert_array_equal(JointPmf(p.values).values, p.values)
+
+    def test_tiny_student_df_mesh_is_wrapped(self):
+        # this mesh raised ParamError ("too small") while its quantiles, past
+        # the doubles, were not kept as logs
+        p = discretize_copula(ContinuousCopulaSpec("student", {"rho": 0.3, "df": 0.002}), 15, 15)
+        assert not p.values.flags.writeable
+        np.testing.assert_array_equal(JointPmf(p.values).values, p.values)
+        assert is_copula_pmf(p, tol=1e-12)
 
 
 class TestFamilyInvariants:
