@@ -122,20 +122,13 @@ def _special():
     """scipy's ``special``, imported on first use.
 
     The Student quantiles (``betainc``, ``betaincc``, ``ndtri`` and, below
-    a = 30, ``betaln``) and the Gaussian lower tail fetch it on every call;
-    from this cache that costs about a tenth of an import statement.
+    a = 30, ``betaln``) and the Gaussian lower tail (``log_ndtr``) fetch it
+    on every call; from this cache that costs about a tenth of an import
+    statement.
     """
     from scipy import special
 
     return special
-
-
-@functools.cache
-def _quadrature():
-    """scipy's ``integrate`` and ``special``, imported on first use."""
-    from scipy import integrate
-
-    return integrate, _special()
 
 
 @functools.cache
@@ -146,7 +139,8 @@ def _gaussian_rule():
     Applied Statistics 37): within 7.0e-16 relative of a 40-digit root
     for u down to 1e-300.  The rule's nodes t in (-1, 1) are returned as
     1 + t, so that they and the weights integrate over (0, 2).  The
-    Student copula runs the same rule on each of its panels.
+    Student copula and the Gaussian lower tail run the same rule on each
+    of their panels.
     """
     import statistics
 
@@ -154,6 +148,13 @@ def _gaussian_rule():
 
     nodes, weights = legendre.leggauss(20)
     return statistics.NormalDist().inv_cdf, 1.0 + nodes, weights
+
+
+#: Entries that :func:`_student_cdf` and :func:`_gaussian_lower_tail`
+#: evaluate at once: each takes its integrand at up to 580 nodes of a
+#: rule, so a block's arrays hold at most about 0.6 MB each, however large
+#: the mesh.
+_RULE_BLOCK = 128
 
 
 def _frechet_lower(u, v) -> np.ndarray:
@@ -190,10 +191,11 @@ def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
     absolute, so an entry whose C falls below ``_GAUSSIAN_LOWER_TAIL``
     (about 1e-6), where 1e-16 absolute is worse than 1e-10 relative, is
     taken instead from :func:`_gaussian_lower_tail`, whose terms are all
-    nonnegative.  The quantiles are taken once per entry of ``u`` and of
-    ``v``, so once per row and per column of a mesh; the rule runs on all
-    entries at once, its nodes on a trailing axis, so that each entry's
-    sum takes the same order in a mesh as at one point.
+    nonnegative, ``_RULE_BLOCK`` tail entries at a time.  The quantiles
+    are taken once per entry of ``u`` and of ``v``, so once per row and
+    per column of a mesh; the rule runs on all entries at once, its nodes
+    on a trailing axis, so that each entry's sum takes the same order in a
+    mesh as at one point.
     """
     inv_cdf, nodes, weights = _gaussian_rule()
     x, y = (np.array([inv_cdf(p) for p in np.ravel(w).tolist()]).reshape(np.shape(w))
@@ -226,11 +228,11 @@ def _gaussian_cdf(u, v, rho: float) -> np.ndarray:
         bound = np.minimum(u, v) if s > 0.0 else _frechet_lower(u, v)
         cdf = bound - s * value / (2.0 * math.pi)
     cdf = np.asarray(cdf)  # scalar arguments give a scalar, which takes no item assignment
-    tail = cdf < _GAUSSIAN_LOWER_TAIL
-    if tail.any():
-        x, y = np.broadcast_arrays(x, y)
-        for i in map(tuple, np.argwhere(tail)):
-            cdf[i] = _gaussian_lower_tail(float(x[i]), float(y[i]), rho, r, s)
+    tail = np.flatnonzero(cdf < _GAUSSIAN_LOWER_TAIL)
+    for i in range(0, tail.size, _RULE_BLOCK):
+        block = tail[i:i + _RULE_BLOCK]
+        xb, yb = (np.broadcast_to(w, cdf.shape).flat[block] for w in (x, y))
+        cdf.flat[block] = _gaussian_lower_tail(xb, yb, rho, r, s)
     return cdf
 
 
@@ -249,8 +251,12 @@ _LOG_DBL_TRUE_MIN = math.log(math.ulp(0.0))
 _LOG_DBL_MIN = math.log(sys.float_info.min)
 
 
-def _gaussian_lower_tail(a: float, b: float, rho: float, r: float, s: float) -> float:
-    """P(Z1 <= a, Z2 <= b) as the conditional integral, to about 1e-13 relative.
+#: Panel edges of :func:`_gaussian_lower_tail`'s rule in x = scale t.
+_TAIL_EDGES = np.array([0.0, *2.0 ** np.arange(-2.0, 7.0), 80.0])
+
+
+def _gaussian_lower_tail(a, b, rho: float, r: float, s: float) -> np.ndarray:
+    """P(Z1 <= a, Z2 <= b) on 1-d arrays, as the conditional integral, to about 1e-13 relative.
 
     With h = min(a, b), k = max(a, b) and Z2 given Z1 = x normal with mean
     rho x and deviation r,
@@ -272,54 +278,76 @@ def _gaussian_lower_tail(a: float, b: float, rho: float, r: float, s: float) -> 
     So for |m| > 1 the integral is split at t8, and each piece runs from
     its own start in the scale of its own slope and curvature bound; the
     piece past t8 starts at z8 = z0 + m t8, so that z0 + m t does not
-    cancel there.  In one piece ``quad`` warned, missed by 7.4e-6 at
-    (1.8e-13, 0.16) with rho = 1 - 2e-12, took the log of a zero integral
-    at (1.6e-7, 0.89) with rho = 1 - 2e-14, and warned at
-    (9.5e-8, 1 - 2.2e-13) with rho = -(1 - 8.1e-15), where Phi cuts the
-    integrand off.  For |m| <= 1 the scales are alike, and a split would
-    leave a finite piece so much longer than the integrand that ``quad``
-    can miss it.  z0 takes the numerator as (k - s h) + (s - rho) h,
-    s = sign(rho), where s - rho is exact: at (0.3, 0.7), where k = -h,
-    the direct k - rho h cancels near rho = -1.  For rho <= 0,
-    C <= Phi(h) Phi(z0), and where that bound is below the doubles no
-    integral is run.
+    cancel there.  One piece in one scale resolves neither: adaptive
+    quadrature over it missed by 7.4e-6 at (1.8e-13, 0.16) with
+    rho = 1 - 2e-12, and took the log of a zero integral at (1.6e-7, 0.89)
+    with rho = 1 - 2e-14.  For |m| <= 1 the scales are alike, and one
+    piece serves.
+
+    Each piece runs on the 20-point rule of :func:`_gaussian_rule` on
+    fixed panels in x with edges 0, 1/4, 1/2, 1, 2, ..., 64 and 80
+    (``_TAIL_EDGES``), cut at the piece's end.  In x the integrand's slope
+    at 0 and its curvature are at most 1, so the panels are short where it
+    is largest and widen as it falls off.  For m < 0, Phi(z + m t) cuts the
+    integrand off about t_c = -z / m, z the piece's start, over about
+    1 / |m| of t, near rho = -1 far less than the integrand's decay (at
+    (9.5e-8, 1 - 2.2e-13) with rho = -(1 - 8.1e-15) it falls from 1 to 0
+    within 1e-6 of t_c).  In x that drop is w = scale / |m| > 1 wide and
+    sits z w from 0.  For |m| > 1, z is at most 8 on the piece past t8, so
+    the drop lies on panels at most 8 of its widths wide and needs no edges
+    of its own: on random points with rho < 0 and v near 1 - u, edges at
+    1/2 to 8 units of 1 / max(1, |m|) about t_c moved no entry by more than
+    7.2e-15 relative.  Against the same rule with 40 nodes per panel, or
+    with edges out to 160, entries of random scans moved by no more than
+    rounding the log of C leaves (7.2e-15 above C = 1e-27).  The rule runs
+    on all entries at once, its nodes on a trailing axis, so that each
+    entry's sum takes the same order in a mesh as at one point.
+
+    z0 takes the numerator as (k - s h) + (s - rho) h, s = sign(rho), where
+    s - rho is exact: at (0.3, 0.7), where k = -h, the direct k - rho h
+    cancels near rho = -1.  For rho <= 0, C <= Phi(h) Phi(z0), and where
+    that bound is below the doubles C is 0 and no integral is run, which
+    also keeps z0, and so phi(z0) / Phi(z0) in the scale, finite wherever
+    one runs: z0 is then above about -39.
     """
-    integrate, special = _quadrature()
-    h, k = min(a, b), max(a, b)
+    special = _special()
+    _, nodes, weights = _gaussian_rule()
+    h, k = np.minimum(a, b), np.maximum(a, b)
     z0 = ((k - s * h) + (s - rho) * h) / r
     m = rho / r
-    log_z0 = float(special.log_ndtr(z0))
-    if rho <= 0.0 and log_z0 + float(special.log_ndtr(h)) < _LOG_DBL_TRUE_MIN:
-        return 0.0
+    log_z0 = special.log_ndtr(z0)
+    cdf = np.zeros(h.shape)
+    live = (rho > 0.0) | (log_z0 + special.log_ndtr(h) >= _LOG_DBL_TRUE_MIN)
+    h, z0, log_z0 = h[live], z0[live], log_z0[live]
 
     def integral(g, z, width, curvature):
-        """int_0^width exp(g t - t^2 / 2 + log Phi(z + m t) - log Phi(z)) dt.
+        """int_0^width exp(g t - t^2 / 2 + log Phi(z + m t) - log Phi(z)) dt on arrays.
 
         It runs in x = scale t, scale = |g + m phi(z) / Phi(z)| (the
         integrand's slope at 0) + ``curvature`` (a bound on its -L'').
         """
-        log_z = float(special.log_ndtr(z))
-        scale = abs(g + m * math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_z)) + curvature
-
-        def integrand(x):
-            t = x / scale
-            return math.exp(g * t - 0.5 * t * t + special.log_ndtr(z + m * t) - log_z)
-
-        value, _ = integrate.quad(integrand, 0.0, scale * width,
-                                  epsabs=0.0, epsrel=1e-13, limit=200)
-        return value / scale
+        log_z = special.log_ndtr(z)
+        scale = np.abs(g + m * np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_z)) + curvature
+        edges = np.minimum(_TAIL_EDGES, (scale * width)[:, None])
+        half = 0.5 * np.diff(edges)[..., None]  # entries, panels, nodes
+        t = (edges[:, :-1, None] + half * nodes) / scale[:, None, None]
+        g, z, log_z = (w[:, None, None] for w in (g, z, log_z))
+        f = np.exp(g * t - 0.5 * t * t + special.log_ndtr(z + m * t) - log_z)
+        return (f * half * weights).sum(axis=-1).sum(axis=-1) / scale
 
     wide = math.sqrt(1.0 + m * m)
     if abs(m) <= 1.0:
         total = integral(h, z0, math.inf, wide)
     else:
-        t8 = max(0.0, (8.0 - z0) / m)
+        t8 = np.maximum(0.0, (8.0 - z0) / m)
         z8 = z0 + m * t8
         near, far = (wide, 1.0) if m > 0.0 else (1.0, wide)
-        total = (integral(h, z0, t8, near) if t8 > 0.0 else 0.0) + math.exp(
-            h * t8 - 0.5 * t8 * t8 + float(special.log_ndtr(z8)) - log_z0
-        ) * integral(h - t8, z8, math.inf, far)
-    return math.exp(log_z0 - 0.5 * h * h - _LOG_SQRT_2PI + math.log(total))
+        total = np.exp(h * t8 - 0.5 * t8 * t8 + special.log_ndtr(z8) - log_z0) * integral(
+            h - t8, z8, math.inf, far)
+        split = t8 > 0.0
+        total[split] += integral(h[split], z0[split], t8[split], near)
+    cdf[live] = np.exp(log_z0 - 0.5 * h * h - _LOG_SQRT_2PI + np.log(total))
+    return cdf
 
 
 def _log_beta_half(a: float) -> float:
@@ -470,12 +498,6 @@ def _student_rule(rho: float):
     return rule
 
 
-#: Mesh entries that :func:`_student_cdf` evaluates at once: each takes
-#: its kernel at all 580 nodes of the rule, so a block's arrays hold about
-#: 0.6 MB each, however large the mesh.
-_STUDENT_BLOCK = 128
-
-
 def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     """Student copula C(u, v) on broadcast arrays: P(T1 <= x, T2 <= y) at t quantiles.
 
@@ -538,7 +560,7 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
 
     The quantiles are taken once per entry of ``u`` and of ``v``, so once
     per row and per column of a mesh, in one call.  The rule runs on
-    ``_STUDENT_BLOCK`` entries at a time, its nodes on a trailing axis, so
+    ``_RULE_BLOCK`` entries at a time, its nodes on a trailing axis, so
     that each entry's sum takes the same order in a mesh as at one point.
     """
     n = np.size(u)
@@ -553,8 +575,8 @@ def _student_cdf(u, v, rho: float, df: float) -> np.ndarray:
     shift = (2.0 * log_m - math.log(df)).ravel()
     value = np.empty(d2.shape)
     with np.errstate(divide="ignore"):  # Q = 0
-        for i in range(0, value.size, _STUDENT_BLOCK):
-            b = slice(i, i + _STUDENT_BLOCK)
+        for i in range(0, value.size, _RULE_BLOCK):
+            b = slice(i, i + _RULE_BLOCK)
             z = np.log(d2[b, None] / sin2 + xy2[b, None] / opc) + shift[b, None]
             softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
             value[b] = (np.exp(-0.5 * df * softplus) * w).sum(axis=-1)
